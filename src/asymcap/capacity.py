@@ -22,6 +22,7 @@ from .info import (
     TransitionMatrix,
     _entropy_bits,
     binary_entropy,
+    composite_crossover,
 )
 from .rng import stream
 
@@ -118,8 +119,7 @@ def capacity_closed_form_bsc(p1: float, p2: float) -> CapacityResult:
     for name, p in (("p1", p1), ("p2", p2)):
         if not 0.0 <= p <= 1.0:
             raise DomainError(f"{name}={p!r} outside [0, 1]")
-    q = p1 + p2 - 2.0 * p1 * p2
-    cap = 1.0 - binary_entropy(q)
+    cap = 1.0 - binary_entropy(composite_crossover(p1, p2))
     return CapacityResult(cap, np.array([0.5, 0.5]), SOLVER_CLOSED_FORM, 0, 0.0)
 
 
@@ -136,16 +136,52 @@ def _kernel(pyx: TransitionMatrix, pux: TransitionMatrix):
     return a.reshape(pyx.input_size, nu * ny), nu, ny
 
 
+def _joint_rows(P: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Row i is P[i] @ a, bit-identical to that 1-D product: the stacked form
+    makes the same BLAS call per row, which a plain P @ a does not."""
+    return (P[:, None, :] @ a)[:, 0]
+
+
+def _row_dot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Row-wise X[i] @ Y[i], bit-identical to the 1-D dot of each pair."""
+    return (X[:, None, :] @ Y[:, :, None])[:, 0, 0]
+
+
+def _log_ratios(t: np.ndarray) -> np.ndarray:
+    """log2[q(u,y) / (q(u) q(y))] for each (S, nu, ny) table, 0 where q(u,y) = 0."""
+    qu, qy = t.sum(axis=2)[:, :, None], t.sum(axis=1)[:, None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logs = np.log2(t) - np.log2(qu) - np.log2(qy)
+    return np.where(t > 0, logs, 0.0)
+
+
 def _mi_batch(q: np.ndarray, nu: int, ny: int) -> np.ndarray:
     """I(U;Y) in bits for each row of q (rows are flattened (u, y) tables)."""
     t = q.reshape(-1, nu, ny)
-    qu = t.sum(axis=2)
-    qy = t.sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        contrib = t * (
-            np.log2(t) - np.log2(qu)[:, :, None] - np.log2(qy)[:, None, :]
-        )
-    return np.where(t > 0, contrib, 0.0).sum(axis=(1, 2))
+    return (t * _log_ratios(t)).sum(axis=(1, 2))
+
+
+def _gradient_batch(P: np.ndarray, a: np.ndarray, nu: int, ny: int) -> np.ndarray:
+    """Gradient of I(U;Y) at each row of P (see mutual_information_gradient)."""
+    logs = _log_ratios(_joint_rows(P, a).reshape(-1, nu, ny))
+    return (a @ logs.reshape(len(P), -1, 1))[:, :, 0] - _LOG2E
+
+
+def _project_rows(V: np.ndarray) -> np.ndarray:
+    """Euclidean projection of each row onto the probability simplex, by
+    sort and threshold (Duchi et al., ICML 2008)."""
+    s, n = V.shape
+    u = np.sort(V, axis=1)[:, ::-1]
+    css = u.cumsum(axis=1)
+    rho = n - 1 - (u * np.arange(1, n + 1) > css - 1.0)[:, ::-1].argmax(axis=1)
+    theta = (css[np.arange(s), rho] - 1.0) / (rho + 1.0)
+    return np.maximum(V - theta[:, None], 0.0)
+
+
+def _stationarity(P: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """Projected-gradient norm |proj(p + g) - p| of each row."""
+    d = _project_rows(P + G) - P
+    return np.sqrt(_row_dot(d, d))
 
 
 def input_mutual_information(
@@ -162,7 +198,7 @@ def input_mutual_information(
         raise DimensionMismatch(
             f"input weights must have shape ({a.shape[0]},), got {p.shape}"
         )
-    return float(_mi_batch(p @ a, nu, ny)[0])
+    return float(_mi_batch(_joint_rows(p[None], a), nu, ny)[0])
 
 
 def mutual_information_gradient(
@@ -174,26 +210,12 @@ def mutual_information_gradient(
     minus log2(e); cells with q(u,y) = 0 are skipped.
     """
     a, nu, ny = _kernel(pyx, pux)
-    p = np.asarray(p, dtype=float)
-    q = p @ a
-    t = q.reshape(nu, ny)
-    qu = t.sum(axis=1)
-    qy = t.sum(axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logs = np.log2(t) - np.log2(qu)[:, None] - np.log2(qy)[None, :]
-    logs = np.where(t > 0, logs, 0.0)
-    return a @ logs.ravel() - _LOG2E
+    return _gradient_batch(np.asarray(p, dtype=float)[None], a, nu, ny)[0]
 
 
 def simplex_project(v: np.ndarray) -> np.ndarray:
     """Euclidean projection onto the probability simplex (sort and threshold)."""
-    v = np.asarray(v, dtype=float)
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    idx = np.arange(1, v.size + 1)
-    rho = np.nonzero(u * idx > (css - 1.0))[0][-1]
-    theta = (css[rho] - 1.0) / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)
+    return _project_rows(np.asarray(v, dtype=float)[None])[0]
 
 
 def _composition_blocks(k: int, d: int):
@@ -250,58 +272,6 @@ def capacity_grid(
     return CapacityResult(best_val, best_p, SOLVER_GRID, total, 1.0 / k)
 
 
-def _ascend(p0: np.ndarray, a: np.ndarray, nu: int, ny: int, opts: SolverOptions):
-    """One projected-gradient-ascent run; returns (p, value, steps, residual)."""
-
-    def obj(p):
-        return float(_mi_batch(p @ a, nu, ny)[0])
-
-    def grad(p):
-        t = (p @ a).reshape(nu, ny)
-        qu = t.sum(axis=1)
-        qy = t.sum(axis=0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logs = np.log2(t) - np.log2(qu)[:, None] - np.log2(qy)[None, :]
-        logs = np.where(t > 0, logs, 0.0)
-        return a @ logs.ravel() - _LOG2E
-
-    p = p0.copy()
-    steps = 0
-    j0 = None
-    t_init = 1.0  # warm start: the step accepted last pass, doubled
-    for _ in range(opts.max_iterations):
-        g = grad(p)
-        if np.linalg.norm(simplex_project(p + g) - p) < opts.convergence_tol:
-            break
-        if opts.step_size_rule == "fixed":
-            p = simplex_project(p + _FIXED_STEP * g)
-            steps += 1
-            continue
-        if j0 is None:
-            j0 = obj(p)
-        t_step = t_init
-        moved = False
-        while t_step > 1e-14:
-            cand = simplex_project(p + t_step * g)
-            j_cand = obj(cand)
-            if j_cand >= j0 + 1e-4 * float(g @ (cand - p)):
-                p = cand
-                j0 = j_cand
-                t_init = min(1.0, 2.0 * t_step)
-                moved = True
-                break
-            t_step *= 0.5
-        if not moved:
-            # No float-representable ascent step exists, and the state is
-            # unchanged, so every remaining pass would stall identically;
-            # account them without running them.
-            steps = opts.max_iterations
-            break
-        steps += 1
-    residual = float(np.linalg.norm(simplex_project(p + grad(p)) - p))
-    return p, obj(p), steps, residual
-
-
 def capacity_optimize(
     pyx: TransitionMatrix,
     pux: TransitionMatrix,
@@ -313,22 +283,53 @@ def capacity_optimize(
     sampled uniformly from the simplex (fixed internal key, so the result
     is a deterministic function of the inputs).  Among runs whose values
     tie within 1e-12 the uniform start wins, then earlier restarts.
+
+    All runs advance together as the rows of one (starts, nx) array.  Rows
+    that converged or stalled are frozen by masks, and the Armijo search is
+    per row, so each run takes exactly the path it would take alone.
     """
     opts = options or SolverOptions()
     a, nu, ny = _kernel(pyx, pux)
     nx = a.shape[0]
+    e = -np.log1p(-stream(_RESTART_KEY).random((opts.restarts, nx)))  # flat Dirichlet
+    p = np.vstack([np.full(nx, 1.0 / nx), e / e.sum(axis=1, keepdims=True)])
+    steps = np.zeros(len(p), dtype=np.int64)
+    running = np.ones(len(p), dtype=bool)
+    t_init = np.ones(len(p))  # warm start: the step accepted last pass, doubled
+    j0 = _mi_batch(_joint_rows(p, a), nu, ny)
+    for _ in range(opts.max_iterations):
+        g = _gradient_batch(p, a, nu, ny)
+        running &= ~(_stationarity(p, g) < opts.convergence_tol)
+        if opts.step_size_rule == "fixed":
+            np.copyto(p, _project_rows(p + _FIXED_STEP * g), where=running[:, None])
+        else:
+            t_step, pending = t_init.copy(), running.copy()
+            while True:
+                # With no float-representable ascent step left, a row would
+                # stall identically on every remaining pass: account them.
+                stalled = pending & (t_step <= 1e-14)
+                steps[stalled] = opts.max_iterations
+                running &= ~stalled
+                pending &= ~stalled
+                if not pending.any():
+                    break
+                cand = _project_rows(p + t_step[:, None] * g)
+                j_cand = _mi_batch(_joint_rows(cand, a), nu, ny)
+                accept = pending & (j_cand >= j0 + 1e-4 * _row_dot(g, cand - p))
+                np.copyto(p, cand, where=accept[:, None])
+                np.copyto(j0, j_cand, where=accept)
+                np.copyto(t_init, np.minimum(1.0, 2.0 * t_step), where=accept)
+                pending &= ~accept
+                np.multiply(t_step, 0.5, out=t_step, where=pending)
+        steps += running
+        if not running.any():
+            break
 
-    rng = stream(_RESTART_KEY)
-    starts = [np.full(nx, 1.0 / nx)]
-    for _ in range(opts.restarts):
-        e = -np.log1p(-rng.random(nx))  # unit exponentials -> flat Dirichlet
-        starts.append(e / e.sum())
-
-    runs = [_ascend(s, a, nu, ny, opts) for s in starts]
-    best = max(r[1] for r in runs)
-    winner = min(i for i, r in enumerate(runs) if r[1] >= best - _TIE_TOL)
-    p, val, steps, residual = runs[winner]
-    return CapacityResult(val, p, SOLVER_GRADIENT, steps, residual)
+    residual = _stationarity(p, _gradient_batch(p, a, nu, ny))
+    vals = _mi_batch(_joint_rows(p, a), nu, ny)
+    w = int(np.flatnonzero(vals >= vals.max() - _TIE_TOL)[0])
+    return CapacityResult(float(vals[w]), p[w], SOLVER_GRADIENT, int(steps[w]),
+                          float(residual[w]))
 
 
 def capacity_gap(px: Pmf, pyx: TransitionMatrix, pux: TransitionMatrix) -> float:
@@ -367,7 +368,6 @@ def sweep_capacity_surface(p1_grid, p2_grid) -> list[tuple[float, float, float, 
     rows = []
     for p1 in p1s:
         for p2 in p2s:
-            q = p1 + p2 - 2.0 * p1 * p2
-            hq = binary_entropy(q)
+            hq = binary_entropy(composite_crossover(p1, p2))
             rows.append((p1, p2, 1.0 - hq, hq - binary_entropy(p1)))
     return rows

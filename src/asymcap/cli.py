@@ -16,8 +16,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from .capacity import (
     SolverOptions,
     capacity_closed_form_bsc,
@@ -26,9 +24,9 @@ from .capacity import (
     sweep_capacity_surface,
 )
 from .codec import DECODER_MAP, DECODER_TYPICALITY, MODE_FIXED, MODE_FRESH, SimConfig, collision_experiment, run_experiment
-from .info import TransitionMatrix, binary_entropy
+from .info import TransitionMatrix, binary_entropy, composite_crossover
 from .rng import TAG_SWEEP, derive_seed
-from .verify import run_verification
+from .verify import default_grid, run_verification
 
 __all__ = ["main", "main_entry"]
 
@@ -125,7 +123,7 @@ def _write_csv(path: str, eff: dict, header: str, rows: list[str]) -> None:
 def cmd_capacity(args: argparse.Namespace) -> int:
     eff = _merge(args, {"p1": None, "p2": None, "seed": 0}, ("p1", "p2"))
     res = capacity_closed_form_bsc(eff["p1"], eff["p2"])
-    q = eff["p1"] + eff["p2"] - 2.0 * eff["p1"] * eff["p2"]
+    q = composite_crossover(eff["p1"], eff["p2"])
     gap = binary_entropy(q) - binary_entropy(eff["p1"])
     print("config: " + _config_json(eff))
     print("capacity " + _fmt(res.capacity))
@@ -215,9 +213,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     eff = _merge(args, defaults, ("mode", "out"))
     if eff["mode"] == "capacity":
         step = float(eff["grid_step"])
-        if not 0.0 < step <= 0.5:
-            raise UsageError(f"grid step {step!r} outside (0, 0.5]")
-        grid = np.linspace(0.0, 0.5, round(0.5 / step) + 1)
+        grid = default_grid(step)
         echo = {"mode": "capacity", "grid_step": step, "seed": int(eff["seed"])}
         rows = [
             ",".join(_fmt(v) for v in row)
@@ -326,6 +322,8 @@ def cmd_collision(args: argparse.Namespace) -> int:
     m = int(eff["collide"])
     if not 2 <= m <= int(eff["messages"]):
         raise UsageError(f"--collide must lie in [2, M]; got {m} with M={eff['messages']}")
+    if int(eff["trials"]) < m:
+        raise UsageError(f"--trials must be at least --collide ({m}); got {eff['trials']}")
     lam = collision_experiment(
         M=int(eff["messages"]),
         m_collide=m,

@@ -396,11 +396,12 @@ def _run_chunk(cfg: SimConfig, lo: int, hi: int, fixed_pair: CodebookPair | None
 
 
 def _worker_count() -> int:
+    """ASYMCAP_THREADS, capped at the CPU count; 1 when unset or not an integer."""
     raw = os.environ.get("ASYMCAP_THREADS", "")
     if not raw:
         return 1
     try:
-        return max(1, int(raw))
+        return max(1, min(int(raw), os.cpu_count() or 1))
     except ValueError:
         return 1
 

@@ -20,6 +20,7 @@ __all__ = [
     "TransitionMatrix",
     "JointPmf",
     "binary_entropy",
+    "composite_crossover",
     "entropy",
     "mutual_information",
     "conditional_entropy",
@@ -337,6 +338,11 @@ def build_joint_xuyv(px: Pmf, p1: float, p2: float) -> JointPmf:
                 )
                 table[x, x ^ z2, x ^ z1, x ^ z1 ^ z2] += w
     return JointPmf(table)
+
+
+def composite_crossover(p1: float, p2: float) -> float:
+    """Crossover of two independent binary flips in series: p1 + p2 - 2 p1 p2."""
+    return p1 + p2 - 2.0 * p1 * p2
 
 
 def bsc(p: float) -> TransitionMatrix:

@@ -24,6 +24,7 @@ from .info import (
     build_joint_uy,
     build_joint_xuyv,
     check_markov,
+    composite_crossover,
     conditional_entropy,
     entropy,
     mutual_information,
@@ -115,23 +116,25 @@ class VerificationReport:
 
 
 def default_grid(step: float = DEFAULT_GRID_STEP) -> np.ndarray:
-    """Lattice {0, step, 2 step, ...} covering [0, 0.5]."""
+    """Lattice {0, step, 2 step, ..., 0.5}; step must divide 0.5 (to 1e-9)."""
     step = float(step)
     if not 0.0 < step <= 0.5:
         raise DomainError(f"grid step {step!r} outside (0, 0.5]")
-    return np.linspace(0.0, 0.5, round(0.5 / step) + 1)
+    k = round(0.5 / step)
+    if not math.isclose(k * step, 0.5, rel_tol=1e-9):
+        raise DomainError(f"grid step {step!r} does not divide 0.5")
+    return np.linspace(0.0, 0.5, k + 1)
 
 
 def identity_residuals(p1: float, p2: float) -> dict[str, float]:
     """Residuals of the exact structural identities at one (p1, p2) point.
 
     All identities are stated for the uniform binary input; V denotes the
-    composite-noise variable X xor Z1 xor Z2.  q = p1 + p2 - 2 p1 p2 is the
-    crossover of the two flips composed.
+    composite-noise variable X xor Z1 xor Z2, whose crossover given X is
+    composite_crossover(p1, p2).
     """
     j4 = build_joint_xuyv(Pmf.uniform(2), p1, p2)  # axes (x, u, y, v)
-    q = p1 + p2 - 2.0 * p1 * p2
-    hq = binary_entropy(q)
+    hq = binary_entropy(composite_crossover(p1, p2))
     h1 = binary_entropy(p1)
     h2 = binary_entropy(p2)
     defect = h1 + h2 - hq  # common value of the three conditional entropies

@@ -194,6 +194,153 @@ class TestOptimize:
             capacity_optimize(bsc(0.1), TransitionMatrix.identity(3))
 
 
+def _golden_pair(seed, nx, ny, nu, zeros=False):
+    """Seeded (channel, perturbation) pair; `zeros` blanks about a third of
+    the entries so the solver meets empty (u, y) cells."""
+    rng = np.random.default_rng(seed)
+    mats = []
+    for cols in (ny, nu):
+        m = rng.random((nx, cols)) + 0.02
+        if zeros:
+            m[rng.random((nx, cols)) < 0.35] = 0.0
+            m[:, 0] += 0.05
+        mats.append(TransitionMatrix(m / m.sum(axis=1, keepdims=True)))
+    return mats
+
+
+GOLDEN_CASES = {
+    "bsc_0.1_0.2": (lambda: (bsc(0.1), bsc(0.2)), {}),
+    "bsc_0.3_0.5": (lambda: (bsc(0.3), bsc(0.5)), {}),
+    "bsc_0_0": (lambda: (bsc(0.0), bsc(0.0)), {}),
+    "bsc_0.11_identity": (lambda: (bsc(0.11), TransitionMatrix.identity(2)), {}),
+    "nx2_a": (lambda: _golden_pair(21, 2, 2, 3), {}),
+    "nx2_zeros": (lambda: _golden_pair(22, 2, 3, 3, zeros=True), {}),
+    "nx3_a": (lambda: _golden_pair(31, 3, 2, 3), {}),
+    "nx3_zeros": (lambda: _golden_pair(32, 3, 3, 4, zeros=True), {}),
+    "nx4_a": (lambda: _golden_pair(41, 4, 3, 2), {}),
+    "nx4_zeros": (lambda: _golden_pair(42, 4, 4, 4, zeros=True), {}),
+    "nx8_a": (lambda: _golden_pair(81, 8, 4, 3), {}),
+    "nx8_zeros": (lambda: _golden_pair(82, 8, 5, 5, zeros=True), {}),
+    "nx3_fixed": (lambda: _golden_pair(33, 3, 3, 3), {"step_size_rule": "fixed"}),
+    "nx3_two_steps": (lambda: _golden_pair(77, 3, 3, 3),
+                      {"max_iterations": 2, "restarts": 1}),
+    "nx4_loose": (lambda: _golden_pair(43, 4, 3, 3), {"restarts": 3, "convergence_tol": 1e-6}),
+}
+
+
+def _golden_summary(r):
+    return (r.capacity.hex(), [float(v).hex() for v in r.argmax_px],
+            r.iterations, r.residual.hex())
+
+
+# Solver results captured before the restarts were batched into one
+# (starts, nx) ascent; batching must keep every bit.  Each entry is
+# (capacity, argmax_px, iterations, residual), floats as float.hex.
+GOLDEN_RESULTS = {
+    "bsc_0.1_0.2": (
+        "0x1.62d2cc4075e8cp-3",
+        ["0x1.0000000000000p-1", "0x1.0000000000000p-1"],
+        0, "0x0.0p+0",
+    ),
+    "bsc_0.3_0.5": (
+        "0x0.0p+0",
+        ["0x1.0000000000000p-1", "0x1.0000000000000p-1"],
+        0, "0x0.0p+0",
+    ),
+    "bsc_0_0": (
+        "0x1.0000000000000p+0",
+        ["0x1.0000000000000p-1", "0x1.0000000000000p-1"],
+        0, "0x0.0p+0",
+    ),
+    "bsc_0.11_identity": (
+        "0x1.000b03f9dea47p-1",
+        ["0x1.0000000000000p-1", "0x1.0000000000000p-1"],
+        0, "0x0.0p+0",
+    ),
+    "nx2_a": (
+        "0x1.1e0d61495aaa2p-7",
+        ["0x1.9f9269b00f883p-2", "0x1.3036cb27f83bep-1"],
+        300, "0x1.1eb9e96f4395dp-26",
+    ),
+    "nx2_zeros": (
+        "0x1.0c7e1aa865ab8p-10",
+        ["0x1.da9bcadfb5da4p-2", "0x1.12b21a902512ep-1"],
+        300, "0x1.138f8d942fb70p-14",
+    ),
+    "nx3_a": (
+        "0x1.0777ff19cc8efp-6",
+        ["0x0.0p+0", "0x1.dea0221c2d574p-2", "0x1.10afeef1e9545p-1"],
+        300, "0x1.1f1e38c4c8865p-26",
+    ),
+    "nx3_zeros": (
+        "0x1.5fcc21f71a01bp-4",
+        ["0x1.1fdd22b2b9d56p-1", "0x0.0p+0", "0x1.c045ba9a8c554p-2"],
+        300, "0x1.cdae3476334bfp-5",
+    ),
+    "nx4_a": (
+        "0x1.04bc46d12b9dcp-6",
+        [
+            "0x1.1073fe5355f00p-1", "0x0.0p+0", "0x0.0p+0",
+            "0x1.df180359541ffp-2",
+        ],
+        300, "0x1.62cd7fb213770p-27",
+    ),
+    "nx4_zeros": (
+        "0x1.8518e9666f024p-3",
+        [
+            "0x1.417a28970c44bp-1", "0x1.7d0baed1e776ap-2", "0x0.0p+0",
+            "0x0.0p+0",
+        ],
+        300, "0x1.4c2b25d9d3f48p-29",
+    ),
+    "nx8_a": (
+        "0x1.2f7261a4b9288p-4",
+        [
+            "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+            "0x0.0p+0", "0x0.0p+0", "0x1.a9dc979e95896p-2",
+            "0x1.2b11b430b53b4p-1", "0x0.0p+0",
+        ],
+        300, "0x1.0a2fcf062370ap-28",
+    ),
+    "nx8_zeros": (
+        "0x1.558bfae3c3be0p-2",
+        [
+            "0x0.0p+0", "0x0.0p+0", "0x1.e3e1b1e1bc4b0p-2",
+            "0x0.0p+0", "0x0.0p+0", "0x1.00fe05209f364p-2",
+            "0x0.0p+0", "0x1.1b2048fda47e4p-2",
+        ],
+        32, "0x1.0b941faadaf39p-30",
+    ),
+    "nx3_fixed": (
+        "0x1.37678054048e2p-8",
+        ["0x1.e8029c62b4adcp-2", "0x0.0p+0", "0x1.0bfeb1cea5a92p-1"],
+        300, "0x1.61d09a3a39b36p-11",
+    ),
+    "nx3_two_steps": (
+        "0x1.a47fc4a78ad12p-7",
+        ["0x1.236c108005474p-2", "0x1.6a0a68285ec70p-2", "0x1.728987579bf14p-2"],
+        2, "0x1.0c79b28dfd98cp-5",
+    ),
+    "nx4_loose": (
+        "0x1.5c05032c5cbb8p-6",
+        [
+            "0x0.0p+0", "0x1.308637a624640p-1", "0x0.0p+0",
+            "0x1.9ef390b3b7384p-2",
+        ],
+        79, "0x1.fe927af80b232p-21",
+    ),
+}
+
+
+class TestOptimizeGolden:
+    @pytest.mark.parametrize("name", list(GOLDEN_CASES))
+    def test_bit_identical(self, name):
+        build, kw = GOLDEN_CASES[name]
+        pyx, pux = build()
+        r = capacity_optimize(pyx, pux, SolverOptions(**kw))
+        assert _golden_summary(r) == GOLDEN_RESULTS[name]
+
+
 class TestGradient:
     @pytest.mark.parametrize("seed", [3, 14, 15])
     def test_matches_central_differences(self, seed):

@@ -239,6 +239,16 @@ class TestSweepCapacity:
         )
         assert rc == 2
 
+    def test_step_not_dividing_half_rejected(self, capsys, tmp_path):
+        out_path = tmp_path / "x.csv"
+        rc, out, err = run_cli(
+            capsys, "sweep", "--mode", "capacity", "--grid-step", "0.3",
+            "--out", str(out_path),
+        )
+        assert rc == 2 and out == ""
+        assert err.splitlines() == ["error: grid step 0.3 does not divide 0.5"]
+        assert not out_path.exists()
+
 
 class TestSweepSimulation:
     def test_lattice_rows_in_row_major_order(self, capsys, tmp_path):
@@ -350,6 +360,15 @@ class TestVerify:
         assert rc == 2
         assert "--out" in err
 
+    def test_step_not_dividing_half_rejected(self, capsys, tmp_path):
+        out_path = tmp_path / "rep.json"
+        rc, out, err = run_cli(
+            capsys, "verify", "--grid-step", "0.3", "--out", str(out_path),
+        )
+        assert rc == 2 and out == ""
+        assert err.splitlines() == ["error: grid step 0.3 does not divide 0.5"]
+        assert not out_path.exists()
+
 
 class TestCollision:
     def test_bound_met(self, capsys):
@@ -377,6 +396,14 @@ class TestCollision:
             "--p1", "0.1", "--p2", "0.1", "--trials", "40",
         )
         assert rc == 2
+
+    def test_fewer_trials_than_colliders_rejected(self, capsys):
+        rc, out, err = run_cli(
+            capsys, "collision", "--messages", "8", "--collide", "4", "--n", "16",
+            "--p1", "0.1", "--p2", "0.1", "--trials", "3",
+        )
+        assert rc == 2 and out == ""
+        assert err.splitlines() == ["error: --trials must be at least --collide (4); got 3"]
 
 
 class TestConsoleScript:

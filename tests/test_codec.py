@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from asymcap import codec
 from asymcap.codec import (
     CODEBOOK_CELL_CAP,
     CodebookLimitError,
@@ -456,6 +457,17 @@ class TestRunExperiment:
         parallel = run_experiment(cfg)
         assert parallel == serial
         assert parallel.per_message_errors == serial.per_message_errors
+
+    def test_worker_count_capped_at_cpu_count(self, monkeypatch):
+        # Only the count is computed: no pool is started here.
+        monkeypatch.setattr(codec.os, "cpu_count", lambda: 2)
+        monkeypatch.setenv("ASYMCAP_THREADS", "4096")
+        assert codec._worker_count() == 2
+        monkeypatch.setenv("ASYMCAP_THREADS", "1")
+        assert codec._worker_count() == 1
+        monkeypatch.setattr(codec.os, "cpu_count", lambda: None)
+        monkeypatch.setenv("ASYMCAP_THREADS", "8")
+        assert codec._worker_count() == 1
 
     def test_bogus_thread_setting_falls_back_to_serial(self, monkeypatch):
         cfg = SimConfig.binary_symmetric(n=16, M=2, p1=0.1, p2=0.1, trials=50, master_seed=1)

@@ -203,3 +203,11 @@ class TestDefaultGrid:
             default_grid(0.0)
         with pytest.raises(DomainError):
             default_grid(0.7)
+        for step in (0.3, 0.2, 0.49):  # would silently round to another step
+            with pytest.raises(DomainError, match="does not divide 0.5"):
+                default_grid(step)
+
+    @pytest.mark.parametrize("step, points", [(0.01, 51), (0.1, 6), (1 / 16, 9), (0.5, 2)])
+    def test_steps_dividing_half_accepted_despite_rounding(self, step, points):
+        g = default_grid(step)
+        assert len(g) == points and g[-1] == 0.5
