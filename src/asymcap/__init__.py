@@ -7,116 +7,15 @@ and MAP decoding, and verifies the structural entropy identities of the
 binary symmetric case exactly.
 """
 
-from .capacity import (
-    AlphabetLimitError,
-    CapacityResult,
-    SolverOptions,
-    capacity_closed_form_bsc,
-    capacity_gap,
-    capacity_grid,
-    capacity_optimize,
-    input_mutual_information,
-    mutual_information_gradient,
-    simplex_project,
-    sweep_capacity_surface,
-)
-from .codec import (
-    CODEBOOK_CELL_CAP,
-    CodebookLimitError,
-    CodebookPair,
-    SimConfig,
-    TrialReport,
-    collision_experiment,
-    generate_codebooks,
-    induced_channel,
-    map_decode,
-    run_experiment,
-    transmit,
-    typicality_decode,
-)
-from .info import (
-    DimensionMismatch,
-    DomainError,
-    JointPmf,
-    MatrixFileError,
-    Pmf,
-    TransitionMatrix,
-    binary_entropy,
-    bsc,
-    build_joint_uy,
-    build_joint_xuyv,
-    check_markov,
-    composite_crossover,
-    conditional_entropy,
-    entropy,
-    load_matrix,
-    mutual_information,
-)
-from .rng import derive_seed, sample_pmf, sample_rows, stream
-from .verify import (
-    CheckResult,
-    VerificationReport,
-    codebook_iid_zscores,
-    corrupted_joint_violation,
-    default_grid,
-    identity_residuals,
-    run_verification,
-    sampled_pair_tv,
-)
+from . import capacity, codec, info, rng, verify
+from .capacity import *  # noqa: F403
+from .codec import *  # noqa: F403
+from .info import *  # noqa: F403
+from .rng import *  # noqa: F403
+from .verify import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlphabetLimitError",
-    "CapacityResult",
-    "SolverOptions",
-    "capacity_closed_form_bsc",
-    "capacity_gap",
-    "capacity_grid",
-    "capacity_optimize",
-    "input_mutual_information",
-    "mutual_information_gradient",
-    "simplex_project",
-    "sweep_capacity_surface",
-    "CODEBOOK_CELL_CAP",
-    "CodebookLimitError",
-    "CodebookPair",
-    "SimConfig",
-    "TrialReport",
-    "collision_experiment",
-    "generate_codebooks",
-    "induced_channel",
-    "map_decode",
-    "run_experiment",
-    "transmit",
-    "typicality_decode",
-    "DimensionMismatch",
-    "DomainError",
-    "JointPmf",
-    "MatrixFileError",
-    "Pmf",
-    "TransitionMatrix",
-    "binary_entropy",
-    "bsc",
-    "build_joint_uy",
-    "build_joint_xuyv",
-    "check_markov",
-    "composite_crossover",
-    "conditional_entropy",
-    "entropy",
-    "load_matrix",
-    "mutual_information",
-    "derive_seed",
-    "sample_pmf",
-    "sample_rows",
-    "stream",
-    "CheckResult",
-    "VerificationReport",
-    "codebook_iid_zscores",
-    "corrupted_joint_violation",
-    "default_grid",
-    "identity_residuals",
-    "run_verification",
-    "sampled_pair_tv",
-    "__version__",
-]
+    name for module in (capacity, codec, info, rng, verify) for name in module.__all__
+] + ["__version__"]

@@ -22,6 +22,7 @@ from .info import (
     TransitionMatrix,
     _entropy_bits,
     binary_entropy,
+    bsc_capacity_gap,
     composite_crossover,
 )
 from .rng import stream
@@ -368,6 +369,6 @@ def sweep_capacity_surface(p1_grid, p2_grid) -> list[tuple[float, float, float, 
     rows = []
     for p1 in p1s:
         for p2 in p2s:
-            hq = binary_entropy(composite_crossover(p1, p2))
-            rows.append((p1, p2, 1.0 - hq, hq - binary_entropy(p1)))
+            cap = 1.0 - binary_entropy(composite_crossover(p1, p2))
+            rows.append((p1, p2, cap, bsc_capacity_gap(p1, p2)))
     return rows

@@ -5,8 +5,10 @@ collision.  Flags override values from an optional JSON file given via
 --config, which in turn override built-in defaults; the effective
 configuration is echoed into every output (a leading `config:` line on
 stdout, a `# config:` comment in CSV files, a "config" key in JSON
-reports).  Exit codes: 0 success, 1 verification/bound failure, 2 usage
-or input error.
+reports).  Each parameter is declared once, as a `Param` in COMMANDS, and
+a flag string and a config value are checked by the same `coerce`.  Exit
+codes: 0 success, 1 verification/bound failure, 2 usage or input error
+(one `error:` line on stderr).
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import dataclass, replace
 
 from .capacity import (
     SolverOptions,
@@ -24,7 +27,7 @@ from .capacity import (
     sweep_capacity_surface,
 )
 from .codec import DECODER_MAP, DECODER_TYPICALITY, MODE_FIXED, MODE_FRESH, SimConfig, collision_experiment, run_experiment
-from .info import TransitionMatrix, binary_entropy, composite_crossover
+from .info import TransitionMatrix, bsc_capacity_gap
 from .rng import TAG_SWEEP, derive_seed
 from .verify import default_grid, run_verification
 
@@ -32,15 +35,97 @@ __all__ = ["main", "main_entry"]
 
 DEFAULT_EPSILON = 0.05          # typicality slack when none is given
 DEFAULT_SWEEP_GRID_STEP = 0.01  # 51 points per axis on [0, 0.5]
-DEFAULT_SWEEP_BUDGET = 10**9    # cap on n * M * trials per simulation row
 GRID_CROSSCHECK_LIMIT = 3       # capacity-general cross-checks up to this |X|
 
 SIM_SWEEP_HEADER = "n,M,rate,decoder,epsilon,trials,errors,pe_hat,ci95,lambda_max_hat"
 CAP_SWEEP_HEADER = "p1,p2,capacity,gap"
 
+INT_LIST = "comma-separated integers"  # a Param kind; a JSON list also serves
+
 
 class UsageError(ValueError):
     """Bad flags, bad config file, or missing required parameters."""
+
+
+def _as_int(value) -> int:
+    if isinstance(value, float) and value.is_integer():  # e.g. JSON 1e6
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise TypeError
+    return int(value)
+
+
+def _as_float(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise TypeError
+    return float(value)
+
+
+def _as_int_list(value) -> list[int]:
+    items = [t for t in value.split(",") if t.strip()] if isinstance(value, str) else value
+    if not isinstance(items, list) or not items:
+        raise TypeError
+    return [_as_int(v) for v in items]
+
+
+_CONVERT = {int: _as_int, float: _as_float, INT_LIST: _as_int_list}
+
+
+@dataclass(frozen=True)
+class Param:
+    """One parameter: flag --<name with dashes>, config key <name>.
+
+    `kind` is int, float, str, bool, INT_LIST or a tuple of allowed
+    strings.  A default of None means the parameter has no value unless
+    one is given.
+    """
+
+    name: str
+    kind: object
+    help: str
+    default: object = None
+    required: bool = False
+
+    @property
+    def flag(self) -> str:
+        return "--" + self.name.replace("_", "-")
+
+    def coerce(self, value):
+        """Check a flag string or a JSON config value; return it typed."""
+        kind = self.kind
+        if isinstance(kind, tuple):
+            if isinstance(value, str) and value in kind:
+                return value
+            kind = "one of " + ", ".join(kind)
+        elif kind in (str, bool):
+            if isinstance(value, kind):
+                return value
+        else:
+            try:
+                return _CONVERT[kind](value)
+            except (TypeError, ValueError, OverflowError):
+                pass
+        raise UsageError(f"{self.flag}: expected {getattr(kind, '__name__', kind)}, got {value!r}")
+
+
+P1 = Param("p1", float, "channel crossover probability", required=True)
+P2 = Param("p2", float, "perturbation crossover probability", required=True)
+N = Param("n", int, "block length", required=True)
+MESSAGES = Param("messages", int, "message count M", required=True)
+TRIALS = Param("trials", int, "Monte Carlo trials", required=True)
+DECODER = Param("decoder", ("map", "typ"), "decoding rule", "map")
+EPSILON = Param("epsilon", float, f"typicality slack (typ only; {DEFAULT_EPSILON} if not given)")
+SEED = Param("seed", int, "master seed", 0)
+OUT = Param("out", str, "output file path", required=True)
+
+# sweep's simulation-only parameters, required in that mode alone
+SWEEP_SIMULATION = (
+    Param("n_list", INT_LIST, "comma-separated block lengths (simulation mode)"),
+    Param("m_list", INT_LIST, "comma-separated message counts (simulation mode)"),
+    replace(P1, required=False),
+    replace(P2, required=False),
+    replace(TRIALS, required=False),
+)
 
 
 def _fmt(v: float) -> str:
@@ -64,91 +149,74 @@ def _load_config(path: str | None) -> dict:
     return data
 
 
-def _merge(args: argparse.Namespace, defaults: dict, required: tuple[str, ...]) -> dict:
-    """Resolve flag > config file > built-in default for every parameter."""
+def _require(eff: dict, params, context: str = "") -> None:
+    missing = [p.flag for p in params if eff[p.name] is None]
+    if missing:
+        raise UsageError(f"missing required parameter(s){context}: {', '.join(missing)}")
+
+
+def _merge(args: argparse.Namespace, params: tuple[Param, ...]) -> dict:
+    """Resolve flag > config file > built-in default for every parameter.
+
+    A JSON null counts as not given.  Flag strings and config values both
+    pass through Param.coerce, so every value in the result has its kind.
+    """
     cfg = _load_config(args.config)
-    unknown = sorted(set(cfg) - set(defaults))
+    unknown = sorted(set(cfg) - {p.name for p in params})
     if unknown:
         raise UsageError(f"unknown config keys: {', '.join(unknown)}")
     eff = {}
-    for key, builtin in defaults.items():
-        value = getattr(args, key)
+    for p in params:
+        value = getattr(args, p.name)
         if value is None:
-            value = cfg.get(key, builtin)
-        eff[key] = value
-    missing = [k for k in required if eff[k] is None]
-    if missing:
-        flags = ", ".join("--" + k.replace("_", "-") for k in missing)
-        raise UsageError(f"missing required parameter(s): {flags}")
+            value = cfg.get(p.name)
+        eff[p.name] = p.default if value is None else p.coerce(value)
+    _require(eff, [p for p in params if p.required])
     return eff
 
 
-def _int_list(value, flag: str) -> list[int]:
-    if isinstance(value, str):
-        toks = [t.strip() for t in value.split(",") if t.strip()]
-        try:
-            out = [int(t) for t in toks]
-        except ValueError as exc:
-            raise UsageError(f"{flag}: expected comma-separated integers") from exc
-    elif isinstance(value, (list, tuple)):
-        out = [int(v) for v in value]
-    else:
-        raise UsageError(f"{flag}: expected comma-separated integers")
-    if not out:
-        raise UsageError(f"{flag}: empty list")
-    return out
-
-
-def _resolve_decoder(eff: dict) -> tuple[str, float | None]:
-    """Map the CLI decoder name to the internal one and settle epsilon."""
-    decoder = eff["decoder"]
-    if decoder not in ("map", "typ"):
-        raise UsageError(f"decoder must be 'map' or 'typ', got {decoder!r}")
-    if decoder == "typ":
-        eps = eff["epsilon"]
-        return DECODER_TYPICALITY, float(eps) if eps is not None else DEFAULT_EPSILON
+def _resolve_decoder(eff: dict) -> None:
+    """Replace the CLI decoder name by the internal one and settle epsilon."""
+    if eff["decoder"] == "typ":
+        eff["decoder"] = DECODER_TYPICALITY
+        if eff["epsilon"] is None:
+            eff["epsilon"] = DEFAULT_EPSILON
+        return
     if eff["epsilon"] is not None:
         raise UsageError("--epsilon only applies to the typicality decoder")
-    return DECODER_MAP, None
+    eff["decoder"] = DECODER_MAP
 
 
-def _write_csv(path: str, eff: dict, header: str, rows: list[str]) -> None:
+def _write_csv(path: str, echo: dict, header: str, rows) -> None:
+    """Write a CSV, drawing rows from the iterable as it goes.
+
+    The file is opened before the first row is drawn, so an unwritable
+    path fails before a lazily computed row costs anything.
+    """
+    count = 0
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("# config: " + _config_json(eff) + "\n")
+        fh.write("# config: " + _config_json(echo) + "\n")
         fh.write(header + "\n")
         for row in rows:
             fh.write(row + "\n")
+            count += 1
+    print(f"wrote {count} rows to {path}")
 
 
-def cmd_capacity(args: argparse.Namespace) -> int:
-    eff = _merge(args, {"p1": None, "p2": None, "seed": 0}, ("p1", "p2"))
+def cmd_capacity(eff: dict) -> int:
     res = capacity_closed_form_bsc(eff["p1"], eff["p2"])
-    q = composite_crossover(eff["p1"], eff["p2"])
-    gap = binary_entropy(q) - binary_entropy(eff["p1"])
     print("config: " + _config_json(eff))
     print("capacity " + _fmt(res.capacity))
-    print("gap " + _fmt(gap))
+    print("gap " + _fmt(bsc_capacity_gap(eff["p1"], eff["p2"])))
     print("argmax_px " + " ".join(_fmt(v) for v in res.argmax_px))
     return 0
 
 
-def cmd_capacity_general(args: argparse.Namespace) -> int:
-    defaults = {
-        "channel": None,
-        "perturb": None,
-        "restarts": 8,
-        "tol": 1e-9,
-        "grid_res": 1e-3,
-        "seed": 0,
-    }
-    eff = _merge(args, defaults, ("channel", "perturb"))
+def cmd_capacity_general(eff: dict) -> int:
     pyx = TransitionMatrix.from_file(eff["channel"])
     pux = TransitionMatrix.from_file(eff["perturb"])
-    opts = SolverOptions(
-        grid_resolution=float(eff["grid_res"]),
-        restarts=int(eff["restarts"]),
-        convergence_tol=float(eff["tol"]),
-    )
+    opts = SolverOptions(grid_resolution=eff["grid_res"], restarts=eff["restarts"],
+                         convergence_tol=eff["tol"])
     res = capacity_optimize(pyx, pux, opts)
     print("config: " + _config_json(eff))
     print("optimize " + _fmt(res.capacity))
@@ -156,149 +224,65 @@ def cmd_capacity_general(args: argparse.Namespace) -> int:
     print("residual " + _fmt(res.residual))
     print("argmax_px " + " ".join(_fmt(v) for v in res.argmax_px))
     if pyx.input_size <= GRID_CROSSCHECK_LIMIT:
-        ref = capacity_grid(pyx, pux, float(eff["grid_res"]))
+        ref = capacity_grid(pyx, pux, eff["grid_res"])
         print("grid " + _fmt(ref.capacity))
         print("difference " + _fmt(abs(res.capacity - ref.capacity)))
     return 0
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    defaults = {
-        "n": None,
-        "messages": None,
-        "p1": None,
-        "p2": None,
-        "decoder": "map",
-        "epsilon": None,
-        "trials": None,
-        "seed": 0,
-        "fixed_codebook": False,
-    }
-    eff = _merge(args, defaults, ("n", "messages", "p1", "p2", "trials"))
-    decoder, epsilon = _resolve_decoder(eff)
-    mode = MODE_FIXED if eff["fixed_codebook"] else MODE_FRESH
-    cfg = SimConfig.binary_symmetric(
-        n=int(eff["n"]),
-        M=int(eff["messages"]),
-        p1=float(eff["p1"]),
-        p2=float(eff["p2"]),
-        decoder=decoder,
-        epsilon=epsilon,
-        trials=int(eff["trials"]),
-        codebook_mode=mode,
-        master_seed=int(eff["seed"]),
+def _sim_config(eff: dict, n: int, m: int, seed: int, mode: str = MODE_FRESH) -> SimConfig:
+    return SimConfig.binary_symmetric(
+        n=n, M=m, p1=eff["p1"], p2=eff["p2"], decoder=eff["decoder"], epsilon=eff["epsilon"],
+        trials=eff["trials"], codebook_mode=mode, master_seed=seed,
     )
-    echo = dict(eff, decoder=decoder, epsilon=epsilon, fixed_codebook=(mode == MODE_FIXED))
-    report = run_experiment(cfg)
-    print("config: " + _config_json(echo))
+
+
+def cmd_simulate(eff: dict) -> int:
+    _resolve_decoder(eff)
+    mode = MODE_FIXED if eff["fixed_codebook"] else MODE_FRESH
+    report = run_experiment(_sim_config(eff, eff["n"], eff["messages"], eff["seed"], mode))
+    print("config: " + _config_json(eff))
     print(json.dumps(report.to_json_dict()))
     return 0
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    defaults = {
-        "mode": None,
-        "grid_step": DEFAULT_SWEEP_GRID_STEP,
-        "p1": None,
-        "p2": None,
-        "n_list": None,
-        "m_list": None,
-        "decoder": "map",
-        "epsilon": None,
-        "trials": None,
-        "budget": DEFAULT_SWEEP_BUDGET,
-        "seed": 0,
-        "out": None,
-    }
-    eff = _merge(args, defaults, ("mode", "out"))
+def _sim_sweep_row(cfg: SimConfig) -> str:
+    rep = run_experiment(cfg)
+    eps = "" if cfg.epsilon is None else _fmt(cfg.epsilon)
+    return ",".join([
+        str(cfg.n), str(cfg.M), _fmt(math.log2(cfg.M) / cfg.n), cfg.decoder, eps,
+        str(cfg.trials), str(rep.error_count), _fmt(rep.pe_hat),
+        _fmt(rep.ci95_halfwidth), _fmt(rep.lambda_max_hat),
+    ])
+
+
+def cmd_sweep(eff: dict) -> int:
     if eff["mode"] == "capacity":
-        step = float(eff["grid_step"])
-        grid = default_grid(step)
-        echo = {"mode": "capacity", "grid_step": step, "seed": int(eff["seed"])}
-        rows = [
-            ",".join(_fmt(v) for v in row)
-            for row in sweep_capacity_surface(grid, grid)
-        ]
+        grid = default_grid(eff["grid_step"])
+        rows = (",".join(_fmt(v) for v in row) for row in sweep_capacity_surface(grid, grid))
+        echo = {k: eff[k] for k in ("mode", "grid_step", "seed")}
         _write_csv(eff["out"], echo, CAP_SWEEP_HEADER, rows)
-        print(f"wrote {len(rows)} rows to {eff['out']}")
         return 0
-    if eff["mode"] != "simulation":
-        raise UsageError(f"mode must be 'capacity' or 'simulation', got {eff['mode']!r}")
 
-    for key in ("n_list", "m_list", "p1", "p2", "trials"):
-        if eff[key] is None:
-            raise UsageError(
-                "missing required parameter(s) for simulation mode: --"
-                + key.replace("_", "-")
-            )
-    n_list = _int_list(eff["n_list"], "--n-list")
-    m_list = _int_list(eff["m_list"], "--m-list")
-    decoder, epsilon = _resolve_decoder(eff)
-    trials = int(eff["trials"])
-    budget = int(eff["budget"])
-    seed = int(eff["seed"])
-    lattice = [(n, m) for n in n_list for m in m_list]
+    _require(eff, SWEEP_SIMULATION, " for simulation mode")
+    _resolve_decoder(eff)
+    lattice = [(n, m) for n in eff["n_list"] for m in eff["m_list"]]
     for i, (n, m) in enumerate(lattice):
-        cost = n * m * trials
-        if cost > budget:
+        cost = n * m * eff["trials"]
+        if cost > eff["budget"]:
             raise UsageError(
-                f"row {i + 1} (n={n}, M={m}): n*M*trials = {cost} exceeds budget {budget}"
+                f"row {i + 1} (n={n}, M={m}): n*M*trials = {cost} exceeds budget {eff['budget']}"
             )
-
-    echo = {
-        "mode": "simulation",
-        "p1": float(eff["p1"]),
-        "p2": float(eff["p2"]),
-        "n_list": n_list,
-        "m_list": m_list,
-        "decoder": decoder,
-        "epsilon": epsilon,
-        "trials": trials,
-        "budget": budget,
-        "seed": seed,
-    }
-    rows = []
-    for i, (n, m) in enumerate(lattice):
-        cfg = SimConfig.binary_symmetric(
-            n=n,
-            M=m,
-            p1=float(eff["p1"]),
-            p2=float(eff["p2"]),
-            decoder=decoder,
-            epsilon=epsilon,
-            trials=trials,
-            master_seed=derive_seed(seed, i, TAG_SWEEP),
-        )
-        rep = run_experiment(cfg)
-        rows.append(
-            ",".join(
-                [
-                    str(n),
-                    str(m),
-                    _fmt(math.log2(m) / n),
-                    decoder,
-                    "" if epsilon is None else _fmt(epsilon),
-                    str(trials),
-                    str(rep.error_count),
-                    _fmt(rep.pe_hat),
-                    _fmt(rep.ci95_halfwidth),
-                    _fmt(rep.lambda_max_hat),
-                ]
-            )
-        )
-    _write_csv(eff["out"], echo, SIM_SWEEP_HEADER, rows)
-    print(f"wrote {len(rows)} rows to {eff['out']}")
+    # Every row's config is validated before the output file is created.
+    cfgs = [_sim_config(eff, n, m, derive_seed(eff["seed"], i, TAG_SWEEP))
+            for i, (n, m) in enumerate(lattice)]
+    echo = {k: v for k, v in eff.items() if k not in ("grid_step", "out")}
+    _write_csv(eff["out"], echo, SIM_SWEEP_HEADER, map(_sim_sweep_row, cfgs))
     return 0
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    defaults = {"grid_step": 0.1, "samples": 10**6, "seed": 0, "out": None}
-    eff = _merge(args, defaults, ("out",))
-    report = run_verification(
-        grid_step=float(eff["grid_step"]),
-        samples=int(eff["samples"]),
-        seed=int(eff["seed"]),
-    )
+def cmd_verify(eff: dict) -> int:
+    report = run_verification(grid_step=eff["grid_step"], samples=eff["samples"], seed=eff["seed"])
     with open(eff["out"], "w", encoding="utf-8", newline="") as fh:
         fh.write(json.dumps(report.to_json_dict(), indent=2) + "\n")
     for c in report.checks:
@@ -308,33 +292,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
-def cmd_collision(args: argparse.Namespace) -> int:
-    defaults = {
-        "messages": None,
-        "collide": None,
-        "n": None,
-        "p1": None,
-        "p2": None,
-        "trials": None,
-        "seed": 0,
-    }
-    eff = _merge(args, defaults, ("messages", "collide", "n", "p1", "p2", "trials"))
-    m = int(eff["collide"])
-    if not 2 <= m <= int(eff["messages"]):
+def cmd_collision(eff: dict) -> int:
+    m, trials = eff["collide"], eff["trials"]
+    if not 2 <= m <= eff["messages"]:
         raise UsageError(f"--collide must lie in [2, M]; got {m} with M={eff['messages']}")
-    if int(eff["trials"]) < m:
-        raise UsageError(f"--trials must be at least --collide ({m}); got {eff['trials']}")
-    lam = collision_experiment(
-        M=int(eff["messages"]),
-        m_collide=m,
-        n=int(eff["n"]),
-        p1=float(eff["p1"]),
-        p2=float(eff["p2"]),
-        trials=int(eff["trials"]),
-        seed=int(eff["seed"]),
-    )
+    if trials < m:
+        raise UsageError(f"--trials must be at least --collide ({m}); got {trials}")
+    lam = collision_experiment(M=eff["messages"], m_collide=m, n=eff["n"], p1=eff["p1"],
+                               p2=eff["p2"], trials=trials, seed=eff["seed"])
     bound = 1.0 - 1.0 / m
-    sigma = math.sqrt(bound * (1.0 - bound) / (int(eff["trials"]) // m))
+    sigma = math.sqrt(bound * (1.0 - bound) / (trials // m))
     ok = lam >= bound - 3.0 * sigma
     print("config: " + _config_json(eff))
     print("lambda_max_hat " + _fmt(lam))
@@ -344,100 +311,80 @@ def cmd_collision(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
-    sp.add_argument("--config", default=None, metavar="PATH",
-                    help="JSON file with parameter defaults; flags win")
+# subcommand -> (handler, help, parameters); every subcommand also takes --config.
+COMMANDS = {
+    "capacity": (cmd_capacity, "closed-form binary symmetric capacity and gap", (P1, P2, SEED)),
+    "capacity-general": (cmd_capacity_general, "numeric capacity for arbitrary matrices", (
+        Param("channel", str, "channel matrix file", required=True),
+        Param("perturb", str, "perturbation matrix file", required=True),
+        Param("restarts", int, "gradient solver restarts", 8),
+        Param("tol", float, "convergence tolerance", 1e-9),
+        Param("grid_res", float, "lattice spacing for the grid cross-check", 1e-3),
+        SEED,
+    )),
+    "simulate": (cmd_simulate, "Monte Carlo block-error estimate", (
+        N, MESSAGES, P1, P2, DECODER, EPSILON, TRIALS,
+        Param("fixed_codebook", bool, "reuse one codebook pair instead of redrawing per trial", False),
+        SEED,
+    )),
+    "sweep": (cmd_sweep, "write a capacity surface or simulation lattice CSV", (
+        Param("mode", ("capacity", "simulation"), "what to sweep", required=True),
+        Param("grid_step", float, "capacity mode lattice step", DEFAULT_SWEEP_GRID_STEP),
+        *SWEEP_SIMULATION, DECODER, EPSILON,
+        Param("budget", int, "max n*M*trials per row", 10**9),
+        SEED, OUT,
+    )),
+    "verify": (cmd_verify, "run the structural self-check suite", (
+        Param("grid_step", float, "(p1, p2) lattice step for identity checks", 0.1),
+        Param("samples", int, "sample count for the factorization check", 10**6),
+        SEED, OUT,
+    )),
+    "collision": (cmd_collision, "decoder-codebook collision bound check", (
+        MESSAGES, Param("collide", int, "number of colliding messages", required=True),
+        N, P1, P2, TRIALS, SEED,
+    )),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError where argparse would print usage and exit 2."""
+
+    def error(self, message):
+        raise UsageError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="asymcap",
         description="Capacity and Monte Carlo tools for channels decoded "
                     "with a perturbed codebook.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("capacity", help="closed-form binary symmetric capacity and gap")
-    sp.add_argument("--p1", type=float, help="channel crossover probability")
-    sp.add_argument("--p2", type=float, help="perturbation crossover probability")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_capacity)
-
-    sp = sub.add_parser("capacity-general", help="numeric capacity for arbitrary matrices")
-    sp.add_argument("--channel", metavar="PATH", help="channel matrix file")
-    sp.add_argument("--perturb", metavar="PATH", help="perturbation matrix file")
-    sp.add_argument("--restarts", type=int, help="gradient solver restarts (default 8)")
-    sp.add_argument("--tol", type=float, help="convergence tolerance (default 1e-9)")
-    sp.add_argument("--grid-res", type=float, dest="grid_res",
-                    help="lattice spacing for the grid cross-check (default 1e-3)")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_capacity_general)
-
-    sp = sub.add_parser("simulate", help="Monte Carlo block-error estimate")
-    sp.add_argument("--n", type=int, help="block length")
-    sp.add_argument("--messages", type=int, help="message count M")
-    sp.add_argument("--p1", type=float, help="channel crossover probability")
-    sp.add_argument("--p2", type=float, help="perturbation crossover probability")
-    sp.add_argument("--decoder", choices=("map", "typ"), default=None,
-                    help="decoding rule (default map)")
-    sp.add_argument("--epsilon", type=float,
-                    help="typicality slack (typ only, default 0.05)")
-    sp.add_argument("--trials", type=int, help="Monte Carlo trials")
-    sp.add_argument("--fixed-codebook", dest="fixed_codebook",
-                    action="store_true", default=None,
-                    help="reuse one codebook pair instead of redrawing per trial")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_simulate)
-
-    sp = sub.add_parser("sweep", help="write a capacity surface or simulation lattice CSV")
-    sp.add_argument("--mode", choices=("capacity", "simulation"), default=None)
-    sp.add_argument("--grid-step", type=float, dest="grid_step",
-                    help="capacity mode lattice step (default 0.01)")
-    sp.add_argument("--p1", type=float)
-    sp.add_argument("--p2", type=float)
-    sp.add_argument("--n-list", dest="n_list", metavar="N1,N2,...",
-                    help="block lengths (simulation mode)")
-    sp.add_argument("--m-list", dest="m_list", metavar="M1,M2,...",
-                    help="message counts (simulation mode)")
-    sp.add_argument("--decoder", choices=("map", "typ"), default=None)
-    sp.add_argument("--epsilon", type=float)
-    sp.add_argument("--trials", type=int)
-    sp.add_argument("--budget", type=int,
-                    help=f"max n*M*trials per row (default {DEFAULT_SWEEP_BUDGET})")
-    sp.add_argument("--out", metavar="PATH", help="CSV output path")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_sweep)
-
-    sp = sub.add_parser("verify", help="run the structural self-check suite")
-    sp.add_argument("--grid-step", type=float, dest="grid_step",
-                    help="(p1, p2) lattice step for identity checks (default 0.1)")
-    sp.add_argument("--samples", type=int,
-                    help="sample count for the factorization check (default 1e6)")
-    sp.add_argument("--out", metavar="PATH", help="JSON report path")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_verify)
-
-    sp = sub.add_parser("collision", help="decoder-codebook collision bound check")
-    sp.add_argument("--messages", type=int, help="message count M")
-    sp.add_argument("--collide", type=int, help="number of colliding messages")
-    sp.add_argument("--n", type=int, help="block length")
-    sp.add_argument("--p1", type=float)
-    sp.add_argument("--p2", type=float)
-    sp.add_argument("--trials", type=int)
-    _add_common(sp)
-    sp.set_defaults(func=cmd_collision)
-
+    for name, (func, help_text, params) in COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        for p in params:
+            text = p.help
+            if p.default is not None and p.kind is not bool:
+                text += f" (default {p.default})"
+            if p.kind is bool:
+                sp.add_argument(p.flag, dest=p.name, action="store_true", default=None, help=text)
+            else:
+                choices = "{" + ",".join(p.kind) + "}" if isinstance(p.kind, tuple) else None
+                sp.add_argument(p.flag, dest=p.name, metavar=choices, help=text)
+        sp.add_argument("--config", metavar="PATH",
+                        help="JSON file with parameter defaults; flags win")
+        sp.set_defaults(func=func, params=params)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        return args.func(_merge(args, args.params))
+    except SystemExit as exc:  # -h/--help, after argparse printed the help
+        return exc.code
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print("error: " + " ".join(str(exc).splitlines()), file=sys.stderr)
         return 2
 
 

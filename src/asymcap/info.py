@@ -21,6 +21,7 @@ __all__ = [
     "JointPmf",
     "binary_entropy",
     "composite_crossover",
+    "bsc_capacity_gap",
     "entropy",
     "mutual_information",
     "conditional_entropy",
@@ -343,6 +344,12 @@ def build_joint_xuyv(px: Pmf, p1: float, p2: float) -> JointPmf:
 def composite_crossover(p1: float, p2: float) -> float:
     """Crossover of two independent binary flips in series: p1 + p2 - 2 p1 p2."""
     return p1 + p2 - 2.0 * p1 * p2
+
+
+def bsc_capacity_gap(p1: float, p2: float) -> float:
+    """Capacity lost to a BSC(p2) perturbation of a BSC(p1) channel, in
+    bits: H(q) - H(p1) with q the composite crossover."""
+    return binary_entropy(composite_crossover(p1, p2)) - binary_entropy(p1)
 
 
 def bsc(p: float) -> TransitionMatrix:

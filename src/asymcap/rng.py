@@ -54,17 +54,30 @@ def stream(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed & MASK64))
 
 
+def _capped_cdf(probs: np.ndarray) -> np.ndarray:
+    """Cumulative sums along the last axis, with every entry that already
+    equals the row total set to +inf.
+
+    The first such entry belongs to the last symbol whose mass the sum
+    registers, and that symbol has positive mass.  Counting the entries
+    <= u then never goes past it, even where the total ends just below 1
+    and u lies above it; for u below the total the count is unchanged.
+    """
+    cdf = np.cumsum(probs, axis=-1)
+    cdf[cdf == cdf[..., -1:]] = np.inf
+    return cdf
+
+
 def sample_pmf(rng: np.random.Generator, probs: np.ndarray, shape) -> np.ndarray:
     """i.i.d. draws from one pmf by inverse CDF.
 
     Each value is #{k : cdf[k] <= u} for u ~ U[0, 1), i.e. searchsorted on
-    the cumulative vector in symbol order; zero-mass symbols are never hit.
+    the cumulative vector in symbol order, capped as in _capped_cdf;
+    zero-mass symbols are never hit.
     """
-    probs = np.asarray(probs, dtype=float)
-    cdf = np.cumsum(probs)
+    cdf = _capped_cdf(np.asarray(probs, dtype=float))
     u = rng.random(shape)
-    idx = np.searchsorted(cdf, u.ravel(), side="right")
-    return np.minimum(idx, probs.size - 1).reshape(shape).astype(np.int64)
+    return np.searchsorted(cdf, u.ravel(), side="right").reshape(shape).astype(np.int64)
 
 
 def sample_rows(
@@ -72,11 +85,10 @@ def sample_rows(
 ) -> np.ndarray:
     """Element-wise inverse-CDF draws from matrix[given[...]] rows.
 
-    Uses the same counting rule as sample_pmf: value = #{k : cdf[k] <= u}.
+    Uses the same counting rule as sample_pmf: value = #{k : cdf[k] <= u}
+    over the row's capped cumulative vector.
     """
-    matrix = np.asarray(matrix, dtype=float)
+    cdfs = _capped_cdf(np.asarray(matrix, dtype=float))
     given = np.asarray(given, dtype=np.int64)
-    cdfs = np.cumsum(matrix, axis=1)
     u = rng.random(given.shape)
-    counts = (cdfs[given] <= u[..., None]).sum(axis=-1)
-    return np.minimum(counts, matrix.shape[1] - 1).astype(np.int64)
+    return (cdfs[given] <= u[..., None]).sum(axis=-1).astype(np.int64)

@@ -1,5 +1,7 @@
 """Command-line interface: parsing, precedence, outputs, exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import shutil
@@ -8,8 +10,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import asymcap
+import asymcap.cli
 from asymcap.cli import CAP_SWEEP_HEADER, SIM_SWEEP_HEADER, main
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -18,6 +22,8 @@ PACKAGE_ROOT = Path(asymcap.__file__).resolve().parents[1]
 
 CAP_01_01 = "0.3199229543"
 GAP_01_01 = "0.2110814521"
+SIM_ARGS = ("simulate", "--n", "8", "--messages", "2", "--p1", "0.1", "--p2", "0.1",
+            "--trials", "10")
 
 
 def run_cli(capsys, *argv):
@@ -98,6 +104,45 @@ class TestConfigPrecedence:
     def test_missing_config_file(self, capsys):
         rc, _, err = run_cli(capsys, "capacity", "--config", "/no/such/file.json")
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "argv, cfg, flag",
+        [
+            (SIM_ARGS[:1] + SIM_ARGS[3:], {"n": [1]}, "--n"),
+            (SIM_ARGS[:1] + SIM_ARGS[3:], {"n": float("inf")}, "--n"),
+            (("capacity", "--p2", "0.1"), {"p1": "0.1", "seed": "abc"}, "--seed"),
+            (SIM_ARGS, {"seed": 1.5}, "--seed"),
+            (SIM_ARGS, {"fixed_codebook": "no"}, "--fixed-codebook"),
+            (SIM_ARGS, {"decoder": "typicality"}, "--decoder"),
+            (("capacity-general",), {"channel": 5, "perturb": "pe.txt"}, "--channel"),
+            (("capacity-general", "--channel", "ch.txt", "--perturb", "pe.txt"),
+             {"restarts": 2.7}, "--restarts"),
+            (("sweep", "--mode", "simulation", "--out", "x.csv"), {"n_list": [8.5]}, "--n-list"),
+        ],
+    )
+    def test_config_value_of_wrong_kind(self, capsys, tmp_path, argv, cfg, flag):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        rc, out, err = run_cli(capsys, *argv, "--config", str(path))
+        assert rc == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {flag}: expected ")
+
+    def test_config_value_parsed_like_the_flag(self, capsys, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"p1": 0, "p2": "0.1", "seed": 2.0}))
+        rc, out, _ = run_cli(capsys, "capacity", "--config", str(cfg))
+        assert rc == 0
+        assert out.splitlines()[0] == 'config: {"p1": 0.0, "p2": 0.1, "seed": 2}'
+
+    def test_null_means_not_given(self, capsys, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"mode": "capacity", "grid_step": None}))
+        rc, out, _ = run_cli(
+            capsys, "sweep", "--config", str(cfg), "--out", str(tmp_path / "cap.csv")
+        )
+        assert rc == 0
+        assert "wrote 2601 rows" in out
 
 
 class TestCapacityGeneral:
@@ -323,6 +368,19 @@ class TestSweepSimulation:
         )
         assert rc == 2
 
+    def test_unwritable_output_fails_before_any_row(self, capsys, monkeypatch):
+        def no_rows(cfg):
+            raise AssertionError("a row ran before --out was checked")
+
+        monkeypatch.setattr(asymcap.cli, "run_experiment", no_rows)
+        rc, out, err = run_cli(
+            capsys, "sweep", "--mode", "simulation", "--n-list", "16,32,64",
+            "--m-list", "16,64", "--p1", "0.05", "--p2", "0.05", "--trials", "300",
+            "--out", "/no-such-dir/x.csv",
+        )
+        assert rc == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
 
 class TestVerify:
     def test_default_run_passes(self, capsys, tmp_path):
@@ -404,6 +462,104 @@ class TestCollision:
         )
         assert rc == 2 and out == ""
         assert err.splitlines() == ["error: --trials must be at least --collide (4); got 3"]
+
+
+# Values the property test draws for each parameter: inside and outside its
+# domain, and of the wrong kind.  Sizes stay small (n <= 16, M <= 8,
+# trials <= 20, samples <= 1000, grid step 0.5, 2x2 matrices).
+GOOD_MATRIX, RAGGED_MATRIX = "good.txt", "ragged.txt"
+PARAM_VALUES = {
+    "p1": [0.0, 0.05, 0.1, 0.5, 1.0, -0.1, 1.5, "0.2"],
+    "p2": [0.0, 0.05, 0.3, -1.0, 2.0],
+    "n": [1, 4, 16, 0, -3, 8.0],
+    "messages": [1, 2, 8, 0, -1],
+    "trials": [1, 5, 20, 0, -2],
+    "collide": [2, 4, 1, 9],
+    "seed": [0, 7, -1, 2**64 + 3],
+    "decoder": ["map", "typ", "typicality"],
+    "epsilon": [0.05, 0.5, 0.0, -0.1],
+    "fixed_codebook": [True, False],
+    "channel": [GOOD_MATRIX, RAGGED_MATRIX, "missing.txt"],
+    "perturb": [GOOD_MATRIX, RAGGED_MATRIX],
+    "restarts": [1, 3, 0, -1],
+    "tol": [1e-9, 1e-3, 0.0, -1.0],
+    "grid_res": [0.01, 0.5, 1.0, 0.0, 1.5],
+    "mode": ["capacity", "simulation", "surface"],
+    "grid_step": [0.5, 0.3, 0.0, -0.5, 1.0],
+    "samples": [1, 1000, 0, -5],
+    "n_list": ["4,16", "8", "", "4;8", [4, 16], []],
+    "m_list": ["2,8", "1", [2], "x"],
+    "budget": [10**9, 100, 0],
+    "out": ["out.txt", "/no-such-dir/out.txt"],
+}
+WRONG_KIND = [None, True, "x", [1], {"a": 1}, 1.5, float("nan"), float("inf")]
+SUBCOMMAND_PARAMS = {
+    "capacity": ("p1", "p2", "seed"),
+    "capacity-general": ("channel", "perturb", "restarts", "tol", "grid_res", "seed"),
+    "simulate": ("n", "messages", "p1", "p2", "decoder", "epsilon", "trials",
+                 "fixed_codebook", "seed"),
+    "sweep": ("mode", "grid_step", "p1", "p2", "n_list", "m_list", "decoder", "epsilon",
+              "trials", "budget", "seed", "out"),
+    "verify": ("grid_step", "samples", "seed", "out"),
+    "collision": ("messages", "collide", "n", "p1", "p2", "trials", "seed"),
+}
+STRAY_TOKENS = ["--warp", "--p", "-x", "junk", "--n", "--help", "--seed=1"]
+
+
+def _flag_text(value) -> str:
+    if isinstance(value, list):
+        return ",".join(str(v) for v in value)
+    return value if isinstance(value, str) else json.dumps(value)
+
+
+@st.composite
+def invocations(draw):
+    """(argv, config) for one subcommand, or a stray argv."""
+    command = draw(st.sampled_from(sorted(SUBCOMMAND_PARAMS) + ["bogus", None]))
+    argv, cfg = ([] if command is None else [command]), {}
+    for name in SUBCOMMAND_PARAMS.get(command, ()):
+        value = draw(st.sampled_from(PARAM_VALUES[name] + WRONG_KIND))
+        where = draw(st.sampled_from(["flag", "flag", "config", "config", "absent"]))
+        if where == "config":
+            cfg[name] = value
+        elif where == "flag" and value is not None:
+            flag = "--" + name.replace("_", "-")
+            argv += [flag] if name == "fixed_codebook" else [flag, _flag_text(value)]
+    if draw(st.booleans()):
+        argv += draw(st.lists(st.sampled_from(STRAY_TOKENS), min_size=1, max_size=2))
+    return argv, cfg
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    write_matrix(d / GOOD_MATRIX, [[0.9, 0.1], [0.2, 0.8]])
+    (d / RAGGED_MATRIX).write_text("0.5 0.5\n1.0\n")
+    return d
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(invocations())
+def test_cli_contract(fuzz_dir, monkeypatch, invocation):
+    """Whatever the argv and config: no exception leaves main, the exit code
+    is 0, 1 or 2, and exit 2 comes with exactly one `error:` line."""
+    argv, cfg = invocation
+    monkeypatch.delenv("ASYMCAP_THREADS", raising=False)
+    monkeypatch.chdir(fuzz_dir)
+    if cfg:
+        (fuzz_dir / "c.json").write_text(json.dumps(cfg))
+        argv = argv + ["--config", "c.json"]
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv)
+    except BaseException as exc:  # SystemExit included
+        pytest.fail(f"main({argv}) with config {cfg} raised {exc!r}")
+    assert rc in (0, 1, 2), (argv, cfg, rc)
+    if rc == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), (argv, cfg, lines)
 
 
 class TestConsoleScript:

@@ -123,3 +123,30 @@ class TestSampleRows:
         frac = float((out != given).mean())
         sigma = np.sqrt(p * (1 - p) / given.size)
         assert abs(frac - p) < 3 * sigma
+
+
+class _TopDraws:
+    """Generator stub whose every uniform draw is 1 - 2**-53, the largest
+    double below 1."""
+
+    def random(self, shape):
+        return np.full(shape, 1.0 - 2.0**-53)
+
+
+# Its cumulative sum ends at 1 - 2**-53, so the top draw passes every
+# entry and an unclipped count lands on the zero-mass last symbol.
+TRAILING_ZERO_PMF = np.array([0.23198402839841684, 0.554702073152752, 0.2133138984488311, 0.0])
+
+
+class TestTopDrawNeverHitsZeroMass:
+    def test_cumulative_sum_ends_below_one(self):
+        assert np.cumsum(TRAILING_ZERO_PMF)[-1] <= 1.0 - 2.0**-53
+
+    def test_sample_pmf(self):
+        vals = sample_pmf(_TopDraws(), TRAILING_ZERO_PMF, (2, 3))
+        np.testing.assert_array_equal(vals, np.full((2, 3), 2))
+
+    def test_sample_rows(self):
+        matrix = np.array([TRAILING_ZERO_PMF, [0.0, 0.0, 0.0, 1.0], [0.5, 0.0, 0.5, 0.0]])
+        vals = sample_rows(_TopDraws(), matrix, np.array([0, 1, 2, 0]))
+        np.testing.assert_array_equal(vals, [2, 3, 2, 2])
