@@ -47,6 +47,7 @@ SOLVER_GRADIENT = "gradient"
 
 GRID_INPUT_LIMIT = 4          # exhaustive search refuses larger input alphabets
 MAX_GRID_POINTS = 20_000_000  # lattice size guard
+MAX_RESTARTS = 1000           # the solver holds a (restarts + 1, nx) start array
 _LOG2E = float(np.log2(np.e))
 _FIXED_STEP = 0.5
 # Candidates whose objective is within this of the best are treated as tied;
@@ -74,8 +75,8 @@ class SolverOptions:
     def __post_init__(self):
         if not 0.0 < self.grid_resolution <= 1.0:
             raise DomainError("grid_resolution must lie in (0, 1]")
-        if self.restarts < 1:
-            raise DomainError("restarts must be at least 1")
+        if not 1 <= self.restarts <= MAX_RESTARTS:
+            raise DomainError(f"restarts must lie in [1, {MAX_RESTARTS}], got {self.restarts}")
         if self.max_iterations < 1:
             raise DomainError("max_iterations must be at least 1")
         if self.convergence_tol <= 0.0:

@@ -10,9 +10,7 @@ configuration no matter how trials are scheduled.
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,14 +26,16 @@ from .info import (
     build_joint_uy,
 )
 from .rng import (
+    MASK64,
     TAG_CHANNEL,
     TAG_CODEBOOK,
     TAG_MESSAGE,
     TAG_PERTURB,
-    derive_seed,
-    sample_pmf,
-    sample_rows,
-    stream,
+    StreamSeries,
+    capped_cdf,
+    derive_seeds,
+    philox_draws,
+    rows_from_uniforms,
 )
 
 __all__ = [
@@ -54,6 +54,10 @@ __all__ = [
 ]
 
 CODEBOOK_CELL_CAP = 1 << 26  # refuse codebooks beyond ~67M cells
+TRIAL_BLOCK_CELLS = 1 << 14  # codebook cells (trials x M x n) one trial block holds
+# Below this many trials in a block, opening native streams one by one beats
+# the fixed cost of a vectorized Philox pass.
+PHILOX_MIN_TRIALS = 64
 
 DECODER_MAP = "map"
 DECODER_TYPICALITY = "typicality"
@@ -115,11 +119,10 @@ def generate_codebooks(
         raise DimensionMismatch(
             f"px alphabet {px.size} does not match perturbation input {pux.input_size}"
         )
-    rng_x = stream(derive_seed(seed, 0, TAG_CODEBOOK))
-    rng_u = stream(derive_seed(seed, 0, TAG_PERTURB))
-    cx = sample_pmf(rng_x, px.probs, (M, n))
-    cu = sample_rows(rng_u, pux.matrix, cx)
-    return CodebookPair(cx, cu, seed)
+    seeds = np.array([seed & MASK64], dtype=np.uint64)
+    cdf_x, cdfs_u = capped_cdf(px.probs), capped_cdf(pux.matrix)
+    cx, cu = _codebooks(StreamSeries(), seeds, M, n, cdf_x, cdfs_u)
+    return CodebookPair(cx[0], cu[0], seed)
 
 
 def transmit(codeword, pyx: TransitionMatrix, seed: int) -> np.ndarray:
@@ -129,8 +132,9 @@ def transmit(codeword, pyx: TransitionMatrix, seed: int) -> np.ndarray:
         raise DimensionMismatch("codeword must be 1-D")
     if cw.min(initial=0) < 0 or cw.max(initial=0) >= pyx.input_size:
         raise DomainError("codeword symbol outside the channel input alphabet")
-    rng = stream(derive_seed(seed, 0, TAG_CHANNEL))
-    return sample_rows(rng, pyx.matrix, cw)
+    chan_keys = derive_seeds(seed, np.zeros(1, dtype=np.int64), (TAG_CHANNEL,))[0]
+    _, u = _trial_draws(StreamSeries(), chan_keys[:0], 0, chan_keys, cw.size)  # no message
+    return rows_from_uniforms(capped_cdf(pyx.matrix), cw, u[0])
 
 
 def induced_channel(
@@ -151,27 +155,77 @@ def induced_channel(
 
 
 def _cell_counts(idx: np.ndarray, k: int) -> np.ndarray:
-    """Per-row histogram of cell indices: idx is (M, n) with values in [0, k)."""
-    m = idx.shape[0]
-    offs = (np.arange(m, dtype=np.int64) * k)[:, None]
-    return np.bincount((idx + offs).ravel(), minlength=m * k).reshape(m, k)
+    """Histogram of cell indices along the last axis: idx (..., n) with
+    values in [0, k) gives counts (..., k), all rows in one bincount."""
+    lead = idx.shape[:-1]
+    rows = math.prod(lead)
+    offs = (np.arange(rows, dtype=np.int64) * k).reshape(lead + (1,))
+    return np.bincount((idx + offs).ravel(), minlength=rows * k).reshape(lead + (k,))
 
 
 def _count_scores(counts: np.ndarray, logvals: np.ndarray) -> np.ndarray:
-    """Sum counts[:, c] * logvals[c] over cells in ascending order.
+    """Sum counts[..., c] * logvals[c] over cells in ascending order.
 
     Zero counts contribute exactly zero even against -inf log entries, and
     the fixed accumulation order makes scores reproducible down to the bit
     by any implementation that sums the same way.
     """
-    total = np.zeros(counts.shape[0])
+    total = np.zeros(counts.shape[:-1])
     for c in range(logvals.size):
         lv = logvals[c]
         if np.isneginf(lv):
-            total = total + np.where(counts[:, c] > 0, -np.inf, 0.0)
+            total = total + np.where(counts[..., c] > 0, -np.inf, 0.0)
         else:
-            total = total + counts[:, c] * lv
+            total = total + counts[..., c] * lv
     return total
+
+
+class _MapRule:
+    """Maximum likelihood under the induced channel p(y|u), lowest index
+    winning ties."""
+
+    def __init__(self, pyu: TransitionMatrix):
+        self.nu, self.ny = pyu.input_size, pyu.output_size
+        with np.errstate(divide="ignore"):
+            self.logp = np.log(pyu.matrix).ravel()
+
+    def decode(self, cu: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """1-based decisions for outputs y (T, n) against decoder codebooks
+        cu (T, M, n), or one (1, M, n) codebook shared by all T outputs."""
+        counts = _cell_counts(cu * self.ny + y[:, None, :], self.nu * self.ny)
+        return np.argmax(_count_scores(counts, self.logp), axis=-1) + 1
+
+
+class _TypicalityRule:
+    """Joint typicality against the exact single-letter joint of (U, Y)."""
+
+    def __init__(self, joint: JointPmf, epsilon: float):
+        t = joint.table
+        self.nu, self.ny = t.shape
+        pu = t.sum(axis=1)
+        py = t.sum(axis=0)
+        with np.errstate(divide="ignore"):
+            self.lu = np.log2(pu)
+            self.ly = np.log2(py)
+            self.luy = np.log2(t).ravel()
+        self.hu = _entropy_bits(pu)
+        self.hy = _entropy_bits(py)
+        self.huy = _entropy_bits(t)
+        self.epsilon = epsilon
+
+    def decode(self, cu: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """As _MapRule.decode; 0 where no row or more than one row passes."""
+        nu, ny, eps = self.nu, self.ny, self.epsilon
+        n = y.shape[-1]
+        rate_u = -_count_scores(_cell_counts(cu, nu), self.lu) / n
+        rate_y = -_count_scores(_cell_counts(y, ny), self.ly) / n
+        rate_uy = -_count_scores(_cell_counts(cu * ny + y[:, None, :], nu * ny), self.luy) / n
+        ok = (
+            (np.abs(rate_u - self.hu) < eps)
+            & (np.abs(rate_y - self.hy) < eps)[:, None]
+            & (np.abs(rate_uy - self.huy) < eps)
+        )
+        return np.where(ok.sum(axis=-1) == 1, np.argmax(ok, axis=-1) + 1, 0)
 
 
 def _checked_output(y, pair: CodebookPair, ny: int) -> np.ndarray:
@@ -199,31 +253,9 @@ def typicality_decode(
         raise DomainError("epsilon must be positive")
     if joint.ndim != 2:
         raise DimensionMismatch("typicality_decode expects a 2-D joint over (U, Y)")
-    t = joint.table
-    nu, ny = t.shape
-    pu = t.sum(axis=1)
-    py = t.sum(axis=0)
-    with np.errstate(divide="ignore"):
-        lu = np.log2(pu)
-        ly = np.log2(py)
-        luy = np.log2(t).ravel()
-    hu = _entropy_bits(pu)
-    hy = _entropy_bits(py)
-    huy = _entropy_bits(t)
-
-    yv = _checked_output(y, pair, ny)
-    n = yv.size
-    rate_u = -_count_scores(_cell_counts(pair.cu, nu), lu) / n
-    rate_y = float(-_count_scores(np.bincount(yv, minlength=ny)[None, :], ly)[0] / n)
-    rate_uy = -_count_scores(_cell_counts(pair.cu * ny + yv[None, :], nu * ny), luy) / n
-
-    ok = (
-        (np.abs(rate_u - hu) < epsilon)
-        & (abs(rate_y - hy) < epsilon)
-        & (np.abs(rate_uy - huy) < epsilon)
-    )
-    hits = np.flatnonzero(ok)
-    return int(hits[0]) + 1 if hits.size == 1 else 0
+    rule = _TypicalityRule(joint, epsilon)
+    yv = _checked_output(y, pair, rule.ny)
+    return int(rule.decode(pair.cu[None], yv[None])[0])
 
 
 def map_decode(y, pair: CodebookPair, pyu: TransitionMatrix) -> int:
@@ -233,13 +265,9 @@ def map_decode(y, pair: CodebookPair, pyu: TransitionMatrix) -> int:
     lowest message index wins ties, and an all-minus-infinity score vector
     returns message 1.
     """
-    ny = pyu.output_size
-    yv = _checked_output(y, pair, ny)
-    with np.errstate(divide="ignore"):
-        logp = np.log(pyu.matrix).ravel()
-    counts = _cell_counts(pair.cu * ny + yv[None, :], pyu.input_size * ny)
-    scores = _count_scores(counts, logp)
-    return int(np.argmax(scores)) + 1
+    rule = _MapRule(pyu)
+    yv = _checked_output(y, pair, rule.ny)
+    return int(rule.decode(pair.cu[None], yv[None])[0])
 
 
 @dataclass(frozen=True)
@@ -364,46 +392,62 @@ class TrialReport:
         }
 
 
-def _trial_pair(cfg: SimConfig, t: int, fixed_pair: CodebookPair | None) -> CodebookPair:
-    if fixed_pair is not None:
-        return fixed_pair
-    return generate_codebooks(
-        cfg.M, cfg.n, cfg.px, cfg.pux, derive_seed(cfg.master_seed, t, TAG_CODEBOOK)
-    )
+def _codebooks(series: StreamSeries, seeds: np.ndarray, M: int, n: int, cdf_x, cdfs_u):
+    """Codebook pairs (T, M, n), one per pair seed (uint64), drawn exactly
+    as generate_codebooks draws the pair of that seed."""
+    keys_x, keys_u = derive_seeds(seeds, 0, (TAG_CODEBOOK, TAG_PERTURB)).tolist()
+    buf = np.empty((seeds.size, M, n))
+    for row, key in zip(buf, keys_x):
+        series.open(key).random(out=row)
+    cx = rows_from_uniforms(cdf_x, None, buf)
+    for row, key in zip(buf, keys_u):
+        series.open(key).random(out=row)
+    return cx, rows_from_uniforms(cdfs_u, cx, buf)
 
 
-def _run_chunk(cfg: SimConfig, lo: int, hi: int, fixed_pair: CodebookPair | None):
-    """Trials [lo, hi): returns per-message error and sent counts."""
-    errs = np.zeros(cfg.M, dtype=np.int64)
-    sent = np.zeros(cfg.M, dtype=np.int64)
-    use_map = cfg.decoder == DECODER_MAP
-    pyu = induced_channel(cfg.px, cfg.pyx, cfg.pux) if use_map else None
-    joint = None if use_map else build_joint_uy(cfg.px, cfg.pyx, cfg.pux)
-    for t in range(lo, hi):
-        pair = _trial_pair(cfg, t, fixed_pair)
-        rng_w = stream(derive_seed(cfg.master_seed, t, TAG_MESSAGE))
-        w = int(rng_w.integers(cfg.M))
-        rng_y = stream(derive_seed(cfg.master_seed, t, TAG_CHANNEL))
-        y = sample_rows(rng_y, cfg.pyx.matrix, pair.cx[w])
-        if use_map:
-            w_hat = map_decode(y, pair, pyu)
-        else:
-            w_hat = typicality_decode(y, pair, cfg.epsilon, joint)
-        sent[w] += 1
-        if w_hat != w + 1:  # null (0) and wrong indices both count as errors
-            errs[w] += 1
+def _trial_draws(series: StreamSeries, msg_keys, M: int, chan_keys, n: int):
+    """stream(k).integers(M) for every message key and stream(k).random(n)
+    for every channel key (uint64 arrays), vectorized when the block is
+    large enough."""
+    if chan_keys.size >= PHILOX_MIN_TRIALS:
+        return philox_draws(msg_keys, M, chan_keys, n)
+    w = np.array([series.open(k).integers(M) for k in msg_keys.tolist()], dtype=np.int64)
+    u = np.empty((chan_keys.size, n))
+    for row, key in zip(u, chan_keys.tolist()):
+        series.open(key).random(out=row)
+    return w, u
+
+
+def _trial_errors(seed, trials, M, n, pyx, rule, books, collide=0):
+    """The trial kernel: per-message error and sent counts over trials
+    [0, trials), run in blocks of at most TRIAL_BLOCK_CELLS codebook cells.
+
+    books(series, seeds) gives the codebooks (cx, cu) of the trials whose
+    pair seeds are given, either (T, M, n) or one (1, M, n) pair they
+    share.  Messages are uniform draws, or with collide > 0 sent round
+    robin over the first collide indices.  Every trial's streams are keyed
+    by its index, so the counts do not depend on the block size.
+    """
+    series = StreamSeries()
+    cdfs_y = capped_cdf(pyx.matrix)
+    errs = np.zeros(M, dtype=np.int64)
+    sent = np.zeros(M, dtype=np.int64)
+    block = max(1, TRIAL_BLOCK_CELLS // (M * n))
+    for lo in range(0, trials, block):
+        ts = np.arange(lo, min(lo + block, trials))
+        pair_seeds, msg_keys, chan_keys = derive_seeds(
+            seed, ts, (TAG_CODEBOOK, TAG_MESSAGE, TAG_CHANNEL)
+        )
+        cx, cu = books(series, pair_seeds)
+        w, u = _trial_draws(series, msg_keys[:0] if collide else msg_keys, M, chan_keys, n)
+        if collide:
+            w = ts % collide
+        sent_rows = cx[np.arange(ts.size) % cx.shape[0], w]  # a shared pair has one row
+        y = rows_from_uniforms(cdfs_y, sent_rows, u)
+        wrong = rule.decode(cu, y) != w + 1  # null (0) and wrong indices both count
+        sent += np.bincount(w, minlength=M)
+        errs += np.bincount(w[wrong], minlength=M)
     return errs, sent
-
-
-def _worker_count() -> int:
-    """ASYMCAP_THREADS, capped at the CPU count; 1 when unset or not an integer."""
-    raw = os.environ.get("ASYMCAP_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        return max(1, min(int(raw), os.cpu_count() or 1))
-    except ValueError:
-        return 1
 
 
 def run_experiment(cfg: SimConfig) -> TrialReport:
@@ -412,31 +456,26 @@ def run_experiment(cfg: SimConfig) -> TrialReport:
     Per trial: draw the codebook pair (fresh per trial unless the mode is
     fixed), a uniform message, and the channel output of the encoder row;
     decode using the perturbed codebook only.  A null or wrong decode is an
-    error.  ASYMCAP_THREADS > 1 splits trials across processes; results are
-    identical to the serial run because every trial owns derived streams.
+    error.  Trials run in blocks through one kernel; every trial owns its
+    derived streams, so the report does not depend on how they are grouped.
     """
     t0 = time.perf_counter()
-    fixed_pair = None
     if cfg.codebook_mode == MODE_FIXED:
-        fixed_pair = generate_codebooks(cfg.M, cfg.n, cfg.px, cfg.pux, cfg.master_seed)
+        pair = generate_codebooks(cfg.M, cfg.n, cfg.px, cfg.pux, cfg.master_seed)
 
-    workers = min(_worker_count(), cfg.trials)
-    if workers > 1:
-        bounds = np.linspace(0, cfg.trials, workers + 1, dtype=int)
-        errs = np.zeros(cfg.M, dtype=np.int64)
-        sent = np.zeros(cfg.M, dtype=np.int64)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_run_chunk, cfg, int(lo), int(hi), fixed_pair)
-                for lo, hi in zip(bounds[:-1], bounds[1:])
-                if hi > lo
-            ]
-            for fut in futures:
-                e, s = fut.result()
-                errs += e
-                sent += s
+        def books(series, seeds):
+            return pair.cx[None], pair.cu[None]
     else:
-        errs, sent = _run_chunk(cfg, 0, cfg.trials, fixed_pair)
+        cdf_x, cdfs_u = capped_cdf(cfg.px.probs), capped_cdf(cfg.pux.matrix)
+
+        def books(series, seeds):
+            return _codebooks(series, seeds, cfg.M, cfg.n, cdf_x, cdfs_u)
+
+    if cfg.decoder == DECODER_MAP:
+        rule = _MapRule(induced_channel(cfg.px, cfg.pyx, cfg.pux))
+    else:
+        rule = _TypicalityRule(build_joint_uy(cfg.px, cfg.pyx, cfg.pux), cfg.epsilon)
+    errs, sent = _trial_errors(cfg.master_seed, cfg.trials, cfg.M, cfg.n, cfg.pyx, rule, books)
 
     error_count = int(errs.sum())
     pe = error_count / cfg.trials
@@ -478,18 +517,9 @@ def collision_experiment(
     base = generate_codebooks(M, n, px, pux, seed)
     cu = np.array(base.cu)
     cu[:m_collide] = base.cu[0]
-    pair = CodebookPair(base.cx, cu, base.seed)
-    pyu = induced_channel(px, pyx, pux)
-
-    errs = np.zeros(m_collide, dtype=np.int64)
-    sent = np.zeros(m_collide, dtype=np.int64)
-    for t in range(trials):
-        w = t % m_collide
-        rng_y = stream(derive_seed(seed, t, TAG_CHANNEL))
-        y = sample_rows(rng_y, pyx.matrix, pair.cx[w])
-        w_hat = map_decode(y, pair, pyu)
-        sent[w] += 1
-        if w_hat != w + 1:
-            errs[w] += 1
+    errs, sent = _trial_errors(
+        seed, trials, M, n, pyx, _MapRule(induced_channel(px, pyx, pux)),
+        lambda series, seeds: (base.cx[None], cu[None]), collide=m_collide,
+    )
     mask = sent > 0
     return float((errs[mask] / sent[mask]).max())

@@ -19,9 +19,14 @@ __all__ = [
     "TAG_SWEEP",
     "avalanche64",
     "derive_seed",
+    "derive_seeds",
     "stream",
+    "StreamSeries",
+    "philox_draws",
+    "capped_cdf",
     "sample_pmf",
     "sample_rows",
+    "rows_from_uniforms",
 ]
 
 MASK64 = (1 << 64) - 1
@@ -34,8 +39,12 @@ TAG_CHANNEL = 4   # channel noise
 TAG_SWEEP = 5     # per-row seeds inside sweeps
 
 
-def avalanche64(z: int) -> int:
-    """splitmix64 finalizer: a bijective 64-bit avalanche."""
+def avalanche64(z):
+    """splitmix64 finalizer: a bijective 64-bit avalanche.
+
+    Takes a Python int or a uint64 array; the arithmetic wraps modulo 2^64
+    alike in both.
+    """
     z = (z + 0x9E3779B97F4A7C15) & MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
@@ -49,12 +58,100 @@ def derive_seed(master_seed: int, index: int = 0, tag: int = 0) -> int:
     return avalanche64(h ^ (tag & MASK64))
 
 
+def derive_seeds(master_seed, indices, tags) -> np.ndarray:
+    """derive_seed for every tag in tags and every index, or every master
+    seed (a uint64 array), at once: row i holds tag tags[i], as uint64."""
+    h = avalanche64(master_seed & MASK64)
+    h = avalanche64(np.asarray(indices).astype(np.uint64) ^ h)
+    return avalanche64(h ^ np.array(tags, dtype=np.uint64).reshape(-1, 1))
+
+
 def stream(seed: int) -> np.random.Generator:
     """Philox generator keyed by a 64-bit seed."""
     return np.random.Generator(np.random.Philox(key=seed & MASK64))
 
 
-def _capped_cdf(probs: np.ndarray) -> np.ndarray:
+class StreamSeries:
+    """Philox streams opened one after another on one bit generator.
+
+    open(seed) rewinds the shared generator to the state stream(seed)
+    starts from and returns it, at about an eighth of the cost of building
+    a new one.  Each opened stream is valid until the next open.
+    """
+
+    def __init__(self):
+        self._bits = np.random.Philox(key=0)
+        self._gen = np.random.Generator(self._bits)
+        self._state = self._bits.state
+
+    def open(self, seed: int) -> np.random.Generator:
+        zero = np.zeros(4, dtype=np.uint64)
+        self._state["state"] = {"counter": zero, "key": np.array([seed & MASK64, 0], np.uint64)}
+        self._state.update(buffer=zero, buffer_pos=4, has_uint32=0, uinteger=0)
+        self._bits.state = self._state
+        return self._gen
+
+
+# Philox4x64-10 as numpy implements it (Salmon et al., SC'11): round
+# multipliers, Weyl key increments, and the 2^-53 scale of random().
+_PHILOX_MUL = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_PHILOX_BUMP = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
+_LO32 = np.uint64(0xFFFFFFFF)
+_DOUBLE_SCALE = 1.0 / 9007199254740992.0
+
+
+def _philox4x64(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
+    """Output blocks (N, 4) for 128-bit keys (keys, 0) and 256-bit counters
+    (counters, 0, 0, 0); rows 0 and 1 of the state hold words (0, 2) and
+    (1, 3), so both multiplications of a round share one set of array ops."""
+    a = np.zeros((2, keys.size), dtype=np.uint64)
+    a[0] = counters
+    b = np.zeros_like(a)
+    k = np.zeros_like(a)
+    k[0] = keys
+    mul_lo, mul_hi = _PHILOX_MUL & _LO32, _PHILOX_MUL >> np.uint64(32)
+    for r in range(10):
+        if r:
+            k += _PHILOX_BUMP
+        # 64 x 64 -> 128-bit product from 32-bit halves (Hacker's Delight, mulhu)
+        a_lo, a_hi = a & _LO32, a >> np.uint64(32)
+        t = a_hi * mul_lo + ((a_lo * mul_lo) >> np.uint64(32))
+        v = (t & _LO32) + a_lo * mul_hi
+        hi = a_hi * mul_hi + (t >> np.uint64(32)) + (v >> np.uint64(32))
+        a, b = hi[::-1] ^ b ^ k, (a * _PHILOX_MUL)[::-1]
+    return np.stack([a[0], b[0], a[1], b[1]], axis=-1)
+
+
+def philox_draws(msg_keys: np.ndarray, M: int, chan_keys: np.ndarray, n: int):
+    """[stream(k).integers(M) for k in msg_keys] and the rows
+    [stream(k).random(n) for k in chan_keys], in one vectorized pass.
+
+    A stream's counter starts at 1 and each block yields four words.
+    integers(M) is numpy's 32-bit Lemire rule on the low half of the first
+    word (M <= 2^32); the rare draw that rule rejects, which then takes
+    further words, is redone on the native generator.
+    """
+    msg_keys = np.asarray(msg_keys, dtype=np.uint64)
+    chan_keys = np.asarray(chan_keys, dtype=np.uint64)
+    m, per = msg_keys.size, -(-n // 4)
+    if m and not 1 <= M <= 1 << 32:
+        raise ValueError(f"M must lie in [1, 2^32], got {M}")
+    blocks = _philox4x64(
+        np.concatenate([msg_keys, np.repeat(chan_keys, per)]),
+        np.concatenate([np.ones(m, dtype=np.uint64),
+                        np.tile(np.arange(1, per + 1, dtype=np.uint64), chan_keys.size)]),
+    )
+    words = blocks[m:].reshape(chan_keys.size, 4 * per)[:, :n]
+    u = (words >> np.uint64(11)) * _DOUBLE_SCALE
+    prod = (blocks[:m, 0] & _LO32) * np.uint64(M)
+    w = (prod >> np.uint64(32)).astype(np.int64)
+    if m:
+        for i in np.flatnonzero((prod & _LO32) < (2**32 - M) % M):
+            w[i] = stream(int(msg_keys[i])).integers(M)
+    return w, u
+
+
+def capped_cdf(probs) -> np.ndarray:
     """Cumulative sums along the last axis, with every entry that already
     equals the row total set to +inf.
 
@@ -63,7 +160,7 @@ def _capped_cdf(probs: np.ndarray) -> np.ndarray:
     <= u then never goes past it, even where the total ends just below 1
     and u lies above it; for u below the total the count is unchanged.
     """
-    cdf = np.cumsum(probs, axis=-1)
+    cdf = np.cumsum(np.asarray(probs, dtype=float), axis=-1)
     cdf[cdf == cdf[..., -1:]] = np.inf
     return cdf
 
@@ -71,13 +168,11 @@ def _capped_cdf(probs: np.ndarray) -> np.ndarray:
 def sample_pmf(rng: np.random.Generator, probs: np.ndarray, shape) -> np.ndarray:
     """i.i.d. draws from one pmf by inverse CDF.
 
-    Each value is #{k : cdf[k] <= u} for u ~ U[0, 1), i.e. searchsorted on
-    the cumulative vector in symbol order, capped as in _capped_cdf;
-    zero-mass symbols are never hit.
+    Each value is #{k : cdf[k] <= u} for u ~ U[0, 1) over the cumulative
+    vector in symbol order, capped as in capped_cdf; zero-mass symbols are
+    never hit.
     """
-    cdf = _capped_cdf(np.asarray(probs, dtype=float))
-    u = rng.random(shape)
-    return np.searchsorted(cdf, u.ravel(), side="right").reshape(shape).astype(np.int64)
+    return rows_from_uniforms(capped_cdf(probs), None, rng.random(shape))
 
 
 def sample_rows(
@@ -88,7 +183,19 @@ def sample_rows(
     Uses the same counting rule as sample_pmf: value = #{k : cdf[k] <= u}
     over the row's capped cumulative vector.
     """
-    cdfs = _capped_cdf(np.asarray(matrix, dtype=float))
     given = np.asarray(given, dtype=np.int64)
-    u = rng.random(given.shape)
-    return (cdfs[given] <= u[..., None]).sum(axis=-1).astype(np.int64)
+    return rows_from_uniforms(capped_cdf(matrix), given, rng.random(given.shape))
+
+
+def rows_from_uniforms(cdfs: np.ndarray, given, u: np.ndarray) -> np.ndarray:
+    """The draws of sample_rows for given uniforms u and capped cumulative
+    rows cdfs (from capped_cdf), counted one output symbol at a time.
+
+    With given None, cdfs is the one capped cumulative vector of
+    sample_pmf.
+    """
+    out = np.zeros(u.shape, dtype=np.int64)
+    for k in range(cdfs.shape[-1] - 1):  # the last entry is always +inf
+        col = cdfs[..., k]
+        out += (col if given is None else col[given]) <= u
+    return out

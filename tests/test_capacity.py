@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from asymcap.capacity import (
+    MAX_RESTARTS,
     AlphabetLimitError,
     CapacityResult,
     SolverOptions,
@@ -182,6 +183,8 @@ class TestOptimize:
     def test_options_validation(self):
         with pytest.raises(DomainError):
             SolverOptions(restarts=0)
+        with pytest.raises(DomainError):
+            SolverOptions(restarts=MAX_RESTARTS + 1)
         with pytest.raises(DomainError):
             SolverOptions(grid_resolution=0.0)
         with pytest.raises(DomainError):

@@ -188,6 +188,21 @@ class TestCapacityGeneral:
         )
         assert rc == 2
 
+    def test_restarts_above_cap_rejected_before_solving(self, capsys, tmp_path, monkeypatch):
+        # validation alone: the solver, which would allocate the starts, never runs
+        def never(*args, **kwargs):
+            raise AssertionError("solver ran")
+
+        monkeypatch.setattr(asymcap.cli, "capacity_optimize", never)
+        ch = write_matrix(tmp_path / "ch.txt", [[0.9, 0.1], [0.1, 0.9]])
+        rc, out, err = run_cli(
+            capsys, "capacity-general", "--channel", ch, "--perturb", ch,
+            "--restarts", "100000000",
+        )
+        assert rc == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error:") and "restarts" in err
+
 
 class TestSimulate:
     ARGS = ("simulate", "--n", "16", "--messages", "4", "--p1", "0.1", "--p2", "0.1",
@@ -545,7 +560,6 @@ def test_cli_contract(fuzz_dir, monkeypatch, invocation):
     """Whatever the argv and config: no exception leaves main, the exit code
     is 0, 1 or 2, and exit 2 comes with exactly one `error:` line."""
     argv, cfg = invocation
-    monkeypatch.delenv("ASYMCAP_THREADS", raising=False)
     monkeypatch.chdir(fuzz_dir)
     if cfg:
         (fuzz_dir / "c.json").write_text(json.dumps(cfg))

@@ -1,11 +1,11 @@
 """Codebook generation, transmission, decoding, and the experiment loop."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from asymcap import codec
 from asymcap.codec import (
     CODEBOOK_CELL_CAP,
     CodebookLimitError,
@@ -28,12 +28,14 @@ from asymcap.info import (
     TransitionMatrix,
     bsc,
     build_joint_uy,
+    composite_crossover,
 )
 from asymcap.rng import (
     TAG_CHANNEL,
     TAG_CODEBOOK,
     TAG_MESSAGE,
     TAG_PERTURB,
+    TAG_SWEEP,
     derive_seed,
     stream,
 )
@@ -450,31 +452,6 @@ class TestRunExperiment:
         assert a.error_count == b.error_count
         assert a.per_message_errors == b.per_message_errors
 
-    def test_parallel_matches_serial(self, monkeypatch):
-        cfg = SimConfig.binary_symmetric(n=32, M=4, p1=0.1, p2=0.1, trials=150, master_seed=17)
-        serial = run_experiment(cfg)
-        monkeypatch.setenv("ASYMCAP_THREADS", "2")
-        parallel = run_experiment(cfg)
-        assert parallel == serial
-        assert parallel.per_message_errors == serial.per_message_errors
-
-    def test_worker_count_capped_at_cpu_count(self, monkeypatch):
-        # Only the count is computed: no pool is started here.
-        monkeypatch.setattr(codec.os, "cpu_count", lambda: 2)
-        monkeypatch.setenv("ASYMCAP_THREADS", "4096")
-        assert codec._worker_count() == 2
-        monkeypatch.setenv("ASYMCAP_THREADS", "1")
-        assert codec._worker_count() == 1
-        monkeypatch.setattr(codec.os, "cpu_count", lambda: None)
-        monkeypatch.setenv("ASYMCAP_THREADS", "8")
-        assert codec._worker_count() == 1
-
-    def test_bogus_thread_setting_falls_back_to_serial(self, monkeypatch):
-        cfg = SimConfig.binary_symmetric(n=16, M=2, p1=0.1, p2=0.1, trials=50, master_seed=1)
-        base = run_experiment(cfg)
-        monkeypatch.setenv("ASYMCAP_THREADS", "many")
-        assert run_experiment(cfg) == base
-
     def test_fixed_codebook_mode_deterministic(self):
         cfg = SimConfig.binary_symmetric(
             n=32, M=4, p1=0.05, p2=0.05, trials=200, codebook_mode="fixed", master_seed=11
@@ -552,3 +529,254 @@ class TestCollisionExperiment:
 class TestCellCap:
     def test_cap_is_sane(self):
         assert CODEBOOK_CELL_CAP == 1 << 26
+
+
+# Goldens captured from the per-trial loop before trials ran in blocks: every
+# seeded report must stay bit-identical.  The cases cover fresh and fixed
+# codebooks, both decoders, M = 1, 3 and 1024, n = 37 (not a multiple of
+# Philox's four-word block), trial counts that no block size divides, and a
+# ternary-input law with zero entries (-inf log cells, nu = 4 != ny = 2).
+_PX3 = Pmf([0.5, 0.3, 0.2])
+_PYX3 = TransitionMatrix([[0.7, 0.3], [0.0, 1.0], [0.4, 0.6]])
+_PUX3 = TransitionMatrix(
+    [[0.6, 0.0, 0.4, 0.0], [0.1, 0.5, 0.0, 0.4], [0.0, 0.0, 0.3, 0.7]]
+)
+
+
+def _bsc_case(n, M, trials, seed, p1=0.1, p2=0.1, **kw):
+    return SimConfig.binary_symmetric(
+        n=n, M=M, p1=p1, p2=p2, trials=trials, master_seed=seed, **kw
+    )
+
+
+def _ternary_case(n, M, trials, seed, **kw):
+    return SimConfig(
+        n=n, M=M, px=_PX3, pyx=_PYX3, pux=_PUX3, trials=trials, master_seed=seed, **kw
+    )
+
+
+_TYP = "typicality"
+_GOLDEN_CASES = {
+    "fresh_map_n16_M16": _bsc_case(16, 16, 300, 1, p1=0.05, p2=0.05),
+    "fresh_map_n37_M3": _bsc_case(37, 3, 257, 2, p1=0.15, p2=0.1),
+    "fixed_map_n37_M3": _bsc_case(37, 3, 257, 2, p1=0.3, p2=0.2, codebook_mode="fixed"),
+    "fresh_map_M1": _bsc_case(8, 1, 50, 3),
+    "fresh_map_n16_M1024": _bsc_case(16, 1024, 21, 4, p1=0.05, p2=0.05),
+    "fixed_map_n12_M1024": _bsc_case(
+        12, 1024, 41, 5, p1=0.05, p2=0.05, codebook_mode="fixed"
+    ),
+    "fresh_typ_n100_M4": _bsc_case(
+        100, 4, 100, 6, p1=0.05, p2=0.05, decoder=_TYP, epsilon=0.2
+    ),
+    "fixed_typ_n64_M8": _bsc_case(
+        64, 8, 150, 7, decoder=_TYP, epsilon=0.3, codebook_mode="fixed"
+    ),
+    "fresh_typ_n37_M3": _bsc_case(37, 3, 211, 8, p1=0.2, p2=0.05, decoder=_TYP, epsilon=0.25),
+    "general_fresh_map": _ternary_case(37, 5, 173, 9),
+    "general_fixed_map": _ternary_case(24, 7, 120, 10, codebook_mode="fixed"),
+    "general_fresh_typ": _ternary_case(40, 3, 90, 11, decoder=_TYP, epsilon=0.4),
+}
+
+# Wire report without elapsed_seconds, then {message index: (errors, sent)}
+# for every message sent at least once.
+_GOLDEN_REPORTS = {
+    "fresh_map_n16_M16": (
+        {"trials": 300, "errors": 8, "pe_hat": 0.02666666666666667,
+         "ci95": 0.018231004929535312, "lambda_max_hat": 0.09090909090909091,
+         "rate": 0.25, "n": 16, "M": 16, "decoder": "map", "epsilon": None, "p1": 0.05,
+         "p2": 0.05, "seed": 1},
+        {0: (0, 13), 1: (1, 28), 2: (1, 21), 3: (2, 22), 4: (0, 20), 5: (0, 15),
+         6: (0, 14), 7: (0, 17), 8: (1, 16), 9: (1, 14), 10: (0, 18), 11: (0, 15),
+         12: (1, 25), 13: (0, 20), 14: (1, 19), 15: (0, 23)},
+    ),
+    "fresh_map_n37_M3": (
+        {"trials": 257, "errors": 2, "pe_hat": 0.007782101167315175,
+         "ci95": 0.01074339328754983, "lambda_max_hat": 0.014285714285714285,
+         "rate": 0.04283682434381503, "n": 37, "M": 3, "decoder": "map",
+         "epsilon": None, "p1": 0.15, "p2": 0.1, "seed": 2},
+        {0: (1, 86), 1: (0, 101), 2: (1, 70)},
+    ),
+    "fixed_map_n37_M3": (
+        {"trials": 257, "errors": 95, "pe_hat": 0.36964980544747084,
+         "ci95": 0.05901680526206471, "lambda_max_hat": 0.48514851485148514,
+         "rate": 0.04283682434381503, "n": 37, "M": 3, "decoder": "map",
+         "epsilon": None, "p1": 0.3, "p2": 0.2, "seed": 2},
+        {0: (20, 86), 1: (49, 101), 2: (26, 70)},
+    ),
+    "fresh_map_M1": (
+        {"trials": 50, "errors": 0, "pe_hat": 0.0, "ci95": 0.0, "lambda_max_hat": 0.0,
+         "rate": 0.0, "n": 8, "M": 1, "decoder": "map", "epsilon": None, "p1": 0.1,
+         "p2": 0.1, "seed": 3},
+        {0: (0, 50)},
+    ),
+    "fresh_map_n16_M1024": (
+        {"trials": 21, "errors": 10, "pe_hat": 0.47619047619047616,
+         "ci95": 0.2136109305012963, "lambda_max_hat": 1.0, "rate": 0.625, "n": 16,
+         "M": 1024, "decoder": "map", "epsilon": None, "p1": 0.05, "p2": 0.05,
+         "seed": 4},
+        {106: (1, 1), 119: (1, 1), 171: (0, 1), 225: (1, 1), 319: (1, 1), 344: (0, 1),
+         350: (0, 1), 427: (1, 1), 492: (1, 1), 503: (0, 1), 551: (0, 1), 559: (1, 1),
+         566: (0, 1), 663: (1, 1), 669: (0, 1), 678: (0, 1), 699: (0, 1), 829: (0, 1),
+         833: (0, 1), 843: (1, 1), 907: (1, 1)},
+    ),
+    "fixed_map_n12_M1024": (
+        {"trials": 41, "errors": 27, "pe_hat": 0.6585365853658537,
+         "ci95": 0.14515305681966567, "lambda_max_hat": 1.0, "rate": 0.8333333333333334,
+         "n": 12, "M": 1024, "decoder": "map", "epsilon": None, "p1": 0.05, "p2": 0.05,
+         "seed": 5},
+        {32: (1, 1), 50: (1, 1), 118: (1, 1), 123: (0, 1), 152: (1, 1), 158: (0, 1),
+         174: (0, 1), 188: (1, 1), 201: (0, 1), 217: (2, 2), 221: (1, 1), 248: (1, 1),
+         251: (0, 1), 300: (0, 1), 364: (1, 1), 405: (1, 1), 427: (1, 1), 466: (1, 1),
+         481: (0, 1), 500: (0, 1), 511: (1, 1), 530: (1, 1), 551: (1, 1), 562: (1, 1),
+         573: (1, 1), 583: (1, 1), 614: (1, 1), 618: (1, 1), 683: (1, 1), 693: (0, 1),
+         704: (1, 1), 716: (1, 1), 795: (0, 1), 812: (1, 1), 850: (0, 2), 861: (1, 1),
+         991: (0, 1), 1010: (0, 1), 1019: (1, 1)},
+    ),
+    "fresh_typ_n100_M4": (
+        {"trials": 100, "errors": 4, "pe_hat": 0.04, "ci95": 0.03840799916684023,
+         "lambda_max_hat": 0.05, "rate": 0.02, "n": 100, "M": 4,
+         "decoder": "typicality", "epsilon": 0.2, "p1": 0.05, "p2": 0.05, "seed": 6},
+        {0: (1, 20), 1: (1, 22), 2: (1, 25), 3: (1, 33)},
+    ),
+    "fixed_typ_n64_M8": (
+        {"trials": 150, "errors": 1, "pe_hat": 0.006666666666666667,
+         "ci95": 0.01302303827553025, "lambda_max_hat": 0.045454545454545456,
+         "rate": 0.046875, "n": 64, "M": 8, "decoder": "typicality", "epsilon": 0.3,
+         "p1": 0.1, "p2": 0.1, "seed": 7},
+        {0: (0, 16), 1: (1, 22), 2: (0, 21), 3: (0, 15), 4: (0, 20), 5: (0, 17),
+         6: (0, 17), 7: (0, 22)},
+    ),
+    "fresh_typ_n37_M3": (
+        {"trials": 211, "errors": 22, "pe_hat": 0.10426540284360189,
+         "ci95": 0.041235819592288635, "lambda_max_hat": 0.12121212121212122,
+         "rate": 0.04283682434381503, "n": 37, "M": 3, "decoder": "typicality",
+         "epsilon": 0.25, "p1": 0.2, "p2": 0.05, "seed": 8},
+        {0: (8, 74), 1: (8, 66), 2: (6, 71)},
+    ),
+    "general_fresh_map": (
+        {"trials": 173, "errors": 3, "pe_hat": 0.017341040462427744,
+         "ci95": 0.019452346847727134, "lambda_max_hat": 0.03571428571428571,
+         "rate": 0.06275481337533412, "n": 37, "M": 5, "decoder": "map",
+         "epsilon": None, "p1": None, "p2": None, "seed": 9},
+        {0: (0, 33), 1: (1, 28), 2: (0, 36), 3: (1, 33), 4: (1, 43)},
+    ),
+    "general_fixed_map": (
+        {"trials": 120, "errors": 5, "pe_hat": 0.041666666666666664,
+         "ci95": 0.03575346396064562, "lambda_max_hat": 0.17647058823529413,
+         "rate": 0.11697312175240017, "n": 24, "M": 7, "decoder": "map",
+         "epsilon": None, "p1": None, "p2": None, "seed": 10},
+        {0: (3, 17), 1: (0, 18), 2: (2, 17), 3: (0, 19), 4: (0, 11), 5: (0, 17),
+         6: (0, 21)},
+    ),
+    "general_fresh_typ": (
+        {"trials": 90, "errors": 12, "pe_hat": 0.13333333333333333,
+         "ci95": 0.07023122305184515, "lambda_max_hat": 0.2, "rate": 0.0396240625180289,
+         "n": 40, "M": 3, "decoder": "typicality", "epsilon": 0.4, "p1": None,
+         "p2": None, "seed": 11},
+        {0: (6, 30), 1: (3, 31), 2: (3, 29)},
+    ),
+}
+
+
+class TestGoldenReports:
+    @pytest.mark.parametrize("name", list(_GOLDEN_CASES))
+    def test_report_unchanged(self, name):
+        cfg = _GOLDEN_CASES[name]
+        report = run_experiment(cfg)
+        wire = report.to_json_dict()
+        del wire["elapsed_seconds"]
+        want_wire, want_sent = _GOLDEN_REPORTS[name]
+        assert wire == want_wire
+        assert len(report.per_message_errors) == cfg.M
+        got_sent = {i: es for i, es in enumerate(report.per_message_errors) if es[1]}
+        assert got_sent == want_sent
+
+    @pytest.mark.parametrize(
+        ("M", "n", "p1", "p2", "trials", "seed", "want"),
+        [
+            (8, 16, 0.2, 0.15, 301, 13, {1: 0.2059800664451827, 2: 1.0, 4: 1.0}),
+            (4, 24, 0.25, 0.2, 150, 14, {1: 0.17333333333333334, 2: 1.0, 4: 1.0}),
+        ],
+    )
+    def test_collision_unchanged(self, M, n, p1, p2, trials, seed, want):
+        got = {m: collision_experiment(M, m, n, p1, p2, trials, seed) for m in want}
+        assert got == want
+
+
+def _binom_log_pmf(n, d):
+    return math.lgamma(n + 1) - math.lgamma(d + 1) - math.lgamma(n - d + 1)
+
+
+def _pe_exact_bsc(n, M, q):
+    """Ensemble block error of fresh-codebook MAP decoding over a uniform
+    binary BSC(q) link between decoder row and output (q < 1/2).
+
+    The true row sits at Hamming distance d ~ Bin(n, q) from y, every other
+    row at an independent Bin(n, 1/2) distance; averaged over messages the
+    true row wins a k-way tie with chance 1/(k+1), which sums to
+    (a^M - b^M) / (M f(d)) with f the Bin(n, 1/2) pmf, a = P(D >= d) and
+    b = a - f(d).  Evaluated in logs with log1p/expm1 so that an error
+    probability far below 1e-16 keeps its digits.
+    """
+    logf = [_binom_log_pmf(n, d) - n * math.log(2.0) for d in range(n + 1)]
+    f = [math.exp(v) for v in logf]
+    below = [0.0] * (n + 2)  # below[d] = P(D < d), summed from the bottom
+    above = [0.0] * (n + 2)  # above[d] = P(D >= d), summed from the top
+    for d in range(n + 1):
+        below[d + 1] = below[d] + f[d]
+    for d in range(n, -1, -1):
+        above[d] = above[d + 1] + f[d]
+    pe = 0.0
+    for d in range(n + 1):
+        if q == 0.0:
+            weight = 1.0 if d == 0 else 0.0
+        else:
+            weight = math.exp(
+                _binom_log_pmf(n, d) + d * math.log(q) + (n - d) * math.log1p(-q)
+            )
+        if below[d] < 0.5:
+            a, log_a = 1.0 - below[d], math.log1p(-below[d])
+        else:
+            a, log_a = above[d], math.log(above[d])
+        x = f[d] / a  # 1 - b / a
+        ratio_gap = 1.0 if x >= 1.0 else -math.expm1(M * math.log1p(-x))  # 1 - (b/a)^M
+        log_win = M * log_a - math.log(M) - logf[d] + math.log(ratio_gap)
+        pe += weight * max(0.0, -math.expm1(log_win))
+    return pe
+
+
+def _pe_enumerated_bsc(n, M, q):
+    """The same ensemble error by brute force over every codebook, message
+    and output, decoding by minimum distance with the lowest index winning."""
+    err = 0.0
+    for book in itertools.product(range(1 << n), repeat=M):
+        for w in range(M):
+            for y in range(1 << n):
+                d_true = bin(book[w] ^ y).count("1")
+                p = q**d_true * (1 - q) ** (n - d_true) / (M * (1 << (n * M)))
+                dist = [bin(c ^ y).count("1") for c in book]
+                if dist.index(min(dist)) != w:
+                    err += p
+    return err
+
+
+class TestExactEnsembleOracle:
+    @pytest.mark.parametrize(("n", "M", "q"), [(1, 2, 0.095), (3, 3, 0.2), (4, 2, 0.3)])
+    def test_oracle_matches_enumeration(self, n, M, q):
+        assert _pe_exact_bsc(n, M, q) == pytest.approx(_pe_enumerated_bsc(n, M, q), rel=1e-12)
+
+    def test_monte_carlo_within_four_sigma(self):
+        # criterion 7's rows with M <= 64 and their seeds, 2000 trials each
+        rows = [(n, 16, derive_seed(700, i, TAG_SWEEP)) for i, n in enumerate((16, 32, 64, 128))]
+        rows += [(16, m, derive_seed(701, i, TAG_SWEEP)) for i, m in enumerate((2, 8, 64))]
+        rows += [(64, 4, derive_seed(702, 0, TAG_SWEEP))]
+        trials = 2000
+        q = composite_crossover(0.05, 0.05)
+        for n, m, seed in rows:
+            cfg = SimConfig.binary_symmetric(
+                n=n, M=m, p1=0.05, p2=0.05, trials=trials, master_seed=seed
+            )
+            pe_hat = run_experiment(cfg).pe_hat
+            pe = _pe_exact_bsc(n, m, q)
+            sigma = math.sqrt(pe * (1.0 - pe) / trials)
+            assert abs(pe_hat - pe) <= 4.0 * sigma, (n, m, pe_hat, pe)

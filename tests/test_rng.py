@@ -9,6 +9,7 @@ reproducibility of previously published runs.
 import numpy as np
 import pytest
 
+from asymcap import rng
 from asymcap.rng import (
     MASK64,
     TAG_CHANNEL,
@@ -16,8 +17,13 @@ from asymcap.rng import (
     TAG_MESSAGE,
     TAG_PERTURB,
     TAG_SWEEP,
+    StreamSeries,
     avalanche64,
+    capped_cdf,
     derive_seed,
+    derive_seeds,
+    philox_draws,
+    rows_from_uniforms,
     sample_pmf,
     sample_rows,
     stream,
@@ -59,6 +65,89 @@ class TestDeriveSeed:
         assert 10 <= flips <= 54
 
 
+class TestDeriveSeeds:
+    def test_matches_scalar_over_indices(self):
+        idx = np.array([0, 1, 7, 2**40, 2**63 - 1], dtype=np.int64)
+        tags = (TAG_MESSAGE, TAG_CHANNEL)
+        got = derive_seeds(2**64 - 5, idx, tags)
+        assert got.dtype == np.uint64
+        assert got.tolist() == [[derive_seed(2**64 - 5, int(i), t) for i in idx] for t in tags]
+
+    def test_matches_scalar_over_master_seeds(self):
+        masters = np.array([0, 1, 2**63, MASK64], dtype=np.uint64)
+        got = derive_seeds(masters, 0, (TAG_PERTURB,))
+        assert got.tolist() == [[derive_seed(int(m), 0, TAG_PERTURB) for m in masters]]
+
+    def test_negative_master_seed_wraps_like_derive_seed(self):
+        assert derive_seeds(-3, np.arange(3), (TAG_CODEBOOK,)).tolist() == [
+            [derive_seed(-3, i, TAG_CODEBOOK) for i in range(3)]
+        ]
+
+
+def _native(key):
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+# Random 64-bit stream keys, including both ends of the range.
+PHILOX_KEYS = np.concatenate([
+    np.random.Generator(np.random.PCG64(2024)).integers(0, MASK64, 40, dtype=np.uint64,
+                                                         endpoint=True),
+    np.array([0, 1, MASK64], dtype=np.uint64),
+])
+
+
+class TestPhiloxDraws:
+    @pytest.mark.parametrize("n", [1, 3, 4, 5, 37, 200])
+    def test_uniforms_match_native_random(self, n):
+        w, u = philox_draws(PHILOX_KEYS[:0], 0, PHILOX_KEYS, n)
+        assert w.size == 0
+        want = np.stack([_native(int(k)).random(n) for k in PHILOX_KEYS])
+        np.testing.assert_array_equal(u, want)
+
+    @pytest.mark.parametrize("M", [1, 2, 3, 1000, 2**26 - 1, 3 * 2**30])
+    def test_indices_match_native_integers(self, M, monkeypatch):
+        redrawn = []
+
+        def counted(seed):
+            redrawn.append(seed)
+            return _native(seed)
+
+        monkeypatch.setattr(rng, "stream", counted)
+        keys = np.concatenate([PHILOX_KEYS] * (3 if M == 3 * 2**30 else 1))
+        keys = derive_seeds(keys, np.arange(keys.size) % 3, (TAG_MESSAGE,))[0]
+        w, u = philox_draws(keys, M, keys[:0], 4)
+        assert u.shape == (0, 4)
+        assert w.tolist() == [int(_native(int(k)).integers(M)) for k in keys]
+        if M == 3 * 2**30:
+            # about a quarter of the first draws are rejected and redone natively
+            assert 10 <= len(redrawn) <= 60
+        elif M < 2**20:
+            assert redrawn == []
+
+    def test_messages_and_channel_in_one_pass(self):
+        w, u = philox_draws(PHILOX_KEYS[:5], 16, PHILOX_KEYS[5:8], 37)
+        assert w.tolist() == [int(_native(int(k)).integers(16)) for k in PHILOX_KEYS[:5]]
+        np.testing.assert_array_equal(u, [_native(int(k)).random(37) for k in PHILOX_KEYS[5:8]])
+
+    def test_index_range_checked(self):
+        with pytest.raises(ValueError):
+            philox_draws(PHILOX_KEYS[:1], 0, PHILOX_KEYS[:0], 4)
+        with pytest.raises(ValueError):
+            philox_draws(PHILOX_KEYS[:1], 2**32 + 1, PHILOX_KEYS[:0], 4)
+
+
+class TestStreamSeries:
+    def test_each_open_starts_like_a_new_stream(self):
+        series = StreamSeries()
+        for k in PHILOX_KEYS[:10].tolist():
+            # integers(3) leaves half a word buffered, random() a partial block
+            assert series.open(k).integers(3) == _native(k).integers(3)
+            np.testing.assert_array_equal(series.open(k).random(7), _native(k).random(7))
+            out = np.empty((2, 3))
+            series.open(k).random(out=out)
+            np.testing.assert_array_equal(out, _native(k).random((2, 3)))
+
+
 class TestStream:
     def test_deterministic(self):
         a = stream(99).random(16)
@@ -93,6 +182,16 @@ class TestSamplePmf:
         freq = np.bincount(vals, minlength=3) / n
         sigma = np.sqrt(probs * (1 - probs) / n)
         assert np.all(np.abs(freq - probs) < 3.5 * sigma)
+
+
+class TestRowsFromUniforms:
+    def test_vector_cdf_counts_like_searchsorted(self):
+        probs = np.array([0.1, 0.0, 0.6, 0.3])
+        cdf = capped_cdf(probs)
+        u = stream(4).random((50, 3))
+        want = np.searchsorted(cdf, u, side="right")
+        np.testing.assert_array_equal(rows_from_uniforms(cdf, None, u), want)
+        np.testing.assert_array_equal(sample_pmf(stream(4), probs, (50, 3)), want)
 
 
 class TestSampleRows:
