@@ -395,13 +395,11 @@ class TrialReport:
 def _codebooks(series: StreamSeries, seeds: np.ndarray, M: int, n: int, cdf_x, cdfs_u):
     """Codebook pairs (T, M, n), one per pair seed (uint64), drawn exactly
     as generate_codebooks draws the pair of that seed."""
-    keys_x, keys_u = derive_seeds(seeds, 0, (TAG_CODEBOOK, TAG_PERTURB)).tolist()
+    keys_x, keys_u = derive_seeds(seeds, 0, (TAG_CODEBOOK, TAG_PERTURB))
     buf = np.empty((seeds.size, M, n))
-    for row, key in zip(buf, keys_x):
-        series.open(key).random(out=row)
+    series.fill_random(keys_x, buf)
     cx = rows_from_uniforms(cdf_x, None, buf)
-    for row, key in zip(buf, keys_u):
-        series.open(key).random(out=row)
+    series.fill_random(keys_u, buf)
     return cx, rows_from_uniforms(cdfs_u, cx, buf)
 
 
@@ -413,8 +411,7 @@ def _trial_draws(series: StreamSeries, msg_keys, M: int, chan_keys, n: int):
         return philox_draws(msg_keys, M, chan_keys, n)
     w = np.array([series.open(k).integers(M) for k in msg_keys.tolist()], dtype=np.int64)
     u = np.empty((chan_keys.size, n))
-    for row, key in zip(u, chan_keys.tolist()):
-        series.open(key).random(out=row)
+    series.fill_random(chan_keys, u)
     return w, u
 
 

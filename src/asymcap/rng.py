@@ -91,6 +91,11 @@ class StreamSeries:
         self._bits.state = self._state
         return self._gen
 
+    def fill_random(self, keys: np.ndarray, out: np.ndarray) -> None:
+        """out[i] = stream(keys[i]).random(out[i].shape) for every uint64 key."""
+        for row, key in zip(out, keys.tolist()):
+            self.open(key).random(out=row)
+
 
 # Philox4x64-10 as numpy implements it (Salmon et al., SC'11): round
 # multipliers, Weyl key increments, and the 2^-53 scale of random().
@@ -102,8 +107,8 @@ _DOUBLE_SCALE = 1.0 / 9007199254740992.0
 
 def _philox4x64(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
     """Output blocks (N, 4) for 128-bit keys (keys, 0) and 256-bit counters
-    (counters, 0, 0, 0); rows 0 and 1 of the state hold words (0, 2) and
-    (1, 3), so both multiplications of a round share one set of array ops."""
+    (counters, 0, 0, 0).  a holds counter words 0 and 2 and b words 1 and 3,
+    so the two multiplications of a round share one set of array ops."""
     a = np.zeros((2, keys.size), dtype=np.uint64)
     a[0] = counters
     b = np.zeros_like(a)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from asymcap import codec
 from asymcap.codec import (
     CODEBOOK_CELL_CAP,
     CodebookLimitError,
@@ -690,6 +691,13 @@ class TestGoldenReports:
         assert len(report.per_message_errors) == cfg.M
         got_sent = {i: es for i, es in enumerate(report.per_message_errors) if es[1]}
         assert got_sent == want_sent
+
+    @pytest.mark.parametrize("cells", [1, 1 << 9, 1 << 20])
+    @pytest.mark.parametrize("name", ["fresh_map_n16_M16", "fixed_typ_n64_M8", "general_fresh_map"])
+    def test_block_size_does_not_matter(self, monkeypatch, name, cells):
+        # one trial per block (native streams) up to every trial in one block
+        monkeypatch.setattr(codec, "TRIAL_BLOCK_CELLS", cells)
+        self.test_report_unchanged(name)
 
     @pytest.mark.parametrize(
         ("M", "n", "p1", "p2", "trials", "seed", "want"),

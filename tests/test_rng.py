@@ -140,12 +140,18 @@ class TestStreamSeries:
     def test_each_open_starts_like_a_new_stream(self):
         series = StreamSeries()
         for k in PHILOX_KEYS[:10].tolist():
-            # integers(3) leaves half a word buffered, random() a partial block
+            # random() leaves a partial block, an odd float32 count half a word
+            np.testing.assert_array_equal(
+                series.open(k).random(3, dtype=np.float32), _native(k).random(3, dtype=np.float32)
+            )
             assert series.open(k).integers(3) == _native(k).integers(3)
             np.testing.assert_array_equal(series.open(k).random(7), _native(k).random(7))
             out = np.empty((2, 3))
             series.open(k).random(out=out)
             np.testing.assert_array_equal(out, _native(k).random((2, 3)))
+        out = np.empty((4, 2, 5))
+        series.fill_random(PHILOX_KEYS[:4], out)
+        np.testing.assert_array_equal(out, [_native(int(k)).random((2, 5)) for k in PHILOX_KEYS[:4]])
 
 
 class TestStream:
