@@ -49,7 +49,6 @@ GRID_INPUT_LIMIT = 4          # exhaustive search refuses larger input alphabets
 MAX_GRID_POINTS = 20_000_000  # lattice size guard
 MAX_RESTARTS = 1000           # the solver holds a (restarts + 1, nx) start array
 _LOG2E = float(np.log2(np.e))
-_FIXED_STEP = 0.5
 # Candidates whose objective is within this of the best are treated as tied;
 # the uniform start then wins, which pins down the maximizer on flat
 # objectives (p1 or p2 equal to 1/2) where every input distribution is optimal.
@@ -70,7 +69,6 @@ class SolverOptions:
     restarts: int = 8
     max_iterations: int = 300
     convergence_tol: float = 1e-9
-    step_size_rule: str = "backtracking"
 
     def __post_init__(self):
         if not 0.0 < self.grid_resolution <= 1.0:
@@ -81,10 +79,6 @@ class SolverOptions:
             raise DomainError("max_iterations must be at least 1")
         if self.convergence_tol <= 0.0:
             raise DomainError("convergence_tol must be positive")
-        if self.step_size_rule not in ("fixed", "backtracking"):
-            raise DomainError(
-                f"step_size_rule must be 'fixed' or 'backtracking', got {self.step_size_rule!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -302,27 +296,24 @@ def capacity_optimize(
     for _ in range(opts.max_iterations):
         g = _gradient_batch(p, a, nu, ny)
         running &= ~(_stationarity(p, g) < opts.convergence_tol)
-        if opts.step_size_rule == "fixed":
-            np.copyto(p, _project_rows(p + _FIXED_STEP * g), where=running[:, None])
-        else:
-            t_step, pending = t_init.copy(), running.copy()
-            while True:
-                # With no float-representable ascent step left, a row would
-                # stall identically on every remaining pass: account them.
-                stalled = pending & (t_step <= 1e-14)
-                steps[stalled] = opts.max_iterations
-                running &= ~stalled
-                pending &= ~stalled
-                if not pending.any():
-                    break
-                cand = _project_rows(p + t_step[:, None] * g)
-                j_cand = _mi_batch(_joint_rows(cand, a), nu, ny)
-                accept = pending & (j_cand >= j0 + 1e-4 * _row_dot(g, cand - p))
-                np.copyto(p, cand, where=accept[:, None])
-                np.copyto(j0, j_cand, where=accept)
-                np.copyto(t_init, np.minimum(1.0, 2.0 * t_step), where=accept)
-                pending &= ~accept
-                np.multiply(t_step, 0.5, out=t_step, where=pending)
+        t_step, pending = t_init.copy(), running.copy()
+        while True:
+            # With no float-representable ascent step left, a row would
+            # stall identically on every remaining pass: account them.
+            stalled = pending & (t_step <= 1e-14)
+            steps[stalled] = opts.max_iterations
+            running &= ~stalled
+            pending &= ~stalled
+            if not pending.any():
+                break
+            cand = _project_rows(p + t_step[:, None] * g)
+            j_cand = _mi_batch(_joint_rows(cand, a), nu, ny)
+            accept = pending & (j_cand >= j0 + 1e-4 * _row_dot(g, cand - p))
+            np.copyto(p, cand, where=accept[:, None])
+            np.copyto(j0, j_cand, where=accept)
+            np.copyto(t_init, np.minimum(1.0, 2.0 * t_step), where=accept)
+            pending &= ~accept
+            np.multiply(t_step, 0.5, out=t_step, where=pending)
         steps += running
         if not running.any():
             break

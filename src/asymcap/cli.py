@@ -14,6 +14,7 @@ codes: 0 success, 1 verification/bound failure, 2 usage or input error
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -217,14 +218,16 @@ def cmd_capacity_general(eff: dict) -> int:
     pux = TransitionMatrix.from_file(eff["perturb"])
     opts = SolverOptions(grid_resolution=eff["grid_res"], restarts=eff["restarts"],
                          convergence_tol=eff["tol"])
+    ref = None  # the cross-check runs first, so a lattice it refuses prints nothing
+    if pyx.input_size <= GRID_CROSSCHECK_LIMIT:
+        ref = capacity_grid(pyx, pux, eff["grid_res"])
     res = capacity_optimize(pyx, pux, opts)
     print("config: " + _config_json(eff))
     print("optimize " + _fmt(res.capacity))
     print("iterations " + str(res.iterations))
     print("residual " + _fmt(res.residual))
     print("argmax_px " + " ".join(_fmt(v) for v in res.argmax_px))
-    if pyx.input_size <= GRID_CROSSCHECK_LIMIT:
-        ref = capacity_grid(pyx, pux, eff["grid_res"])
+    if ref is not None:
         print("grid " + _fmt(ref.capacity))
         print("difference " + _fmt(abs(res.capacity - ref.capacity)))
     return 0
@@ -282,8 +285,13 @@ def cmd_sweep(eff: dict) -> int:
 
 
 def cmd_verify(eff: dict) -> int:
-    report = run_verification(grid_step=eff["grid_step"], samples=eff["samples"], seed=eff["seed"])
+    # Validate, then open --out, then run: no file on bad input, no run on a bad path.
+    default_grid(eff["grid_step"])
+    if eff["samples"] < 1:
+        raise UsageError("samples must be at least 1")
     with open(eff["out"], "w", encoding="utf-8", newline="") as fh:
+        report = run_verification(grid_step=eff["grid_step"], samples=eff["samples"],
+                                  seed=eff["seed"])
         fh.write(json.dumps(report.to_json_dict(), indent=2) + "\n")
     for c in report.checks:
         status = "PASS" if c.passed else "FAIL"
@@ -353,7 +361,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser for COMMANDS, built once per process: parsing leaves it unchanged."""
     parser = _Parser(
         prog="asymcap",
         description="Capacity and Monte Carlo tools for channels decoded "

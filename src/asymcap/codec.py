@@ -33,9 +33,11 @@ from .rng import (
     TAG_PERTURB,
     StreamSeries,
     capped_cdf,
+    derive_seed,
     derive_seeds,
-    philox_draws,
     rows_from_uniforms,
+    sample_rows,
+    stream,
 )
 
 __all__ = [
@@ -55,9 +57,6 @@ __all__ = [
 
 CODEBOOK_CELL_CAP = 1 << 26  # refuse codebooks beyond ~67M cells
 TRIAL_BLOCK_CELLS = 1 << 14  # codebook cells (trials x M x n) one trial block holds
-# Below this many trials in a block, opening native streams one by one beats
-# the fixed cost of a vectorized Philox pass.
-PHILOX_MIN_TRIALS = 64
 
 DECODER_MAP = "map"
 DECODER_TYPICALITY = "typicality"
@@ -132,9 +131,7 @@ def transmit(codeword, pyx: TransitionMatrix, seed: int) -> np.ndarray:
         raise DimensionMismatch("codeword must be 1-D")
     if cw.min(initial=0) < 0 or cw.max(initial=0) >= pyx.input_size:
         raise DomainError("codeword symbol outside the channel input alphabet")
-    chan_keys = derive_seeds(seed, np.zeros(1, dtype=np.int64), (TAG_CHANNEL,))[0]
-    _, u = _trial_draws(StreamSeries(), chan_keys[:0], 0, chan_keys, cw.size)  # no message
-    return rows_from_uniforms(capped_cdf(pyx.matrix), cw, u[0])
+    return sample_rows(stream(derive_seed(seed, 0, TAG_CHANNEL)), pyx.matrix, cw)
 
 
 def induced_channel(
@@ -403,18 +400,6 @@ def _codebooks(series: StreamSeries, seeds: np.ndarray, M: int, n: int, cdf_x, c
     return cx, rows_from_uniforms(cdfs_u, cx, buf)
 
 
-def _trial_draws(series: StreamSeries, msg_keys, M: int, chan_keys, n: int):
-    """stream(k).integers(M) for every message key and stream(k).random(n)
-    for every channel key (uint64 arrays), vectorized when the block is
-    large enough."""
-    if chan_keys.size >= PHILOX_MIN_TRIALS:
-        return philox_draws(msg_keys, M, chan_keys, n)
-    w = np.array([series.open(k).integers(M) for k in msg_keys.tolist()], dtype=np.int64)
-    u = np.empty((chan_keys.size, n))
-    series.fill_random(chan_keys, u)
-    return w, u
-
-
 def _trial_errors(seed, trials, M, n, pyx, rule, books, collide=0):
     """The trial kernel: per-message error and sent counts over trials
     [0, trials), run in blocks of at most TRIAL_BLOCK_CELLS codebook cells.
@@ -436,9 +421,12 @@ def _trial_errors(seed, trials, M, n, pyx, rule, books, collide=0):
             seed, ts, (TAG_CODEBOOK, TAG_MESSAGE, TAG_CHANNEL)
         )
         cx, cu = books(series, pair_seeds)
-        w, u = _trial_draws(series, msg_keys[:0] if collide else msg_keys, M, chan_keys, n)
         if collide:
             w = ts % collide
+        else:
+            w = np.array([series.open(k).integers(M) for k in msg_keys.tolist()], dtype=np.int64)
+        u = np.empty((ts.size, n))
+        series.fill_random(chan_keys, u)
         sent_rows = cx[np.arange(ts.size) % cx.shape[0], w]  # a shared pair has one row
         y = rows_from_uniforms(cdfs_y, sent_rows, u)
         wrong = rule.decode(cu, y) != w + 1  # null (0) and wrong indices both count

@@ -22,7 +22,6 @@ __all__ = [
     "derive_seeds",
     "stream",
     "StreamSeries",
-    "philox_draws",
     "capped_cdf",
     "sample_pmf",
     "sample_rows",
@@ -75,19 +74,22 @@ class StreamSeries:
     """Philox streams opened one after another on one bit generator.
 
     open(seed) rewinds the shared generator to the state stream(seed)
-    starts from and returns it, at about an eighth of the cost of building
-    a new one.  Each opened stream is valid until the next open.
+    starts from and returns it, at about a twentieth of the cost of
+    building a new one.  Each opened stream is valid until the next open.
     """
 
     def __init__(self):
         self._bits = np.random.Philox(key=0)
         self._gen = np.random.Generator(self._bits)
+        # A new stream: zero counter, empty buffers.  Plain ints set faster
+        # than uint64 arrays; only the key changes from one open to the next.
+        self._key = [0, 0]
         self._state = self._bits.state
+        self._state.update(state={"counter": [0] * 4, "key": self._key}, buffer=[0] * 4,
+                           buffer_pos=4, has_uint32=0, uinteger=0)
 
     def open(self, seed: int) -> np.random.Generator:
-        zero = np.zeros(4, dtype=np.uint64)
-        self._state["state"] = {"counter": zero, "key": np.array([seed & MASK64, 0], np.uint64)}
-        self._state.update(buffer=zero, buffer_pos=4, has_uint32=0, uinteger=0)
+        self._key[0] = seed & MASK64
         self._bits.state = self._state
         return self._gen
 
@@ -95,65 +97,6 @@ class StreamSeries:
         """out[i] = stream(keys[i]).random(out[i].shape) for every uint64 key."""
         for row, key in zip(out, keys.tolist()):
             self.open(key).random(out=row)
-
-
-# Philox4x64-10 as numpy implements it (Salmon et al., SC'11): round
-# multipliers, Weyl key increments, and the 2^-53 scale of random().
-_PHILOX_MUL = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
-_PHILOX_BUMP = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
-_LO32 = np.uint64(0xFFFFFFFF)
-_DOUBLE_SCALE = 1.0 / 9007199254740992.0
-
-
-def _philox4x64(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
-    """Output blocks (N, 4) for 128-bit keys (keys, 0) and 256-bit counters
-    (counters, 0, 0, 0).  a holds counter words 0 and 2 and b words 1 and 3,
-    so the two multiplications of a round share one set of array ops."""
-    a = np.zeros((2, keys.size), dtype=np.uint64)
-    a[0] = counters
-    b = np.zeros_like(a)
-    k = np.zeros_like(a)
-    k[0] = keys
-    mul_lo, mul_hi = _PHILOX_MUL & _LO32, _PHILOX_MUL >> np.uint64(32)
-    for r in range(10):
-        if r:
-            k += _PHILOX_BUMP
-        # 64 x 64 -> 128-bit product from 32-bit halves (Hacker's Delight, mulhu)
-        a_lo, a_hi = a & _LO32, a >> np.uint64(32)
-        t = a_hi * mul_lo + ((a_lo * mul_lo) >> np.uint64(32))
-        v = (t & _LO32) + a_lo * mul_hi
-        hi = a_hi * mul_hi + (t >> np.uint64(32)) + (v >> np.uint64(32))
-        a, b = hi[::-1] ^ b ^ k, (a * _PHILOX_MUL)[::-1]
-    return np.stack([a[0], b[0], a[1], b[1]], axis=-1)
-
-
-def philox_draws(msg_keys: np.ndarray, M: int, chan_keys: np.ndarray, n: int):
-    """[stream(k).integers(M) for k in msg_keys] and the rows
-    [stream(k).random(n) for k in chan_keys], in one vectorized pass.
-
-    A stream's counter starts at 1 and each block yields four words.
-    integers(M) is numpy's 32-bit Lemire rule on the low half of the first
-    word (M <= 2^32); the rare draw that rule rejects, which then takes
-    further words, is redone on the native generator.
-    """
-    msg_keys = np.asarray(msg_keys, dtype=np.uint64)
-    chan_keys = np.asarray(chan_keys, dtype=np.uint64)
-    m, per = msg_keys.size, -(-n // 4)
-    if m and not 1 <= M <= 1 << 32:
-        raise ValueError(f"M must lie in [1, 2^32], got {M}")
-    blocks = _philox4x64(
-        np.concatenate([msg_keys, np.repeat(chan_keys, per)]),
-        np.concatenate([np.ones(m, dtype=np.uint64),
-                        np.tile(np.arange(1, per + 1, dtype=np.uint64), chan_keys.size)]),
-    )
-    words = blocks[m:].reshape(chan_keys.size, 4 * per)[:, :n]
-    u = (words >> np.uint64(11)) * _DOUBLE_SCALE
-    prod = (blocks[:m, 0] & _LO32) * np.uint64(M)
-    w = (prod >> np.uint64(32)).astype(np.int64)
-    if m:
-        for i in np.flatnonzero((prod & _LO32) < (2**32 - M) % M):
-            w[i] = stream(int(msg_keys[i])).integers(M)
-    return w, u
 
 
 def capped_cdf(probs) -> np.ndarray:

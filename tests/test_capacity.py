@@ -167,10 +167,6 @@ class TestOptimize:
         assert r.iterations == 2
         assert r.residual > opts.convergence_tol
 
-    def test_fixed_step_rule(self):
-        r = capacity_optimize(bsc(0.1), bsc(0.2), SolverOptions(step_size_rule="fixed"))
-        assert abs(r.capacity - CAP_01_02) < 1e-9
-
     def test_deterministic(self):
         rng = np.random.default_rng(55)
         pyx = _random_stochastic(rng, 3, 3)
@@ -189,8 +185,6 @@ class TestOptimize:
             SolverOptions(grid_resolution=0.0)
         with pytest.raises(DomainError):
             SolverOptions(convergence_tol=-1.0)
-        with pytest.raises(DomainError):
-            SolverOptions(step_size_rule="newton")
 
     def test_input_size_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -224,7 +218,6 @@ GOLDEN_CASES = {
     "nx4_zeros": (lambda: _golden_pair(42, 4, 4, 4, zeros=True), {}),
     "nx8_a": (lambda: _golden_pair(81, 8, 4, 3), {}),
     "nx8_zeros": (lambda: _golden_pair(82, 8, 5, 5, zeros=True), {}),
-    "nx3_fixed": (lambda: _golden_pair(33, 3, 3, 3), {"step_size_rule": "fixed"}),
     "nx3_two_steps": (lambda: _golden_pair(77, 3, 3, 3),
                       {"max_iterations": 2, "restarts": 1}),
     "nx4_loose": (lambda: _golden_pair(43, 4, 3, 3), {"restarts": 3, "convergence_tol": 1e-6}),
@@ -313,11 +306,6 @@ GOLDEN_RESULTS = {
             "0x0.0p+0", "0x1.1b2048fda47e4p-2",
         ],
         32, "0x1.0b941faadaf39p-30",
-    ),
-    "nx3_fixed": (
-        "0x1.37678054048e2p-8",
-        ["0x1.e8029c62b4adcp-2", "0x0.0p+0", "0x1.0bfeb1cea5a92p-1"],
-        300, "0x1.61d09a3a39b36p-11",
     ),
     "nx3_two_steps": (
         "0x1.a47fc4a78ad12p-7",

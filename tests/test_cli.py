@@ -203,6 +203,15 @@ class TestCapacityGeneral:
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("error:") and "restarts" in err
 
+    def test_refused_lattice_prints_nothing(self, capsys, tmp_path):
+        ch = write_matrix(tmp_path / "ch.txt", [[0.9, 0.1], [0.1, 0.9]])
+        rc, out, err = run_cli(
+            capsys, "capacity-general", "--channel", ch, "--perturb", ch, "--grid-res", "1e-9",
+        )
+        assert rc == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error:") and "lattice" in err
+
 
 class TestSimulate:
     ARGS = ("simulate", "--n", "16", "--messages", "4", "--p1", "0.1", "--p2", "0.1",
@@ -258,6 +267,14 @@ class TestSimulate:
         assert rc == 0
         config = json.loads(out.splitlines()[0][len("config: "):])
         assert config["fixed_codebook"] is True
+
+    def test_flag_does_not_carry_into_the_next_call(self, capsys):
+        # main reuses one parser; a flag given to one call must not leak
+        run_cli(capsys, *self.ARGS, "--fixed-codebook")
+        rc, out, _ = run_cli(capsys, *self.ARGS)
+        assert rc == 0
+        config = json.loads(out.splitlines()[0][len("config: "):])
+        assert config["fixed_codebook"] is False
 
 
 class TestSweepCapacity:
@@ -442,6 +459,22 @@ class TestVerify:
         assert err.splitlines() == ["error: grid step 0.3 does not divide 0.5"]
         assert not out_path.exists()
 
+    def test_bad_samples_rejected_without_a_file(self, capsys, tmp_path):
+        out_path = tmp_path / "rep.json"
+        rc, out, err = run_cli(capsys, "verify", "--samples", "0", "--out", str(out_path))
+        assert rc == 2 and out == ""
+        assert err.splitlines() == ["error: samples must be at least 1"]
+        assert not out_path.exists()
+
+    def test_unwritable_output_fails_before_any_check(self, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("checks ran")
+
+        monkeypatch.setattr(asymcap.cli, "run_verification", never)
+        rc, out, err = run_cli(capsys, "verify", "--out", "/no-such-dir/r.json")
+        assert rc == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error:")
+
 
 class TestCollision:
     def test_bound_met(self, capsys):
@@ -591,6 +624,16 @@ class TestConsoleScript:
         assert "capacity " + CAP_01_01 in proc.stdout
         assert proc.stderr == ""
 
+    @staticmethod
+    def same_package_env():
+        """The environment for a child that imports the same package as this
+        process, whatever the cwd."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(PACKAGE_ROOT), env.get("PYTHONPATH")])
+        )
+        return env
+
     def test_installed_entry_point(self):
         """Run the entry point declared in pyproject.toml the way the
         console script pip generates for it does, so no install is needed."""
@@ -604,12 +647,10 @@ class TestConsoleScript:
             "sys.argv[0] = 'asymcap'\n"
             f"sys.exit({attr}())\n"
         )
-        # Import the same package as this process, whatever the cwd.
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(PACKAGE_ROOT), env.get("PYTHONPATH")])
-        )
-        self.check_capacity_run([sys.executable, "-c", wrapper], env)
+        self.check_capacity_run([sys.executable, "-c", wrapper], self.same_package_env())
+
+    def test_run_as_module(self):
+        self.check_capacity_run([sys.executable, "-m", "asymcap"], self.same_package_env())
 
     @pytest.mark.skipif(
         shutil.which("asymcap") is None,

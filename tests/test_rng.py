@@ -9,7 +9,6 @@ reproducibility of previously published runs.
 import numpy as np
 import pytest
 
-from asymcap import rng
 from asymcap.rng import (
     MASK64,
     TAG_CHANNEL,
@@ -22,7 +21,6 @@ from asymcap.rng import (
     capped_cdf,
     derive_seed,
     derive_seeds,
-    philox_draws,
     rows_from_uniforms,
     sample_pmf,
     sample_rows,
@@ -97,43 +95,35 @@ PHILOX_KEYS = np.concatenate([
 
 
 class TestPhiloxDraws:
+    """Per-trial draws as the trial kernel makes them: one StreamSeries
+    opened key after key, against a new native Philox generator per key."""
+
     @pytest.mark.parametrize("n", [1, 3, 4, 5, 37, 200])
     def test_uniforms_match_native_random(self, n):
-        w, u = philox_draws(PHILOX_KEYS[:0], 0, PHILOX_KEYS, n)
-        assert w.size == 0
+        u = np.empty((PHILOX_KEYS.size, n))
+        StreamSeries().fill_random(PHILOX_KEYS, u)
         want = np.stack([_native(int(k)).random(n) for k in PHILOX_KEYS])
         np.testing.assert_array_equal(u, want)
 
     @pytest.mark.parametrize("M", [1, 2, 3, 1000, 2**26 - 1, 3 * 2**30])
-    def test_indices_match_native_integers(self, M, monkeypatch):
-        redrawn = []
-
-        def counted(seed):
-            redrawn.append(seed)
-            return _native(seed)
-
-        monkeypatch.setattr(rng, "stream", counted)
+    def test_indices_match_native_integers(self, M):
+        # With M = 3 * 2^30 about a quarter of the first 32-bit draws are
+        # rejected, so a draw may use further words; the next open must not
+        # see any of them.
         keys = np.concatenate([PHILOX_KEYS] * (3 if M == 3 * 2**30 else 1))
         keys = derive_seeds(keys, np.arange(keys.size) % 3, (TAG_MESSAGE,))[0]
-        w, u = philox_draws(keys, M, keys[:0], 4)
-        assert u.shape == (0, 4)
-        assert w.tolist() == [int(_native(int(k)).integers(M)) for k in keys]
-        if M == 3 * 2**30:
-            # about a quarter of the first draws are rejected and redone natively
-            assert 10 <= len(redrawn) <= 60
-        elif M < 2**20:
-            assert redrawn == []
+        series = StreamSeries()
+        got = [int(series.open(k).integers(M)) for k in keys.tolist()]
+        assert got == [int(_native(k).integers(M)) for k in keys.tolist()]
 
     def test_messages_and_channel_in_one_pass(self):
-        w, u = philox_draws(PHILOX_KEYS[:5], 16, PHILOX_KEYS[5:8], 37)
-        assert w.tolist() == [int(_native(int(k)).integers(16)) for k in PHILOX_KEYS[:5]]
-        np.testing.assert_array_equal(u, [_native(int(k)).random(37) for k in PHILOX_KEYS[5:8]])
-
-    def test_index_range_checked(self):
-        with pytest.raises(ValueError):
-            philox_draws(PHILOX_KEYS[:1], 0, PHILOX_KEYS[:0], 4)
-        with pytest.raises(ValueError):
-            philox_draws(PHILOX_KEYS[:1], 2**32 + 1, PHILOX_KEYS[:0], 4)
+        series = StreamSeries()
+        msg_keys, chan_keys = PHILOX_KEYS[:5].tolist(), PHILOX_KEYS[5:8]
+        w = [int(series.open(k).integers(16)) for k in msg_keys]
+        u = np.empty((3, 37))
+        series.fill_random(chan_keys, u)
+        assert w == [int(_native(k).integers(16)) for k in msg_keys]
+        np.testing.assert_array_equal(u, [_native(int(k)).random(37) for k in chan_keys])
 
 
 class TestStreamSeries:
