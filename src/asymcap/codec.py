@@ -177,20 +177,66 @@ def _count_scores(counts: np.ndarray, logvals: np.ndarray) -> np.ndarray:
     return total
 
 
+def _indicator_dtype(n: int):
+    """Float dtype in which a sum of at most n zeros and ones is exact in
+    any order: float32 holds every integer up to 2^24."""
+    return np.float32 if n <= 1 << 24 else np.float64
+
+
+class _FreshCounts:
+    """Cell counts of outputs against their own decoder codebooks cu
+    (T, M, n): one offset bincount over all rows of the block."""
+
+    def __init__(self, cu: np.ndarray, nu: int, ny: int):
+        self.cu, self.nu, self.ny = cu, nu, ny
+
+    def joint(self, y: np.ndarray) -> np.ndarray:
+        """(T, M, nu * ny) counts of the (u, y) cells of outputs y (T, n)."""
+        return _cell_counts(self.cu * self.ny + y[:, None, :], self.nu * self.ny)
+
+
+class _SharedCounts:
+    """Cell counts of outputs against one decoder codebook cu (M, n) that
+    every trial shares.
+
+    The indicators (cu == u) are built once, stacked as one (nu * M, n)
+    matrix; the counts of a block of outputs are then one matrix product
+    with the block's one-hot outputs (n, T * ny).  Every entry is an
+    integer of at most n, exact in _indicator_dtype(n) whatever the
+    summation order, so the counts equal _FreshCounts' to the bit.
+    """
+
+    def __init__(self, cu: np.ndarray, nu: int, ny: int):
+        M, n = cu.shape
+        self.cu, self.nu, self.ny = cu[None], nu, ny
+        self.dtype = _indicator_dtype(n)
+        hits = cu == np.arange(nu)[:, None, None]
+        self.indicators = hits.astype(self.dtype).reshape(nu * M, n)
+
+    def joint(self, y: np.ndarray) -> np.ndarray:
+        """As _FreshCounts.joint, for outputs y (T, n) of any block size."""
+        T, n = y.shape
+        nu, ny, M = self.nu, self.ny, self.cu.shape[1]
+        onehot = (y.T[:, :, None] == np.arange(ny)).astype(self.dtype).reshape(n, T * ny)
+        counts = (self.indicators @ onehot).reshape(nu, M, T, ny).transpose(2, 1, 0, 3)
+        # int64 as from the bincount: a float32 count times a float64 log
+        # value would round to float32 under numpy 1.x's scalar casting
+        return np.ascontiguousarray(counts, dtype=np.int64).reshape(T, M, nu * ny)
+
+
 class _MapRule:
-    """Maximum likelihood under the induced channel p(y|u), lowest index
-    winning ties."""
+    """Maximum likelihood under the induced channel p(y|u); of exactly
+    equal scores the lowest index wins."""
 
     def __init__(self, pyu: TransitionMatrix):
         self.nu, self.ny = pyu.input_size, pyu.output_size
         with np.errstate(divide="ignore"):
             self.logp = np.log(pyu.matrix).ravel()
 
-    def decode(self, cu: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """1-based decisions for outputs y (T, n) against decoder codebooks
-        cu (T, M, n), or one (1, M, n) codebook shared by all T outputs."""
-        counts = _cell_counts(cu * self.ny + y[:, None, :], self.nu * self.ny)
-        return np.argmax(_count_scores(counts, self.logp), axis=-1) + 1
+    def bind(self, counts):
+        """Decision function for the codebooks behind counts (_FreshCounts
+        or _SharedCounts): outputs y (T, n) to 1-based decisions (T,)."""
+        return lambda y: np.argmax(_count_scores(counts.joint(y), self.logp), axis=-1) + 1
 
 
 class _TypicalityRule:
@@ -210,19 +256,21 @@ class _TypicalityRule:
         self.huy = _entropy_bits(t)
         self.epsilon = epsilon
 
-    def decode(self, cu: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """As _MapRule.decode; 0 where no row or more than one row passes."""
-        nu, ny, eps = self.nu, self.ny, self.epsilon
-        n = y.shape[-1]
-        rate_u = -_count_scores(_cell_counts(cu, nu), self.lu) / n
-        rate_y = -_count_scores(_cell_counts(y, ny), self.ly) / n
-        rate_uy = -_count_scores(_cell_counts(cu * ny + y[:, None, :], nu * ny), self.luy) / n
-        ok = (
-            (np.abs(rate_u - self.hu) < eps)
-            & (np.abs(rate_y - self.hy) < eps)[:, None]
-            & (np.abs(rate_uy - self.huy) < eps)
-        )
-        return np.where(ok.sum(axis=-1) == 1, np.argmax(ok, axis=-1) + 1, 0)
+    def bind(self, counts):
+        """As _MapRule.bind; a decision is 0 where no row or more than one
+        row passes.  The codeword rates depend on the codebooks alone, so
+        they are computed here, once per binding."""
+        eps, n = self.epsilon, counts.cu.shape[-1]
+        rate_u = -_count_scores(_cell_counts(counts.cu, self.nu), self.lu) / n
+        ok_u = np.abs(rate_u - self.hu) < eps
+
+        def decide(y):
+            rate_y = -_count_scores(_cell_counts(y, self.ny), self.ly) / n
+            rate_uy = -_count_scores(counts.joint(y), self.luy) / n
+            ok = ok_u & (np.abs(rate_y - self.hy) < eps)[:, None] & (np.abs(rate_uy - self.huy) < eps)
+            return np.where(ok.sum(axis=-1) == 1, np.argmax(ok, axis=-1) + 1, 0)
+
+        return decide
 
 
 def _checked_output(y, pair: CodebookPair, ny: int) -> np.ndarray:
@@ -252,19 +300,21 @@ def typicality_decode(
         raise DimensionMismatch("typicality_decode expects a 2-D joint over (U, Y)")
     rule = _TypicalityRule(joint, epsilon)
     yv = _checked_output(y, pair, rule.ny)
-    return int(rule.decode(pair.cu[None], yv[None])[0])
+    return int(rule.bind(_FreshCounts(pair.cu[None], rule.nu, rule.ny))(yv[None])[0])
 
 
 def map_decode(y, pair: CodebookPair, pyu: TransitionMatrix) -> int:
     """Maximum-likelihood decoding under the induced channel p(y|u).
 
-    Scores are count-weighted sums of log transition probabilities; the
-    lowest message index wins ties, and an all-minus-infinity score vector
-    returns message 1.
+    Scores are count-weighted sums of log transition probabilities, added
+    cell by cell.  Of exactly equal scores the lowest message index wins,
+    and an all-minus-infinity score vector returns message 1.  Rows of
+    equal likelihood whose symbols fall into different cells can score a
+    rounding step apart, and then the higher score wins whatever its index.
     """
     rule = _MapRule(pyu)
     yv = _checked_output(y, pair, rule.ny)
-    return int(rule.decode(pair.cu[None], yv[None])[0])
+    return int(rule.bind(_FreshCounts(pair.cu[None], rule.nu, rule.ny))(yv[None])[0])
 
 
 @dataclass(frozen=True)
@@ -400,13 +450,33 @@ def _codebooks(series: StreamSeries, seeds: np.ndarray, M: int, n: int, cdf_x, c
     return cx, rows_from_uniforms(cdfs_u, cx, buf)
 
 
-def _trial_errors(seed, trials, M, n, pyx, rule, books, collide=0):
-    """The trial kernel: per-message error and sent counts over trials
-    [0, trials), run in blocks of at most TRIAL_BLOCK_CELLS codebook cells.
+def _fresh_books(M, n, px, pux, rule):
+    """Codebooks drawn per trial: a block holds TRIAL_BLOCK_CELLS codebook
+    cells, and its decisions come from one offset bincount."""
+    cdf_x, cdfs_u = capped_cdf(px.probs), capped_cdf(pux.matrix)
 
-    books(series, seeds) gives the codebooks (cx, cu) of the trials whose
-    pair seeds are given, either (T, M, n) or one (1, M, n) pair they
-    share.  Messages are uniform draws, or with collide > 0 sent round
+    def draw(series, seeds):
+        cx, cu = _codebooks(series, seeds, M, n, cdf_x, cdfs_u)
+        return cx, rule.bind(_FreshCounts(cu, rule.nu, rule.ny))
+
+    return max(1, TRIAL_BLOCK_CELLS // (M * n)), draw
+
+
+def _shared_books(cx, cu, rule):
+    """One codebook pair (M, n) that every trial shares: its counts are
+    built once, and a block holds TRIAL_BLOCK_CELLS // M trials."""
+    decide = rule.bind(_SharedCounts(cu, rule.nu, rule.ny))
+    return max(1, TRIAL_BLOCK_CELLS // cx.shape[0]), lambda series, seeds: (cx[None], decide)
+
+
+def _trial_errors(seed, trials, M, n, pyx, books, collide=0):
+    """The trial kernel: per-message error and sent counts over trials
+    [0, trials), run in blocks.
+
+    books is (block, draw) from _fresh_books or _shared_books: draw(series,
+    seeds) gives the encoder codebooks cx of the trials whose pair seeds
+    are given, (T, M, n) or one (1, M, n) they share, and their decision
+    function.  Messages are uniform draws, or with collide > 0 sent round
     robin over the first collide indices.  Every trial's streams are keyed
     by its index, so the counts do not depend on the block size.
     """
@@ -414,13 +484,13 @@ def _trial_errors(seed, trials, M, n, pyx, rule, books, collide=0):
     cdfs_y = capped_cdf(pyx.matrix)
     errs = np.zeros(M, dtype=np.int64)
     sent = np.zeros(M, dtype=np.int64)
-    block = max(1, TRIAL_BLOCK_CELLS // (M * n))
+    block, draw = books
     for lo in range(0, trials, block):
         ts = np.arange(lo, min(lo + block, trials))
         pair_seeds, msg_keys, chan_keys = derive_seeds(
             seed, ts, (TAG_CODEBOOK, TAG_MESSAGE, TAG_CHANNEL)
         )
-        cx, cu = books(series, pair_seeds)
+        cx, decide = draw(series, pair_seeds)
         if collide:
             w = ts % collide
         else:
@@ -429,7 +499,7 @@ def _trial_errors(seed, trials, M, n, pyx, rule, books, collide=0):
         series.fill_random(chan_keys, u)
         sent_rows = cx[np.arange(ts.size) % cx.shape[0], w]  # a shared pair has one row
         y = rows_from_uniforms(cdfs_y, sent_rows, u)
-        wrong = rule.decode(cu, y) != w + 1  # null (0) and wrong indices both count
+        wrong = decide(y) != w + 1  # null (0) and wrong indices both count
         sent += np.bincount(w, minlength=M)
         errs += np.bincount(w[wrong], minlength=M)
     return errs, sent
@@ -445,22 +515,16 @@ def run_experiment(cfg: SimConfig) -> TrialReport:
     derived streams, so the report does not depend on how they are grouped.
     """
     t0 = time.perf_counter()
-    if cfg.codebook_mode == MODE_FIXED:
-        pair = generate_codebooks(cfg.M, cfg.n, cfg.px, cfg.pux, cfg.master_seed)
-
-        def books(series, seeds):
-            return pair.cx[None], pair.cu[None]
-    else:
-        cdf_x, cdfs_u = capped_cdf(cfg.px.probs), capped_cdf(cfg.pux.matrix)
-
-        def books(series, seeds):
-            return _codebooks(series, seeds, cfg.M, cfg.n, cdf_x, cdfs_u)
-
     if cfg.decoder == DECODER_MAP:
         rule = _MapRule(induced_channel(cfg.px, cfg.pyx, cfg.pux))
     else:
         rule = _TypicalityRule(build_joint_uy(cfg.px, cfg.pyx, cfg.pux), cfg.epsilon)
-    errs, sent = _trial_errors(cfg.master_seed, cfg.trials, cfg.M, cfg.n, cfg.pyx, rule, books)
+    if cfg.codebook_mode == MODE_FIXED:
+        pair = generate_codebooks(cfg.M, cfg.n, cfg.px, cfg.pux, cfg.master_seed)
+        books = _shared_books(pair.cx, pair.cu, rule)
+    else:
+        books = _fresh_books(cfg.M, cfg.n, cfg.px, cfg.pux, rule)
+    errs, sent = _trial_errors(cfg.master_seed, cfg.trials, cfg.M, cfg.n, cfg.pyx, books)
 
     error_count = int(errs.sum())
     pe = error_count / cfg.trials
@@ -502,9 +566,7 @@ def collision_experiment(
     base = generate_codebooks(M, n, px, pux, seed)
     cu = np.array(base.cu)
     cu[:m_collide] = base.cu[0]
-    errs, sent = _trial_errors(
-        seed, trials, M, n, pyx, _MapRule(induced_channel(px, pyx, pux)),
-        lambda series, seeds: (base.cx[None], cu[None]), collide=m_collide,
-    )
+    books = _shared_books(base.cx, cu, _MapRule(induced_channel(px, pyx, pux)))
+    errs, sent = _trial_errors(seed, trials, M, n, pyx, books, collide=m_collide)
     mask = sent > 0
     return float((errs[mask] / sent[mask]).max())

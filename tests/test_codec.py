@@ -254,6 +254,16 @@ class TestTypicalityDecode:
         with pytest.raises(DimensionMismatch):
             typicality_decode(np.zeros(5, dtype=np.int64), pair, 0.1, joint)
 
+    def test_codeword_rate_alone_rejects_a_row(self):
+        # both rows pass the output and joint tests; row 2's own symbol rate
+        # 1.127 lies 0.156 from H(U) = 0.971, so only row 1 is typical
+        joint = JointPmf(np.array([[0.5, 0.1], [0.1, 0.3]]))
+        cu = np.array([[0, 0, 0, 1, 0, 1], [1, 0, 1, 1, 0, 1]], dtype=np.int64)
+        y = np.array([0, 0, 1, 1, 0, 1], dtype=np.int64)
+        assert typicality_decode(y, CodebookPair(cu, cu, 0), 0.1, joint) == 1
+        shared = codec._TypicalityRule(joint, 0.1).bind(codec._SharedCounts(cu, 2, 2))
+        assert shared(y[None]).tolist() == [1]
+
     def test_agrees_with_independent_reimplementation(self):
         px, pyx, pux = UNIF2, bsc(0.05), bsc(0.05)
         joint = build_joint_uy(px, pyx, pux)
@@ -693,9 +703,13 @@ class TestGoldenReports:
         assert got_sent == want_sent
 
     @pytest.mark.parametrize("cells", [1, 1 << 9, 1 << 20])
-    @pytest.mark.parametrize("name", ["fresh_map_n16_M16", "fixed_typ_n64_M8", "general_fresh_map"])
+    @pytest.mark.parametrize(
+        "name",
+        ["fresh_map_n16_M16", "fixed_typ_n64_M8", "general_fresh_map", "fixed_map_n12_M1024",
+         "general_fixed_map"],
+    )
     def test_block_size_does_not_matter(self, monkeypatch, name, cells):
-        # one trial per block (native streams) up to every trial in one block
+        # one trial per block up to every trial in one block
         monkeypatch.setattr(codec, "TRIAL_BLOCK_CELLS", cells)
         self.test_report_unchanged(name)
 
@@ -709,6 +723,72 @@ class TestGoldenReports:
     def test_collision_unchanged(self, M, n, p1, p2, trials, seed, want):
         got = {m: collision_experiment(M, m, n, p1, p2, trials, seed) for m in want}
         assert got == want
+
+    @pytest.mark.parametrize("cells", [1, 1 << 9, 1 << 20])
+    def test_collision_block_size_does_not_matter(self, monkeypatch, cells):
+        monkeypatch.setattr(codec, "TRIAL_BLOCK_CELLS", cells)
+        self.test_collision_unchanged(
+            8, 16, 0.2, 0.15, 301, 13, {1: 0.2059800664451827, 2: 1.0, 4: 1.0}
+        )
+        self.test_collision_unchanged(
+            4, 24, 0.25, 0.2, 150, 14, {1: 0.17333333333333334, 2: 1.0, 4: 1.0}
+        )
+
+
+class TestSharedCounts:
+    """The matrix-product count of a shared codebook against the offset
+    bincount that per-trial codebooks use."""
+
+    @staticmethod
+    def _fresh(cu, y, nu, ny):
+        return codec._FreshCounts(np.broadcast_to(cu, (y.shape[0],) + cu.shape), nu, ny).joint(y)
+
+    @pytest.mark.parametrize("case", range(40))
+    def test_equals_bincount_count(self, case):
+        rnd = np.random.default_rng(case)
+        T, M, n = (int(v) for v in rnd.integers(1, (9, 40, 70)))
+        if case < 3:  # the edges: one message, one symbol, both
+            M, n = (1, 5, 1)[case], (7, 1, 1)[case]
+        nu, ny = (int(v) for v in rnd.integers(1, 6, size=2))
+        cu = rnd.integers(0, nu, size=(M, n))
+        y = rnd.integers(0, ny, size=(T, n))
+        shared = codec._SharedCounts(cu, nu, ny)
+        want = self._fresh(cu, y, nu, ny)
+        got = shared.joint(y)
+        assert got.dtype == want.dtype and got.shape == (T, M, nu * ny)
+        np.testing.assert_array_equal(got, want)
+        # a block size that does not divide T: the blocks' counts concatenate
+        parts = [shared.joint(y[lo:lo + 3]) for lo in range(0, T, 3)]
+        np.testing.assert_array_equal(np.concatenate(parts), want)
+
+    def test_zero_probability_cells_score_alike(self):
+        # cells of zero probability: -inf where they are hit, 0 where not
+        rnd = np.random.default_rng(5)
+        with np.errstate(divide="ignore"):
+            logp = np.log(np.array([0.7, 0.0, 0.3, 0.7, 0.0, 1.0]))
+        cu = rnd.integers(0, 3, size=(40, 4))
+        y = rnd.integers(0, 2, size=(6, 4))
+        got = codec._count_scores(codec._SharedCounts(cu, 3, 2).joint(y), logp)
+        want = codec._count_scores(self._fresh(cu, y, 3, 2), logp)
+        assert np.isneginf(want).any() and np.isfinite(want).any()
+        np.testing.assert_array_equal(got, want)
+
+    def test_float64_indicators_count_alike(self, monkeypatch):
+        monkeypatch.setattr(codec, "_indicator_dtype", lambda n: np.float64)
+        rnd = np.random.default_rng(9)
+        cu = rnd.integers(0, 2, size=(13, 21))
+        y = rnd.integers(0, 3, size=(4, 21))
+        shared = codec._SharedCounts(cu, 2, 3)
+        assert shared.indicators.dtype == np.float64
+        np.testing.assert_array_equal(shared.joint(y), self._fresh(cu, y, 2, 3))
+
+    def test_indicator_dtype_exact_up_to_its_bound(self):
+        # checked through the helper alone: no codebook of 2^24 symbols is built
+        assert codec._indicator_dtype(1) is np.float32
+        assert codec._indicator_dtype(1 << 24) is np.float32
+        assert codec._indicator_dtype((1 << 24) + 1) is np.float64
+        assert int(np.float32(1 << 24)) == 1 << 24
+        assert int(np.float32((1 << 24) + 1)) != (1 << 24) + 1
 
 
 def _binom_log_pmf(n, d):
