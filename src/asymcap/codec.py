@@ -464,9 +464,12 @@ def _fresh_books(M, n, px, pux, rule):
 
 def _shared_books(cx, cu, rule):
     """One codebook pair (M, n) that every trial shares: its counts are
-    built once, and a block holds TRIAL_BLOCK_CELLS // M trials."""
+    built once, and a block holds TRIAL_BLOCK_CELLS // max(M, n) trials.
+    A block's counts grow with trials x M and its uniforms, outputs and
+    one-hot outputs with trials x n, so both stay within TRIAL_BLOCK_CELLS."""
     decide = rule.bind(_SharedCounts(cu, rule.nu, rule.ny))
-    return max(1, TRIAL_BLOCK_CELLS // cx.shape[0]), lambda series, seeds: (cx[None], decide)
+    block = max(1, TRIAL_BLOCK_CELLS // max(cx.shape))
+    return block, lambda series, seeds: (cx[None], decide)
 
 
 def _trial_errors(seed, trials, M, n, pyx, books, collide=0):

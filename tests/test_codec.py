@@ -689,6 +689,13 @@ _GOLDEN_REPORTS = {
 }
 
 
+_COLLISION_ARGS = ("M", "n", "p1", "p2", "trials", "seed", "want")
+_GOLDEN_COLLISIONS = [
+    (8, 16, 0.2, 0.15, 301, 13, {1: 0.2059800664451827, 2: 1.0, 4: 1.0}),
+    (4, 24, 0.25, 0.2, 150, 14, {1: 0.17333333333333334, 2: 1.0, 4: 1.0}),
+]
+
+
 class TestGoldenReports:
     @pytest.mark.parametrize("name", list(_GOLDEN_CASES))
     def test_report_unchanged(self, name):
@@ -713,26 +720,39 @@ class TestGoldenReports:
         monkeypatch.setattr(codec, "TRIAL_BLOCK_CELLS", cells)
         self.test_report_unchanged(name)
 
-    @pytest.mark.parametrize(
-        ("M", "n", "p1", "p2", "trials", "seed", "want"),
-        [
-            (8, 16, 0.2, 0.15, 301, 13, {1: 0.2059800664451827, 2: 1.0, 4: 1.0}),
-            (4, 24, 0.25, 0.2, 150, 14, {1: 0.17333333333333334, 2: 1.0, 4: 1.0}),
-        ],
-    )
+    @pytest.mark.parametrize(_COLLISION_ARGS, _GOLDEN_COLLISIONS)
     def test_collision_unchanged(self, M, n, p1, p2, trials, seed, want):
         got = {m: collision_experiment(M, m, n, p1, p2, trials, seed) for m in want}
         assert got == want
 
     @pytest.mark.parametrize("cells", [1, 1 << 9, 1 << 20])
-    def test_collision_block_size_does_not_matter(self, monkeypatch, cells):
+    @pytest.mark.parametrize(_COLLISION_ARGS, _GOLDEN_COLLISIONS)
+    def test_collision_block_size_does_not_matter(
+        self, monkeypatch, cells, M, n, p1, p2, trials, seed, want
+    ):
         monkeypatch.setattr(codec, "TRIAL_BLOCK_CELLS", cells)
-        self.test_collision_unchanged(
-            8, 16, 0.2, 0.15, 301, 13, {1: 0.2059800664451827, 2: 1.0, 4: 1.0}
-        )
-        self.test_collision_unchanged(
-            4, 24, 0.25, 0.2, 150, 14, {1: 0.17333333333333334, 2: 1.0, 4: 1.0}
-        )
+        self.test_collision_unchanged(M, n, p1, p2, trials, seed, want)
+
+
+class TestSharedBlockSize:
+    """A shared-codebook block is bounded by both of its growing sides:
+    trials x M (the counts) and trials x n (uniforms, outputs, one-hot)."""
+
+    @staticmethod
+    def _block(M, n):
+        # broadcast views: no codebook of M x n cells is allocated
+        book = np.broadcast_to(np.zeros((1, 1), dtype=np.int64), (M, n))
+        rule = codec._MapRule(bsc(0.1))
+        return codec._shared_books(book, book, rule)[0]
+
+    @pytest.mark.parametrize(
+        ("M", "n", "want"),
+        [(4096, 32, 4), (8, 16, 1024), (2, 4096, 4), (2, 1 << 16, 1), (1 << 15, 1, 1)],
+    )
+    def test_block_bounded_by_messages_and_length(self, M, n, want):
+        # (2, 2^16) is a two-message fixed run of long codewords: one trial
+        # a block, not TRIAL_BLOCK_CELLS // 2 trials of 2^16 uniforms each
+        assert self._block(M, n) == want
 
 
 class TestSharedCounts:
