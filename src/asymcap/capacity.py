@@ -21,6 +21,7 @@ from .info import (
     Pmf,
     TransitionMatrix,
     _entropy_bits,
+    _log_ratios,
     binary_entropy,
     bsc_capacity_gap,
     composite_crossover,
@@ -77,8 +78,8 @@ class SolverOptions:
             raise DomainError(f"restarts must lie in [1, {MAX_RESTARTS}], got {self.restarts}")
         if self.max_iterations < 1:
             raise DomainError("max_iterations must be at least 1")
-        if self.convergence_tol <= 0.0:
-            raise DomainError("convergence_tol must be positive")
+        if not 0.0 < self.convergence_tol < np.inf:
+            raise DomainError("convergence_tol must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -141,14 +142,6 @@ def _joint_rows(P: np.ndarray, a: np.ndarray) -> np.ndarray:
 def _row_dot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Row-wise X[i] @ Y[i], bit-identical to the 1-D dot of each pair."""
     return (X[:, None, :] @ Y[:, :, None])[:, 0, 0]
-
-
-def _log_ratios(t: np.ndarray) -> np.ndarray:
-    """log2[q(u,y) / (q(u) q(y))] for each (S, nu, ny) table, 0 where q(u,y) = 0."""
-    qu, qy = t.sum(axis=2)[:, :, None], t.sum(axis=1)[:, None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logs = np.log2(t) - np.log2(qu) - np.log2(qy)
-    return np.where(t > 0, logs, 0.0)
 
 
 def _mi_batch(q: np.ndarray, nu: int, ny: int) -> np.ndarray:

@@ -30,7 +30,7 @@ from .capacity import (
 from .codec import DECODER_MAP, DECODER_TYPICALITY, MODE_FIXED, MODE_FRESH, SimConfig, collision_experiment, run_experiment
 from .info import TransitionMatrix, bsc_capacity_gap
 from .rng import TAG_SWEEP, derive_seed
-from .verify import default_grid, run_verification
+from .verify import default_grid, run_verification, verification_grid
 
 __all__ = ["main", "main_entry"]
 
@@ -59,7 +59,10 @@ def _as_int(value) -> int:
 def _as_float(value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise TypeError
-    return float(value)
+    value = float(value)
+    if not math.isfinite(value):  # also JSON's NaN and Infinity
+        raise ValueError
+    return value
 
 
 def _as_int_list(value) -> list[int]:
@@ -286,9 +289,7 @@ def cmd_sweep(eff: dict) -> int:
 
 def cmd_verify(eff: dict) -> int:
     # Validate, then open --out, then run: no file on bad input, no run on a bad path.
-    default_grid(eff["grid_step"])
-    if eff["samples"] < 1:
-        raise UsageError("samples must be at least 1")
+    verification_grid(eff["grid_step"], eff["samples"])
     with open(eff["out"], "w", encoding="utf-8", newline="") as fh:
         report = run_verification(grid_step=eff["grid_step"], samples=eff["samples"],
                                   seed=eff["seed"])

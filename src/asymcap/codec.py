@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -294,8 +294,8 @@ def typicality_decode(
     than one row passes.  Codewords containing zero-probability symbols are
     never typical.
     """
-    if epsilon <= 0.0:
-        raise DomainError("epsilon must be positive")
+    if not 0.0 < epsilon < math.inf:
+        raise DomainError("epsilon must be positive and finite")
     if joint.ndim != 2:
         raise DimensionMismatch("typicality_decode expects a 2-D joint over (U, Y)")
     rule = _TypicalityRule(joint, epsilon)
@@ -342,8 +342,8 @@ class SimConfig:
         if self.decoder not in (DECODER_MAP, DECODER_TYPICALITY):
             raise DomainError(f"unknown decoder {self.decoder!r}")
         if self.decoder == DECODER_TYPICALITY:
-            if self.epsilon is None or self.epsilon <= 0.0:
-                raise DomainError("typicality decoding needs a positive epsilon")
+            if self.epsilon is None or not 0.0 < self.epsilon < math.inf:
+                raise DomainError("typicality decoding needs a positive, finite epsilon")
         elif self.epsilon is not None:
             raise DomainError("epsilon only applies to the typicality decoder")
         if self.codebook_mode not in (MODE_FRESH, MODE_FIXED):
@@ -356,49 +356,18 @@ class SimConfig:
             )
 
     @staticmethod
-    def binary_symmetric(
-        n: int,
-        M: int,
-        p1: float,
-        p2: float,
-        decoder: str = DECODER_MAP,
-        epsilon: float | None = None,
-        trials: int = 1000,
-        codebook_mode: str = MODE_FRESH,
-        master_seed: int = 0,
-    ) -> "SimConfig":
-        """Uniform binary input, BSC(p1) channel, BSC(p2) perturbation."""
-        return SimConfig(
-            n=n,
-            M=M,
-            px=Pmf.uniform(2),
-            pyx=bsc(p1),
-            pux=bsc(p2),
-            decoder=decoder,
-            epsilon=epsilon,
-            trials=trials,
-            codebook_mode=codebook_mode,
-            master_seed=master_seed,
-            p1=float(p1),
-            p2=float(p2),
-        )
+    def binary_symmetric(n: int, M: int, p1: float, p2: float, **options) -> "SimConfig":
+        """Uniform binary input, BSC(p1) channel, BSC(p2) perturbation; options
+        set the remaining fields (decoder, epsilon, trials, ...) by name."""
+        return SimConfig(n=n, M=M, px=Pmf.uniform(2), pyx=bsc(p1), pux=bsc(p2),
+                         p1=float(p1), p2=float(p2), **options)
 
     def echo(self) -> dict:
-        """JSON-ready snapshot of the effective configuration."""
-        return {
-            "n": self.n,
-            "M": self.M,
-            "decoder": self.decoder,
-            "epsilon": self.epsilon,
-            "trials": self.trials,
-            "codebook_mode": self.codebook_mode,
-            "master_seed": self.master_seed,
-            "p1": self.p1,
-            "p2": self.p2,
-            "px": self.px.probs.tolist(),
-            "pyx": self.pyx.matrix.tolist(),
-            "pux": self.pux.matrix.tolist(),
-        }
+        """JSON-ready snapshot of the effective configuration: the scalar
+        fields, then the px, pyx and pux tables as nested lists."""
+        tables = {"px": self.px.probs, "pyx": self.pyx.matrix, "pux": self.pux.matrix}
+        echo = {f.name: getattr(self, f.name) for f in fields(self) if f.name not in tables}
+        return echo | {name: t.tolist() for name, t in tables.items()}
 
 
 @dataclass(frozen=True)
@@ -508,6 +477,12 @@ def _trial_errors(seed, trials, M, n, pyx, books, collide=0):
     return errs, sent
 
 
+def _lambda_max(errs: np.ndarray, sent: np.ndarray) -> float:
+    """Largest error rate over the messages sent at least once; 0 if none was."""
+    mask = sent > 0
+    return float((errs[mask] / sent[mask]).max()) if mask.any() else 0.0
+
+
 def run_experiment(cfg: SimConfig) -> TrialReport:
     """Monte Carlo block-error estimation under the configured decoder.
 
@@ -532,17 +507,12 @@ def run_experiment(cfg: SimConfig) -> TrialReport:
     error_count = int(errs.sum())
     pe = error_count / cfg.trials
     ci = 1.96 * math.sqrt(pe * (1.0 - pe) / cfg.trials)
-    lam = 0.0
-    mask = sent > 0
-    if np.any(mask):
-        lam = float((errs[mask] / sent[mask]).max())
-    per_msg = tuple((int(e), int(s)) for e, s in zip(errs, sent))
     return TrialReport(
         trials_run=cfg.trials,
         error_count=error_count,
         pe_hat=pe,
-        per_message_errors=per_msg,
-        lambda_max_hat=lam,
+        per_message_errors=tuple(zip(errs.tolist(), sent.tolist())),
+        lambda_max_hat=_lambda_max(errs, sent),
         ci95_halfwidth=ci,
         config_echo=cfg.echo(),
         elapsed=time.perf_counter() - t0,
@@ -571,5 +541,4 @@ def collision_experiment(
     cu[:m_collide] = base.cu[0]
     books = _shared_books(base.cx, cu, _MapRule(induced_channel(px, pyx, pux)))
     errs, sent = _trial_errors(seed, trials, M, n, pyx, books, collide=m_collide)
-    mask = sent > 0
-    return float((errs[mask] / sent[mask]).max())
+    return _lambda_max(errs, sent)

@@ -51,15 +51,9 @@ class MatrixFileError(ValueError):
     """A plain-text matrix file failed to parse."""
 
 
-def _clean_vector(raw, what: str) -> np.ndarray:
-    """Validate and renormalize one probability vector."""
-    arr = np.array(raw, dtype=float, copy=True)
-    if arr.ndim != 1 or arr.size == 0:
-        raise DimensionMismatch(f"{what}: expected a non-empty 1-D vector")
-    if arr.size > MAX_SYMBOLS:
-        raise DimensionMismatch(
-            f"{what}: alphabet size {arr.size} exceeds the dense-table cap {MAX_SYMBOLS}"
-        )
+def _clean_mass(arr: np.ndarray, what: str) -> None:
+    """Check that a table is finite, nonnegative and sums to 1 within
+    NORM_TOL, then renormalize it in place."""
     if not np.all(np.isfinite(arr)):
         raise DomainError(f"{what}: non-finite entry")
     if np.any(arr < 0.0):
@@ -70,7 +64,6 @@ def _clean_vector(raw, what: str) -> np.ndarray:
             f"{what}: entries sum to {total:.9g}, expected 1 within {NORM_TOL:g}"
         )
     arr /= total
-    return arr
 
 
 @dataclass(frozen=True)
@@ -87,7 +80,14 @@ class Pmf:
     probs: np.ndarray
 
     def __post_init__(self):
-        arr = _clean_vector(self.probs, "pmf")
+        arr = np.array(self.probs, dtype=float, copy=True)
+        if arr.ndim != 1 or arr.size == 0:
+            raise DimensionMismatch("pmf: expected a non-empty 1-D vector")
+        if arr.size > MAX_SYMBOLS:
+            raise DimensionMismatch(
+                f"pmf: alphabet size {arr.size} exceeds the dense-table cap {MAX_SYMBOLS}"
+            )
+        _clean_mass(arr, "pmf")
         arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
 
@@ -129,7 +129,7 @@ class TransitionMatrix:
                 f"alphabet size {max(arr.shape)} exceeds the dense-table cap {MAX_SYMBOLS}"
             )
         for i in range(arr.shape[0]):
-            arr[i] = _clean_vector(arr[i], f"row {i + 1}")
+            _clean_mass(arr[i], f"row {i + 1}")
         arr.setflags(write=False)
         object.__setattr__(self, "matrix", arr)
 
@@ -170,16 +170,7 @@ class JointPmf:
             raise DimensionMismatch(
                 f"each axis needs 1 to {MAX_SYMBOLS} symbols, got shape {arr.shape}"
             )
-        if not np.all(np.isfinite(arr)):
-            raise DomainError("joint table: non-finite entry")
-        if np.any(arr < 0.0):
-            raise DomainError("joint table: negative entry")
-        total = float(arr.sum())
-        if abs(total - 1.0) > NORM_TOL:
-            raise DomainError(
-                f"joint table: entries sum to {total:.9g}, expected 1 within {NORM_TOL:g}"
-            )
-        arr /= total
+        _clean_mass(arr, "joint table")
         arr.setflags(write=False)
         object.__setattr__(self, "table", arr)
 
@@ -238,16 +229,21 @@ def entropy(pmf: Pmf) -> float:
     return _entropy_bits(pmf.probs)
 
 
+def _log_ratios(t: np.ndarray) -> np.ndarray:
+    """log2[t(a,b) / (t(a) t(b))] over the last two axes of t, one or a
+    stack of joint tables; 0 where t(a,b) = 0.  I(A;B) is the sum of t times
+    these ratios, and the capacity gradient is built from them too."""
+    ta, tb = t.sum(axis=-1, keepdims=True), t.sum(axis=-2, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logs = np.log2(t) - np.log2(ta) - np.log2(tb)
+    return np.where(t > 0, logs, 0.0)
+
+
 def mutual_information(j: JointPmf) -> float:
     """Mutual information in bits of a 2-D joint distribution."""
     if j.ndim != 2:
         raise DimensionMismatch("mutual_information expects a 2-D joint")
-    t = j.table
-    pa = t.sum(axis=1)
-    pb = t.sum(axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        contrib = t * (np.log2(t) - np.log2(pa)[:, None] - np.log2(pb)[None, :])
-    return float(np.where(t > 0, contrib, 0.0).sum())
+    return float((j.table * _log_ratios(j.table)).sum())
 
 
 def conditional_entropy(

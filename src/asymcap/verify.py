@@ -10,11 +10,12 @@ that raises is reported as failed, never skipped.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import generate_codebooks
+from .codec import CODEBOOK_CELL_CAP, generate_codebooks
 from .info import (
     DomainError,
     JointPmf,
@@ -43,6 +44,7 @@ __all__ = [
     "corrupted_joint_violation",
     "sampled_pair_tv",
     "codebook_iid_zscores",
+    "verification_grid",
     "run_verification",
 ]
 
@@ -55,6 +57,9 @@ CONTROL_THRESHOLD = IDENTITY_THRESHOLD
 SAMPLING_POINT = (0.1, 0.2)  # (p1, p2) used by the sampling checks
 DEFAULT_GRID_STEP = 0.1
 DEFAULT_SAMPLES = 1_000_000
+# sampled_pair_tv holds about 80 bytes per sample; a sample is a two-symbol
+# codeword, so the cap allows as many cells as the largest codebook.
+MAX_SAMPLES = CODEBOOK_CELL_CAP // 2
 FREQ_CODEBOOK_SHAPE = (200, 500)
 
 # Fixed reporting order for the exact identity checks.
@@ -242,68 +247,60 @@ def codebook_iid_zscores(
     return z_freq, z_corr
 
 
+def _worst_identities(grid) -> list[float]:
+    """Largest residual of each identity over the (p1, p2) grid, in
+    IDENTITY_CHECKS order."""
+    worst = dict.fromkeys(IDENTITY_CHECKS, 0.0)
+    for p1 in grid:
+        for p2 in grid:
+            for name, residual in identity_residuals(p1, p2).items():
+                worst[name] = max(worst[name], residual)
+    return [worst[name] for name in IDENTITY_CHECKS]
+
+
+def _family(names, threshold, passes, failed_residual, residuals) -> list[CheckResult]:
+    """The checks of one family: residuals() gives their residuals in the
+    order of names, each passing when passes(residual, threshold).  A family
+    that raises fails every check in it with failed_residual."""
+    try:
+        values = residuals()
+    except Exception:
+        return [CheckResult(name, failed_residual, threshold, False) for name in names]
+    return [CheckResult(name, v, threshold, passes(v, threshold))
+            for name, v in zip(names, values)]
+
+
+def verification_grid(grid_step: float, samples: int) -> np.ndarray:
+    """Check run_verification's arguments before any work: the step must
+    divide 0.5 and samples lie in [1, MAX_SAMPLES].  Returns the grid."""
+    grid = default_grid(grid_step)
+    if samples < 1:
+        raise DomainError("samples must be at least 1")
+    if samples > MAX_SAMPLES:
+        raise DomainError(f"samples must be at most {MAX_SAMPLES}, got {samples}")
+    return grid
+
+
 def run_verification(
     grid_step: float = DEFAULT_GRID_STEP,
     samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
 ) -> VerificationReport:
     """Run every check; a raising check is recorded as failed, not skipped."""
-    grid = default_grid(grid_step)
-    if samples < 1:
-        raise DomainError("samples must be at least 1")
-
-    checks: list[CheckResult] = []
-    try:
-        worst = dict.fromkeys(IDENTITY_CHECKS, 0.0)
-        for p1 in grid:
-            for p2 in grid:
-                for name, residual in identity_residuals(p1, p2).items():
-                    worst[name] = max(worst[name], residual)
-        for name in IDENTITY_CHECKS:
-            checks.append(
-                CheckResult(name, worst[name], IDENTITY_THRESHOLD,
-                            worst[name] < IDENTITY_THRESHOLD)
-            )
-    except Exception:
-        for name in IDENTITY_CHECKS:
-            checks.append(CheckResult(name, math.inf, IDENTITY_THRESHOLD, False))
-
+    grid = verification_grid(grid_step, samples)
     s1, s2 = SAMPLING_POINT
-    try:
-        violation = corrupted_joint_violation(s1, s2)
-        checks.append(
-            CheckResult("corrupted_joint_control", violation, CONTROL_THRESHOLD,
-                        violation > CONTROL_THRESHOLD)
-        )
-    except Exception:
-        checks.append(
-            CheckResult("corrupted_joint_control", 0.0, CONTROL_THRESHOLD, False)
-        )
-
-    try:
-        tv = sampled_pair_tv(s1, s2, samples, seed)
-        checks.append(
-            CheckResult("pairwise_factorization_tv", tv, TV_THRESHOLD,
-                        tv < TV_THRESHOLD)
-        )
-    except Exception:
-        checks.append(
-            CheckResult("pairwise_factorization_tv", math.inf, TV_THRESHOLD, False)
-        )
-
-    try:
-        m, n = FREQ_CODEBOOK_SHAPE
-        z_freq, z_corr = codebook_iid_zscores(s2, m, n, seed)
-        checks.append(
-            CheckResult("codebook_symbol_frequency", z_freq, Z_LIMIT, z_freq <= Z_LIMIT)
-        )
-        checks.append(
-            CheckResult("codebook_cell_correlation", z_corr, Z_LIMIT, z_corr <= Z_LIMIT)
-        )
-    except Exception:
-        checks.append(CheckResult("codebook_symbol_frequency", math.inf, Z_LIMIT, False))
-        checks.append(CheckResult("codebook_cell_correlation", math.inf, Z_LIMIT, False))
-
+    m, n = FREQ_CODEBOOK_SHAPE
+    checks = [
+        *_family(IDENTITY_CHECKS, IDENTITY_THRESHOLD, operator.lt, math.inf,
+                 lambda: _worst_identities(grid)),
+        # the negative control passes when the corrupted joint is caught
+        *_family(("corrupted_joint_control",), CONTROL_THRESHOLD, operator.gt, 0.0,
+                 lambda: [corrupted_joint_violation(s1, s2)]),
+        *_family(("pairwise_factorization_tv",), TV_THRESHOLD, operator.lt, math.inf,
+                 lambda: [sampled_pair_tv(s1, s2, samples, seed)]),
+        *_family(("codebook_symbol_frequency", "codebook_cell_correlation"), Z_LIMIT,
+                 operator.le, math.inf, lambda: codebook_iid_zscores(s2, m, n, seed)),
+    ]
     config = {
         "grid_step": float(grid_step),
         "grid": [float(g) for g in grid],

@@ -183,8 +183,9 @@ class TestOptimize:
             SolverOptions(restarts=MAX_RESTARTS + 1)
         with pytest.raises(DomainError):
             SolverOptions(grid_resolution=0.0)
-        with pytest.raises(DomainError):
-            SolverOptions(convergence_tol=-1.0)
+        for tol in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(DomainError):
+                SolverOptions(convergence_tol=tol)
 
     def test_input_size_mismatch(self):
         with pytest.raises(DimensionMismatch):

@@ -118,6 +118,8 @@ class TestConfigPrecedence:
             (("capacity-general", "--channel", "ch.txt", "--perturb", "pe.txt"),
              {"restarts": 2.7}, "--restarts"),
             (("sweep", "--mode", "simulation", "--out", "x.csv"), {"n_list": [8.5]}, "--n-list"),
+            (("capacity-general", "--channel", "ch.txt", "--perturb", "pe.txt"),
+             {"tol": float("nan")}, "--tol"),
         ],
     )
     def test_config_value_of_wrong_kind(self, capsys, tmp_path, argv, cfg, flag):
@@ -127,6 +129,14 @@ class TestConfigPrecedence:
         assert rc == 2 and out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith(f"error: {flag}: expected ")
+
+    def test_non_finite_flag_rejected(self, capsys, tmp_path):
+        ch = write_matrix(tmp_path / "ch.txt", [[0.9, 0.1], [0.1, 0.9]])
+        for argv in (("capacity-general", "--channel", ch, "--perturb", ch, "--tol", "nan"),
+                     SIM_ARGS + ("--decoder", "typ", "--epsilon", "inf")):
+            rc, out, err = run_cli(capsys, *argv)
+            assert rc == 2 and out == ""
+            assert err.splitlines() == [f"error: {argv[-2]}: expected float, got {argv[-1]!r}"]
 
     def test_config_value_parsed_like_the_flag(self, capsys, tmp_path):
         cfg = tmp_path / "c.json"
@@ -466,6 +476,20 @@ class TestVerify:
         assert err.splitlines() == ["error: samples must be at least 1"]
         assert not out_path.exists()
 
+    def test_samples_above_cap_rejected_before_any_check(self, capsys, tmp_path, monkeypatch):
+        # validation alone: a run of this size would allocate gigabytes
+        def never(*args, **kwargs):
+            raise AssertionError("checks ran")
+
+        monkeypatch.setattr(asymcap.cli, "run_verification", never)
+        out_path = tmp_path / "rep.json"
+        rc, out, err = run_cli(
+            capsys, "verify", "--samples", "33554433", "--out", str(out_path),
+        )
+        assert rc == 2 and out == ""
+        assert err.splitlines() == ["error: samples must be at most 33554432, got 33554433"]
+        assert not out_path.exists()
+
     def test_unwritable_output_fails_before_any_check(self, capsys, monkeypatch):
         def never(*args, **kwargs):
             raise AssertionError("checks ran")
@@ -554,6 +578,10 @@ SUBCOMMAND_PARAMS = {
 STRAY_TOKENS = ["--warp", "--p", "-x", "junk", "--n", "--help", "--seed=1"]
 
 
+def _strict_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def _flag_text(value) -> str:
     if isinstance(value, list):
         return ",".join(str(v) for v in value)
@@ -591,7 +619,8 @@ def fuzz_dir(tmp_path_factory):
 @given(invocations())
 def test_cli_contract(fuzz_dir, monkeypatch, invocation):
     """Whatever the argv and config: no exception leaves main, the exit code
-    is 0, 1 or 2, and exit 2 comes with exactly one `error:` line."""
+    is 0, 1 or 2, exit 2 comes with exactly one `error:` line and nothing on
+    stdout, and every echoed `config:` line is strict JSON."""
     argv, cfg = invocation
     monkeypatch.chdir(fuzz_dir)
     if cfg:
@@ -607,6 +636,10 @@ def test_cli_contract(fuzz_dir, monkeypatch, invocation):
     if rc == 2:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), (argv, cfg, lines)
+        assert out.getvalue() == "", (argv, cfg)
+    for line in out.getvalue().splitlines():
+        if line.startswith("config: "):
+            json.loads(line[len("config: "):], parse_constant=_strict_constant)
 
 
 class TestConsoleScript:

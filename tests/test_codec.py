@@ -239,8 +239,9 @@ class TestTypicalityDecode:
     def test_epsilon_must_be_positive(self):
         pair = generate_codebooks(2, 4, UNIF2, bsc(0.1), 0)
         joint = build_joint_uy(UNIF2, bsc(0.1), bsc(0.1))
-        with pytest.raises(DomainError):
-            typicality_decode(np.zeros(4, dtype=np.int64), pair, 0.0, joint)
+        for epsilon in (0.0, float("nan"), float("inf")):
+            with pytest.raises(DomainError):
+                typicality_decode(np.zeros(4, dtype=np.int64), pair, epsilon, joint)
 
     def test_rejects_marginal_joint(self):
         pair = generate_codebooks(2, 4, UNIF2, bsc(0.1), 0)
@@ -334,10 +335,11 @@ class TestSimConfig:
     def test_epsilon_rules(self):
         with pytest.raises(DomainError):
             SimConfig.binary_symmetric(n=4, M=2, p1=0.1, p2=0.1, decoder="typicality")
-        with pytest.raises(DomainError):
-            SimConfig.binary_symmetric(
-                n=4, M=2, p1=0.1, p2=0.1, decoder="typicality", epsilon=-0.1
-            )
+        for eps in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(DomainError):
+                SimConfig.binary_symmetric(
+                    n=4, M=2, p1=0.1, p2=0.1, decoder="typicality", epsilon=eps
+                )
         with pytest.raises(DomainError):
             SimConfig.binary_symmetric(n=4, M=2, p1=0.1, p2=0.1, decoder="map", epsilon=0.1)
 
@@ -360,6 +362,15 @@ class TestSimConfig:
     def test_cell_cap(self):
         with pytest.raises(CodebookLimitError):
             SimConfig.binary_symmetric(n=1 << 7, M=1 << 20, p1=0.1, p2=0.1)
+
+    def test_binary_symmetric_echo_carries_the_dataclass_defaults(self):
+        echo = SimConfig.binary_symmetric(n=4, M=2, p1=0.1, p2=0.2).echo()
+        assert list(echo.items()) == [
+            ("n", 4), ("M", 2), ("decoder", "map"), ("epsilon", None), ("trials", 1000),
+            ("codebook_mode", "fresh_per_trial"), ("master_seed", 0), ("p1", 0.1),
+            ("p2", 0.2), ("px", [0.5, 0.5]), ("pyx", bsc(0.1).matrix.tolist()),
+            ("pux", bsc(0.2).matrix.tolist()),
+        ]
 
     def test_general_matrices_leave_p_fields_unset(self):
         cfg = SimConfig(n=4, M=2, px=UNIF2, pyx=bsc(0.1), pux=bsc(0.1))

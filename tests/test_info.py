@@ -175,6 +175,25 @@ class TestMutualInformation:
         with pytest.raises(DimensionMismatch):
             mutual_information(JointPmf(np.full((2, 2, 2), 0.125)))
 
+    # Bits pinned before I(U;Y) and the capacity solver shared one log-ratio
+    # core; several tables have zero cells, one a zero row and one a zero column.
+    GOLDEN = {
+        "bsc_uniform": ([[0.45, 0.05], [0.05, 0.45]], "0x1.0fdfcf3f21c18p-1"),
+        "independent": ([[0.12, 0.18], [0.28, 0.42]], "0x1.3333333333334p-55"),
+        "zero_cell": ([[0.5, 0.0], [0.25, 0.25]], "0x1.3ebfb1520c7c6p-2"),
+        "zero_row": ([[0.3, 0.2, 0.1], [0.0, 0.0, 0.0], [0.1, 0.1, 0.2]],
+                     "0x1.8702ffb04f9d7p-4"),
+        "identity3": ([[1 / 3, 0, 0], [0, 1 / 3, 0], [0, 0, 1 / 3]], "0x1.95c01a39fbd68p+0"),
+        "skewed_2x4": ([[0.07, 0.0, 0.31, 0.02], [0.11, 0.29, 0.0, 0.2]],
+                       "0x1.66c5b3252d928p-1"),
+        "point_mass": ([[1.0, 0.0], [0.0, 0.0]], "0x0.0p+0"),
+    }
+
+    @pytest.mark.parametrize("name", list(GOLDEN))
+    def test_bit_identical(self, name):
+        table, bits = self.GOLDEN[name]
+        assert mutual_information(JointPmf(np.array(table))).hex() == bits
+
 
 class TestConditionalEntropy:
     def test_chain_rule(self):

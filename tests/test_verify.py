@@ -1,8 +1,11 @@
 """Structural identity checks and sampled-distribution diagnostics."""
 
+import math
+
 import numpy as np
 import pytest
 
+import asymcap.verify
 from asymcap.info import DomainError, Pmf, build_joint_xuyv, check_markov
 from asymcap.verify import (
     CONTROL_THRESHOLD,
@@ -182,6 +185,14 @@ class TestRunVerification:
         assert cfg["seed"] == 0
         assert cfg["sampling_point"] == [0.1, 0.2]
 
+    def test_samples_capped_before_any_check(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("sampling ran")
+
+        monkeypatch.setattr(asymcap.verify, "sampled_pair_tv", never)
+        with pytest.raises(DomainError, match="at most"):
+            run_verification(grid_step=0.5, samples=asymcap.verify.MAX_SAMPLES + 1)
+
     def test_full_defaults_all_pass(self):
         rep = run_verification()
         assert rep.passed
@@ -191,6 +202,83 @@ class TestRunVerification:
         import json
 
         json.dumps(fast_report.to_json_dict())
+
+
+# Every check of run_verification at two configurations: (name, residual as
+# float.hex, passed), pinned before the check families shared one guard.
+VERIFICATION_GOLDENS = {
+    (0.25, 20_000, 5): [
+        ("markov_u_x_y", "0x0.0p+0", True),
+        ("markov_u_v_y", "0x0.0p+0", True),
+        ("markov_x_u_v", "0x0.0p+0", True),
+        ("markov_x_y_v", "0x0.0p+0", True),
+        ("rate_loss_decomposition", "0x1.e000000000000p-52", True),
+        ("mutual_info_balance", "0x1.2000000000000p-52", True),
+        ("entropy_v_given_x", "0x1.0000000000000p-53", True),
+        ("entropy_u_given_xv", "0x1.0000000000000p-53", True),
+        ("entropy_y_given_xv", "0x1.0000000000000p-53", True),
+        ("entropy_v_given_uy", "0x1.8000000000000p-52", True),
+        ("corrupted_joint_control", "0x1.4e34c6ce64000p-15", True),
+        ("pairwise_factorization_tv", "0x1.3c36113404eadp-7", False),
+        ("codebook_symbol_frequency", "0x1.8b0e9918125e8p-1", True),
+        ("codebook_cell_correlation", "0x1.39517123d1cf1p+0", True),
+    ],
+    (0.0625, 2_000, 1): [
+        ("markov_u_x_y", "0x0.0p+0", True),
+        ("markov_u_v_y", "0x0.0p+0", True),
+        ("markov_x_u_v", "0x0.0p+0", True),
+        ("markov_x_y_v", "0x0.0p+0", True),
+        ("rate_loss_decomposition", "0x1.a000000000000p-51", True),
+        ("mutual_info_balance", "0x1.5800000000000p-51", True),
+        ("entropy_v_given_x", "0x1.8000000000000p-52", True),
+        ("entropy_u_given_xv", "0x1.8000000000000p-51", True),
+        ("entropy_y_given_xv", "0x1.8000000000000p-51", True),
+        ("entropy_v_given_uy", "0x1.8000000000000p-51", True),
+        ("corrupted_joint_control", "0x1.4e34c6ce64000p-15", True),
+        ("pairwise_factorization_tv", "0x1.295e9e1b0899ep-5", False),
+        ("codebook_symbol_frequency", "0x1.50c519969e8f6p-3", True),
+        ("codebook_cell_correlation", "0x1.76f3ea0cbb31cp+0", True),
+    ],
+}
+
+
+@pytest.mark.parametrize("args", list(VERIFICATION_GOLDENS), ids=str)
+def test_verification_golden(args):
+    rep = run_verification(*args)
+    got = [(c.name, c.max_residual.hex(), c.passed) for c in rep.checks]
+    assert got == VERIFICATION_GOLDENS[args]
+    assert rep.passed is False
+
+
+# Each check family, the checks it reports in order, their threshold, and the
+# residual they carry when the family raises.
+FAMILIES = {
+    "identity_residuals": (IDENTITY_CHECKS, IDENTITY_THRESHOLD, math.inf),
+    "corrupted_joint_violation": (("corrupted_joint_control",), CONTROL_THRESHOLD, 0.0),
+    "sampled_pair_tv": (("pairwise_factorization_tv",), TV_THRESHOLD, math.inf),
+    "codebook_iid_zscores": (
+        ("codebook_symbol_frequency", "codebook_cell_correlation"), Z_LIMIT, math.inf),
+}
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_raising_family_fails_every_check_in_it(monkeypatch, family):
+    def boom(*args, **kwargs):
+        raise RuntimeError("injected")
+
+    args = (0.5, 1000, 3)
+    baseline = run_verification(*args).checks
+    monkeypatch.setattr(asymcap.verify, family, boom)
+    rep = run_verification(*args)
+    assert [c.name for c in rep.checks] == [c.name for c in baseline]
+    names, threshold, residual = FAMILIES[family]
+    failed = [c for c in rep.checks if c.name in names]
+    assert [c.name for c in failed] == list(names)
+    for c in failed:
+        assert (c.max_residual, c.threshold, c.passed) == (residual, threshold, False)
+    assert [c for c in rep.checks if c.name not in names] == [
+        c for c in baseline if c.name not in names]
+    assert rep.passed is False
 
 
 class TestDefaultGrid:
