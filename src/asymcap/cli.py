@@ -29,7 +29,7 @@ from .capacity import (
 )
 from .codec import DECODER_MAP, DECODER_TYPICALITY, MODE_FIXED, MODE_FRESH, SimConfig, collision_experiment, run_experiment
 from .info import TransitionMatrix, bsc_capacity_gap
-from .rng import TAG_SWEEP, derive_seed
+from .rng import MASK64, TAG_SWEEP, derive_seed
 from .verify import default_grid, run_verification, verification_grid
 
 __all__ = ["main", "main_entry"]
@@ -42,6 +42,7 @@ SIM_SWEEP_HEADER = "n,M,rate,decoder,epsilon,trials,errors,pe_hat,ci95,lambda_ma
 CAP_SWEEP_HEADER = "p1,p2,capacity,gap"
 
 INT_LIST = "comma-separated integers"  # a Param kind; a JSON list also serves
+SEED_INT = "integer in [0, 2^64)"  # a Param kind: derive_seed keeps 64 bits, so a wider seed aliases
 
 
 class UsageError(ValueError):
@@ -65,6 +66,13 @@ def _as_float(value) -> float:
     return value
 
 
+def _as_seed(value) -> int:
+    value = _as_int(value)
+    if not 0 <= value <= MASK64:
+        raise ValueError
+    return value
+
+
 def _as_int_list(value) -> list[int]:
     items = [t for t in value.split(",") if t.strip()] if isinstance(value, str) else value
     if not isinstance(items, list) or not items:
@@ -72,7 +80,7 @@ def _as_int_list(value) -> list[int]:
     return [_as_int(v) for v in items]
 
 
-_CONVERT = {int: _as_int, float: _as_float, INT_LIST: _as_int_list}
+_CONVERT = {int: _as_int, float: _as_float, INT_LIST: _as_int_list, SEED_INT: _as_seed}
 
 
 @dataclass(frozen=True)
@@ -119,7 +127,7 @@ MESSAGES = Param("messages", int, "message count M", required=True)
 TRIALS = Param("trials", int, "Monte Carlo trials", required=True)
 DECODER = Param("decoder", ("map", "typ"), "decoding rule", "map")
 EPSILON = Param("epsilon", float, f"typicality slack (typ only; {DEFAULT_EPSILON} if not given)")
-SEED = Param("seed", int, "master seed", 0)
+SEED = Param("seed", SEED_INT, "master seed", 0)
 OUT = Param("out", str, "output file path", required=True)
 
 # sweep's simulation-only parameters, required in that mode alone

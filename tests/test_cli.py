@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import asymcap
 import asymcap.cli
+import asymcap.verify
 from asymcap.cli import CAP_SWEEP_HEADER, SIM_SWEEP_HEADER, main
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -137,6 +138,25 @@ class TestConfigPrecedence:
             rc, out, err = run_cli(capsys, *argv)
             assert rc == 2 and out == ""
             assert err.splitlines() == [f"error: {argv[-2]}: expected float, got {argv[-1]!r}"]
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
+    def test_seed_outside_64_bits_rejected(self, capsys, tmp_path, seed):
+        # derive_seed reads 64 bits, so such a seed would run as another one
+        # while the echo showed the value given
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"seed": seed}))
+        for argv, given in ((("--seed", str(seed)), str(seed)),
+                            (("--config", str(path)), seed)):
+            rc, out, err = run_cli(capsys, "capacity", "--p1", "0.1", "--p2", "0.1", *argv)
+            assert rc == 2 and out == ""
+            assert err.splitlines() == [
+                f"error: --seed: expected integer in [0, 2^64), got {given!r}"]
+
+    def test_largest_seed_accepted(self, capsys):
+        rc, out, _ = run_cli(capsys, "capacity", "--p1", "0.1", "--p2", "0.1",
+                             "--seed", str(2**64 - 1))
+        assert rc == 0
+        assert json.loads(out.splitlines()[0][len("config: "):])["seed"] == 2**64 - 1
 
     def test_config_value_parsed_like_the_flag(self, capsys, tmp_path):
         cfg = tmp_path / "c.json"
@@ -454,6 +474,24 @@ class TestVerify:
         assert "FAIL pairwise_factorization_tv" in out
         data = json.loads(out_path.read_text())
         assert data["pass"] is False
+
+    def test_nan_residual_fails_the_run(self, capsys, tmp_path, monkeypatch):
+        real = asymcap.verify.identity_residuals
+
+        def nan_at_quarter(p1, p2):
+            res = real(p1, p2)
+            if (p1, p2) == (0.25, 0.25):
+                res["markov_u_x_y"] = float("nan")
+            return res
+
+        monkeypatch.setattr(asymcap.verify, "identity_residuals", nan_at_quarter)
+        rc, out, _ = run_cli(
+            capsys, "verify", "--grid-step", "0.25", "--out", str(tmp_path / "rep.json"),
+        )
+        assert rc == 1
+        lines = out.splitlines()
+        assert "FAIL markov_u_x_y residual=inf threshold=1e-10" in lines
+        assert lines[-1] == "overall FAIL"
 
     def test_out_required(self, capsys):
         rc, _, err = run_cli(capsys, "verify")

@@ -1,16 +1,21 @@
 """Structural identity checks and sampled-distribution diagnostics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import asymcap.verify
-from asymcap.info import DomainError, Pmf, build_joint_xuyv, check_markov
+from asymcap.info import DomainError, Pmf, bsc, build_joint_uy, build_joint_xuyv, check_markov
+from asymcap.rng import (
+    TAG_CHANNEL, TAG_CODEBOOK, TAG_PERTURB, derive_seed, sample_pmf, sample_rows, stream,
+)
 from asymcap.verify import (
     CONTROL_THRESHOLD,
     IDENTITY_CHECKS,
     IDENTITY_THRESHOLD,
+    PAIR_CHUNK,
     TV_THRESHOLD,
     Z_LIMIT,
     CheckResult,
@@ -86,7 +91,51 @@ class TestCorruptedControl:
         assert large > small > 0.0
 
 
+def one_shot_pair_tv(p1, p2, samples, seed):
+    """sampled_pair_tv as one draw of every sample: the reference the chunked
+    version must match bit for bit."""
+    px, pyx, pux = Pmf.uniform(2), bsc(p1), bsc(p2)
+    x = sample_pmf(stream(derive_seed(seed, 0, TAG_CODEBOOK)), px.probs, (samples, 2))
+    u = sample_rows(stream(derive_seed(seed, 0, TAG_PERTURB)), pux.matrix, x)
+    y = sample_rows(stream(derive_seed(seed, 0, TAG_CHANNEL)), pyx.matrix, x)
+    single = build_joint_uy(px, pyx, pux).table
+    nu, ny = single.shape
+    product = np.einsum("ab,cd->abcd", single, single).ravel()
+    idx = ((u[:, 0] * ny + y[:, 0]) * nu + u[:, 1]) * ny + y[:, 1]
+    emp = np.bincount(idx, minlength=nu * ny * nu * ny) / samples
+    return float(0.5 * np.abs(emp - product).sum())
+
+
 class TestSampledPairTv:
+    @pytest.mark.parametrize("samples", [1, PAIR_CHUNK - 1, PAIR_CHUNK, PAIR_CHUNK + 1,
+                                         2 * PAIR_CHUNK + 3])
+    def test_chunk_edges_match_one_shot_draw(self, samples):
+        got = sampled_pair_tv(0.1, 0.2, samples, 11)
+        assert got.hex() == one_shot_pair_tv(0.1, 0.2, samples, 11).hex()
+
+    # float.hex of sampled_pair_tv, pinned when it drew every sample at once
+    PINNED = {
+        (0.1, 0.2, 2_000_000, 12345): "0x1.4a0a0f4d7adb8p-10",
+        (0.1, 0.2, 1_000_000, 0): "0x1.adea897635f20p-10",
+        (0.05, 0.3, 123457, 7): "0x1.a463b7c70b5e2p-8",
+        (0.1, 0.2, 1, 3): "0x1.b9e83e425aee8p-1",
+        (0.1, 0.2, 65537, 9): "0x1.bafe4501bafc8p-9",
+    }
+
+    @pytest.mark.parametrize("args", list(PINNED), ids=str)
+    def test_pinned_values(self, args):
+        assert sampled_pair_tv(*args).hex() == self.PINNED[args]
+
+    def test_memory_bounded_by_the_chunk(self):
+        # drawing all 10^6 samples at once peaked at 78.9 MiB
+        tracemalloc.start()
+        try:
+            sampled_pair_tv(0.1, 0.2, 1_000_000, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
     def test_below_threshold_at_default_sample_size(self):
         assert sampled_pair_tv(0.1, 0.2, 1_000_000, 0) < TV_THRESHOLD
 
@@ -278,6 +327,44 @@ def test_raising_family_fails_every_check_in_it(monkeypatch, family):
         assert (c.max_residual, c.threshold, c.passed) == (residual, threshold, False)
     assert [c for c in rep.checks if c.name not in names] == [
         c for c in baseline if c.name not in names]
+    assert rep.passed is False
+
+
+def _nan_markov_at_quarter(real):
+    def patched(p1, p2):
+        res = real(p1, p2)
+        if (p1, p2) == (0.25, 0.25):
+            res["markov_u_x_y"] = math.nan
+        return res
+    return patched
+
+
+def _nan(real):
+    return lambda *args: math.nan
+
+
+# Per family: the verify attribute to replace, how to build the replacement
+# from the original, and the one check whose residual turns NaN.
+NAN_INJECTIONS = {
+    "identity_residuals": ("identity_residuals", _nan_markov_at_quarter, "markov_u_x_y"),
+    "corrupted_joint_violation": ("corrupted_joint_violation", _nan, "corrupted_joint_control"),
+    "sampled_pair_tv": ("sampled_pair_tv", _nan, "pairwise_factorization_tv"),
+    "codebook_iid_zscores": ("_pearson", _nan, "codebook_cell_correlation"),
+}
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_nan_residual_fails_its_check(monkeypatch, family):
+    attr, make, name = NAN_INJECTIONS[family]
+    args = (0.25, 1000, 0)
+    baseline = run_verification(*args).checks
+    monkeypatch.setattr(asymcap.verify, attr, make(getattr(asymcap.verify, attr)))
+    rep = run_verification(*args)
+    _, threshold, residual = FAMILIES[family]
+    [check] = [c for c in rep.checks if c.name == name]
+    assert (check.max_residual, check.threshold, check.passed) == (residual, threshold, False)
+    assert [c for c in rep.checks if c.name != name] == [
+        c for c in baseline if c.name != name]
     assert rep.passed is False
 
 
