@@ -240,11 +240,12 @@ def capacity_grid(
         )
     if not 0.0 < resolution <= 1.0:
         raise DomainError("resolution must lie in (0, 1]")
-    k = max(1, round(1.0 / resolution))
-    if comb(k + nx - 1, nx - 1) > MAX_GRID_POINTS:
+    inv = 1.0 / resolution  # inf for a subnormal resolution, which round() refuses
+    if inv == np.inf or comb(max(1, round(inv)) + nx - 1, nx - 1) > MAX_GRID_POINTS:
         raise DomainError(
             f"lattice would exceed {MAX_GRID_POINTS} points; coarsen the resolution"
         )
+    k = max(1, round(inv))
     a, nu, ny = _kernel(pyx, pux)
 
     best_val = -np.inf

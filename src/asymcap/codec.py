@@ -4,7 +4,8 @@ The encoder transmits rows of cx; the decoder only ever sees cu, the
 entrywise perturbation of cx, plus the channel output.  All experiment
 randomness flows through per-trial Philox streams derived from the master
 seed (see rng.derive_seed), so reports are bit-identical for a given
-configuration no matter how trials are scheduled.
+configuration no matter how trials are scheduled.  Both decoding rules read
+only each decoder row's table of (u, y) cell counts against the output.
 """
 
 from __future__ import annotations
@@ -160,20 +161,18 @@ def _cell_counts(idx: np.ndarray, k: int) -> np.ndarray:
     return np.bincount((idx + offs).ravel(), minlength=rows * k).reshape(lead + (k,))
 
 
-def _count_scores(counts: np.ndarray, logvals: np.ndarray) -> np.ndarray:
-    """Sum counts[..., c] * logvals[c] over cells in ascending order.
+def _count_scores(columns, logvals: np.ndarray) -> np.ndarray:
+    """Sum columns[c] * logvals[c] over cells c in ascending order; columns
+    yields one count array per cell, as np.moveaxis(counts, -1, 0) does.
 
     Zero counts contribute exactly zero even against -inf log entries, and
     the fixed accumulation order makes scores reproducible down to the bit
     by any implementation that sums the same way.
     """
-    total = np.zeros(counts.shape[:-1])
-    for c in range(logvals.size):
-        lv = logvals[c]
-        if np.isneginf(lv):
-            total = total + np.where(counts[..., c] > 0, -np.inf, 0.0)
-        else:
-            total = total + counts[..., c] * lv
+    total = 0.0
+    for counts, lv in zip(columns, logvals):
+        term = np.where(counts > 0, -np.inf, 0.0) if np.isneginf(lv) else counts * lv
+        total = np.add(total, term, out=term)  # into the fresh term: one array less
     return total
 
 
@@ -183,97 +182,81 @@ def _indicator_dtype(n: int):
     return np.float32 if n <= 1 << 24 else np.float64
 
 
-class _FreshCounts:
-    """Cell counts of outputs against their own decoder codebooks cu
-    (T, M, n): one offset bincount over all rows of the block."""
-
-    def __init__(self, cu: np.ndarray, nu: int, ny: int):
-        self.cu, self.nu, self.ny = cu, nu, ny
-
-    def joint(self, y: np.ndarray) -> np.ndarray:
-        """(T, M, nu * ny) counts of the (u, y) cells of outputs y (T, n)."""
-        return _cell_counts(self.cu * self.ny + y[:, None, :], self.nu * self.ny)
+def _fresh_counts(cu: np.ndarray, y: np.ndarray, nu: int, ny: int) -> np.ndarray:
+    """(T, M, nu * ny) counts of the (u, y) cells of outputs y (T, n)
+    against their own decoder codebooks cu (T, M, n): one offset bincount
+    over all rows of the block."""
+    return _cell_counts(cu * ny + y[:, None, :], nu * ny)
 
 
-class _SharedCounts:
-    """Cell counts of outputs against one decoder codebook cu (M, n) that
-    every trial shares.
-
-    The indicators (cu == u) are built once, stacked as one (nu * M, n)
-    matrix; the counts of a block of outputs are then one matrix product
-    with the block's one-hot outputs (n, T * ny).  Every entry is an
-    integer of at most n, exact in _indicator_dtype(n) whatever the
-    summation order, so the counts equal _FreshCounts' to the bit.
+def _shared_counts(cu: np.ndarray, nu: int, ny: int):
+    """The counting function y (T, n) -> _fresh_counts for one decoder
+    codebook cu (M, n) that every trial shares.  The indicators (cu == u)
+    are built once, as one (nu * M, n) matrix; a block's counts are then one
+    product with its one-hot outputs (n, T * ny).  Every entry is an integer
+    of at most n, exact in _indicator_dtype(n) whatever the summation order,
+    so the counts equal _fresh_counts' to the bit.
     """
+    M, n = cu.shape
+    dtype = _indicator_dtype(n)
+    indicators = (cu == np.arange(nu)[:, None, None]).astype(dtype).reshape(nu * M, n)
 
-    def __init__(self, cu: np.ndarray, nu: int, ny: int):
-        M, n = cu.shape
-        self.cu, self.nu, self.ny = cu[None], nu, ny
-        self.dtype = _indicator_dtype(n)
-        hits = cu == np.arange(nu)[:, None, None]
-        self.indicators = hits.astype(self.dtype).reshape(nu * M, n)
-
-    def joint(self, y: np.ndarray) -> np.ndarray:
-        """As _FreshCounts.joint, for outputs y (T, n) of any block size."""
-        T, n = y.shape
-        nu, ny, M = self.nu, self.ny, self.cu.shape[1]
-        onehot = (y.T[:, :, None] == np.arange(ny)).astype(self.dtype).reshape(n, T * ny)
-        counts = (self.indicators @ onehot).reshape(nu, M, T, ny).transpose(2, 1, 0, 3)
+    def counts(y):
+        T = y.shape[0]
+        onehot = (y.T[:, :, None] == np.arange(ny)).astype(dtype).reshape(n, T * ny)
+        table = (indicators @ onehot).reshape(nu, M, T, ny).transpose(2, 1, 0, 3)
         # int64 as from the bincount: a float32 count times a float64 log
         # value would round to float32 under numpy 1.x's scalar casting
-        return np.ascontiguousarray(counts, dtype=np.int64).reshape(T, M, nu * ny)
+        return np.ascontiguousarray(table, dtype=np.int64).reshape(T, M, nu * ny)
+
+    return counts
 
 
-class _MapRule:
-    """Maximum likelihood under the induced channel p(y|u); of exactly
-    equal scores the lowest index wins."""
-
-    def __init__(self, pyu: TransitionMatrix):
-        self.nu, self.ny = pyu.input_size, pyu.output_size
-        with np.errstate(divide="ignore"):
-            self.logp = np.log(pyu.matrix).ravel()
-
-    def bind(self, counts):
-        """Decision function for the codebooks behind counts (_FreshCounts
-        or _SharedCounts): outputs y (T, n) to 1-based decisions (T,)."""
-        return lambda y: np.argmax(_count_scores(counts.joint(y), self.logp), axis=-1) + 1
+def _map_rule(pyu: TransitionMatrix):
+    """Maximum likelihood under the induced channel p(y|u): count tables
+    (T, M, nu * ny) to 1-based decisions (T,), the lowest index of equal scores."""
+    with np.errstate(divide="ignore"):
+        logp = np.log(pyu.matrix).ravel()
+    return lambda counts: np.argmax(_count_scores(np.moveaxis(counts, -1, 0), logp), axis=-1) + 1
 
 
-class _TypicalityRule:
-    """Joint typicality against the exact single-letter joint of (U, Y)."""
+def _typicality_rule(joint: JointPmf, epsilon: float, n: int):
+    """Joint typicality against the exact single-letter joint of (U, Y), as
+    _map_rule's decisions for codewords of length n; 0 where no row or more
+    than one row passes.  A row's u counts are the margin of its (u, y)
+    counts over y, the output's y counts the margin of any row's over u:
+    integer margins are exact, so every rate keeps its bits.
+    """
+    t = joint.table
+    nu, ny = t.shape
+    pu, py = t.sum(axis=1), t.sum(axis=0)
+    with np.errstate(divide="ignore"):
+        lu, ly, luy = np.log2(pu), np.log2(py), np.log2(t).ravel()
+    hu, hy, huy = _entropy_bits(pu), _entropy_bits(py), _entropy_bits(t)
 
-    def __init__(self, joint: JointPmf, epsilon: float):
-        t = joint.table
-        self.nu, self.ny = t.shape
-        pu = t.sum(axis=1)
-        py = t.sum(axis=0)
-        with np.errstate(divide="ignore"):
-            self.lu = np.log2(pu)
-            self.ly = np.log2(py)
-            self.luy = np.log2(t).ravel()
-        self.hu = _entropy_bits(pu)
-        self.hy = _entropy_bits(py)
-        self.huy = _entropy_bits(t)
-        self.epsilon = epsilon
+    def typical(columns, logvals, entropy):
+        rate = _count_scores(columns, logvals)
+        rate /= -n  # the empirical rate -score / n, to the same bits, in place
+        return np.abs(np.subtract(rate, entropy, out=rate), out=rate) < epsilon
 
-    def bind(self, counts):
-        """As _MapRule.bind; a decision is 0 where no row or more than one
-        row passes.  The codeword rates depend on the codebooks alone, so
-        they are computed here, once per binding."""
-        eps, n = self.epsilon, counts.cu.shape[-1]
-        rate_u = -_count_scores(_cell_counts(counts.cu, self.nu), self.lu) / n
-        ok_u = np.abs(rate_u - self.hu) < eps
+    def decide(counts):
+        cells = counts.reshape(counts.shape[:-1] + (nu, ny))
+        counts_y = (sum(cells[:, 0, a, b] for a in range(nu)) for b in range(ny))
+        ok = typical(counts_y, ly, hy)[:, None] & typical(np.moveaxis(counts, -1, 0), luy, huy)
+        # the u test only on the rows that pass the other two, which most rows
+        # fail: a block's whole u margin would cost as much as its joint test
+        rows = np.flatnonzero(ok)
+        hits = cells.reshape(-1, nu, ny)[rows]
+        counts_u = (sum(hits[:, a, b] for b in range(ny)) for a in range(nu))
+        ok.ravel()[rows] = typical(counts_u, lu, hu)
+        return np.where(ok.sum(axis=-1) == 1, np.argmax(ok, axis=-1) + 1, 0)
 
-        def decide(y):
-            rate_y = -_count_scores(_cell_counts(y, self.ny), self.ly) / n
-            rate_uy = -_count_scores(counts.joint(y), self.luy) / n
-            ok = ok_u & (np.abs(rate_y - self.hy) < eps)[:, None] & (np.abs(rate_uy - self.huy) < eps)
-            return np.where(ok.sum(axis=-1) == 1, np.argmax(ok, axis=-1) + 1, 0)
-
-        return decide
+    return decide
 
 
-def _checked_output(y, pair: CodebookPair, ny: int) -> np.ndarray:
+def _checked_counts(y, pair: CodebookPair, nu: int, ny: int) -> np.ndarray:
+    """The (1, M, nu * ny) count table of one output y against pair's
+    decoder codebook, once both hold only symbols of their alphabets."""
     yv = np.asarray(y, dtype=np.int64)
     if yv.ndim != 1 or yv.size != pair.n:
         raise DimensionMismatch(
@@ -281,7 +264,9 @@ def _checked_output(y, pair: CodebookPair, ny: int) -> np.ndarray:
         )
     if yv.min() < 0 or yv.max() >= ny:
         raise DomainError("channel output symbol outside the output alphabet")
-    return yv
+    if pair.cu.min() < 0 or pair.cu.max() >= nu:
+        raise DomainError("decoder codebook symbol outside the decoder alphabet")
+    return _fresh_counts(pair.cu[None], yv[None], nu, ny)
 
 
 def typicality_decode(
@@ -292,29 +277,28 @@ def typicality_decode(
     Returns the unique 1-based index whose decoder codeword passes all
     three empirical-entropy tests within epsilon, or 0 when no row or more
     than one row passes.  Codewords containing zero-probability symbols are
-    never typical.
+    never typical.  Every rate is read from the rows' (u, y) count tables.
     """
     if not 0.0 < epsilon < math.inf:
         raise DomainError("epsilon must be positive and finite")
     if joint.ndim != 2:
         raise DimensionMismatch("typicality_decode expects a 2-D joint over (U, Y)")
-    rule = _TypicalityRule(joint, epsilon)
-    yv = _checked_output(y, pair, rule.ny)
-    return int(rule.bind(_FreshCounts(pair.cu[None], rule.nu, rule.ny))(yv[None])[0])
+    counts = _checked_counts(y, pair, *joint.table.shape)
+    return int(_typicality_rule(joint, epsilon, pair.n)(counts)[0])
 
 
 def map_decode(y, pair: CodebookPair, pyu: TransitionMatrix) -> int:
     """Maximum-likelihood decoding under the induced channel p(y|u).
 
-    Scores are count-weighted sums of log transition probabilities, added
-    cell by cell.  Of exactly equal scores the lowest message index wins,
-    and an all-minus-infinity score vector returns message 1.  Rows of
-    equal likelihood whose symbols fall into different cells can score a
-    rounding step apart, and then the higher score wins whatever its index.
+    A row's score is its (u, y) cell counts weighted by the log transition
+    probabilities, added cell by cell.  Of exactly equal scores the lowest
+    message index wins, and an all-minus-infinity score vector returns
+    message 1.  Rows of equal likelihood whose symbols fall into different
+    cells can score a rounding step apart, and then the higher score wins
+    whatever its index.
     """
-    rule = _MapRule(pyu)
-    yv = _checked_output(y, pair, rule.ny)
-    return int(rule.bind(_FreshCounts(pair.cu[None], rule.nu, rule.ny))(yv[None])[0])
+    counts = _checked_counts(y, pair, pyu.input_size, pyu.output_size)
+    return int(_map_rule(pyu)(counts)[0])
 
 
 @dataclass(frozen=True)
@@ -419,50 +403,34 @@ def _codebooks(series: StreamSeries, seeds: np.ndarray, M: int, n: int, cdf_x, c
     return cx, rows_from_uniforms(cdfs_u, cx, buf)
 
 
-def _fresh_books(M, n, px, pux, rule):
-    """Codebooks drawn per trial: a block holds TRIAL_BLOCK_CELLS codebook
-    cells, and its decisions come from one offset bincount."""
-    cdf_x, cdfs_u = capped_cdf(px.probs), capped_cdf(pux.matrix)
-
-    def draw(series, seeds):
-        cx, cu = _codebooks(series, seeds, M, n, cdf_x, cdfs_u)
-        return cx, rule.bind(_FreshCounts(cu, rule.nu, rule.ny))
-
-    return max(1, TRIAL_BLOCK_CELLS // (M * n)), draw
-
-
-def _shared_books(cx, cu, rule):
-    """One codebook pair (M, n) that every trial shares: its counts are
-    built once, and a block holds TRIAL_BLOCK_CELLS // max(M, n) trials.
-    A block's counts grow with trials x M and its uniforms, outputs and
-    one-hot outputs with trials x n, so both stay within TRIAL_BLOCK_CELLS."""
-    decide = rule.bind(_SharedCounts(cu, rule.nu, rule.ny))
-    block = max(1, TRIAL_BLOCK_CELLS // max(cx.shape))
-    return block, lambda series, seeds: (cx[None], decide)
-
-
-def _trial_errors(seed, trials, M, n, pyx, books, collide=0):
+def _trial_errors(cfg: SimConfig, decide, shared=None, collide=0):
     """The trial kernel: per-message error and sent counts over trials
-    [0, trials), run in blocks.
-
-    books is (block, draw) from _fresh_books or _shared_books: draw(series,
-    seeds) gives the encoder codebooks cx of the trials whose pair seeds
-    are given, (T, M, n) or one (1, M, n) they share, and their decision
-    function.  Messages are uniform draws, or with collide > 0 sent round
-    robin over the first collide indices.  Every trial's streams are keyed
-    by its index, so the counts do not depend on the block size.
+    [0, cfg.trials), run in blocks.  decide maps a block's (T, M, nu * ny)
+    count tables to 1-based decisions.  shared is the (cx, cu) pair (M, n) every trial uses, or
+    None to draw each trial's pair from its seed.  A block holds
+    TRIAL_BLOCK_CELLS codebook cells of per-trial pairs, or of a shared pair
+    TRIAL_BLOCK_CELLS // max(M, n) trials, as its counts grow with trials x M
+    and its uniforms, outputs and one-hot outputs with trials x n.  Messages
+    are uniform draws, or with collide > 0 sent round robin over the first
+    collide indices.  Every trial's streams are keyed by its index, so the
+    counts do not depend on the block size.
     """
+    M, n = cfg.M, cfg.n
+    nu, ny = cfg.pux.output_size, cfg.pyx.output_size
     series = StreamSeries()
-    cdfs_y = capped_cdf(pyx.matrix)
-    errs = np.zeros(M, dtype=np.int64)
-    sent = np.zeros(M, dtype=np.int64)
-    block, draw = books
-    for lo in range(0, trials, block):
-        ts = np.arange(lo, min(lo + block, trials))
-        pair_seeds, msg_keys, chan_keys = derive_seeds(
-            seed, ts, (TAG_CODEBOOK, TAG_MESSAGE, TAG_CHANNEL)
-        )
-        cx, decide = draw(series, pair_seeds)
+    cdfs_y = capped_cdf(cfg.pyx.matrix)
+    if shared is None:
+        cdf_x, cdfs_u = capped_cdf(cfg.px.probs), capped_cdf(cfg.pux.matrix)
+    else:
+        cx, counts = shared[0][None], _shared_counts(shared[1], nu, ny)
+    block = max(1, TRIAL_BLOCK_CELLS // (M * n if shared is None else max(M, n)))
+    tags = (TAG_CODEBOOK, TAG_MESSAGE, TAG_CHANNEL)
+    errs, sent = np.zeros((2, M), dtype=np.int64)
+    for lo in range(0, cfg.trials, block):
+        ts = np.arange(lo, min(lo + block, cfg.trials))
+        pair_seeds, msg_keys, chan_keys = derive_seeds(cfg.master_seed, ts, tags)
+        if shared is None:
+            cx, cu = _codebooks(series, pair_seeds, M, n, cdf_x, cdfs_u)
         if collide:
             w = ts % collide
         else:
@@ -471,7 +439,8 @@ def _trial_errors(seed, trials, M, n, pyx, books, collide=0):
         series.fill_random(chan_keys, u)
         sent_rows = cx[np.arange(ts.size) % cx.shape[0], w]  # a shared pair has one row
         y = rows_from_uniforms(cdfs_y, sent_rows, u)
-        wrong = decide(y) != w + 1  # null (0) and wrong indices both count
+        # null (0) and wrong indices both count; no count table outlives its block
+        wrong = decide(_fresh_counts(cu, y, nu, ny) if shared is None else counts(y)) != w + 1
         sent += np.bincount(w, minlength=M)
         errs += np.bincount(w[wrong], minlength=M)
     return errs, sent
@@ -494,15 +463,14 @@ def run_experiment(cfg: SimConfig) -> TrialReport:
     """
     t0 = time.perf_counter()
     if cfg.decoder == DECODER_MAP:
-        rule = _MapRule(induced_channel(cfg.px, cfg.pyx, cfg.pux))
+        decide = _map_rule(induced_channel(cfg.px, cfg.pyx, cfg.pux))
     else:
-        rule = _TypicalityRule(build_joint_uy(cfg.px, cfg.pyx, cfg.pux), cfg.epsilon)
+        decide = _typicality_rule(build_joint_uy(cfg.px, cfg.pyx, cfg.pux), cfg.epsilon, cfg.n)
+    shared = None
     if cfg.codebook_mode == MODE_FIXED:
         pair = generate_codebooks(cfg.M, cfg.n, cfg.px, cfg.pux, cfg.master_seed)
-        books = _shared_books(pair.cx, pair.cu, rule)
-    else:
-        books = _fresh_books(cfg.M, cfg.n, cfg.px, cfg.pux, rule)
-    errs, sent = _trial_errors(cfg.master_seed, cfg.trials, cfg.M, cfg.n, cfg.pyx, books)
+        shared = (pair.cx, pair.cu)
+    errs, sent = _trial_errors(cfg, decide, shared)
 
     error_count = int(errs.sum())
     pe = error_count / cfg.trials
@@ -539,6 +507,8 @@ def collision_experiment(
     base = generate_codebooks(M, n, px, pux, seed)
     cu = np.array(base.cu)
     cu[:m_collide] = base.cu[0]
-    books = _shared_books(base.cx, cu, _MapRule(induced_channel(px, pyx, pux)))
-    errs, sent = _trial_errors(seed, trials, M, n, pyx, books, collide=m_collide)
+    cfg = SimConfig(n=n, M=M, px=px, pyx=pyx, pux=pux, trials=trials,
+                    codebook_mode=MODE_FIXED, master_seed=seed)
+    decide = _map_rule(induced_channel(px, pyx, pux))
+    errs, sent = _trial_errors(cfg, decide, (base.cx, cu), collide=m_collide)
     return _lambda_max(errs, sent)

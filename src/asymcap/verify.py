@@ -56,6 +56,7 @@ Z_LIMIT = 3.0                # binomial / correlation z-score gate
 CONTROL_THRESHOLD = IDENTITY_THRESHOLD
 SAMPLING_POINT = (0.1, 0.2)  # (p1, p2) used by the sampling checks
 DEFAULT_GRID_STEP = 0.1
+MAX_GRID_AXIS = 251          # points per grid axis, so steps of at least 0.002
 DEFAULT_SAMPLES = 1_000_000
 PAIR_CHUNK = 1 << 16         # samples sampled_pair_tv draws and counts at a time
 # sampled_pair_tv's memory is bounded by PAIR_CHUNK, so the cap bounds time:
@@ -94,9 +95,10 @@ class CheckResult:
         object.__setattr__(self, "passed", bool(self.passed))
 
     def to_json_dict(self) -> dict:
+        """Strict JSON: a non-finite residual (a failed check) is null."""
         return {
             "check": self.name,
-            "max_residual": self.max_residual,
+            "max_residual": self.max_residual if math.isfinite(self.max_residual) else None,
             "threshold": self.threshold,
             "pass": self.passed,
         }
@@ -122,10 +124,13 @@ class VerificationReport:
 
 
 def default_grid(step: float = DEFAULT_GRID_STEP) -> np.ndarray:
-    """Lattice {0, step, 2 step, ..., 0.5}; step must divide 0.5 (to 1e-9)."""
+    """Lattice {0, step, 2 step, ..., 0.5}; step must divide 0.5 (to 1e-9)
+    and give at most MAX_GRID_AXIS points."""
     step = float(step)
     if not 0.0 < step <= 0.5:
         raise DomainError(f"grid step {step!r} outside (0, 0.5]")
+    if 0.5 / step >= MAX_GRID_AXIS - 0.5:  # also where 0.5 / step overflows
+        raise DomainError(f"grid step {step!r} gives more than {MAX_GRID_AXIS} points per axis")
     k = round(0.5 / step)
     if not math.isclose(k * step, 0.5, rel_tol=1e-9):
         raise DomainError(f"grid step {step!r} does not divide 0.5")

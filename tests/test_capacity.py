@@ -123,6 +123,14 @@ class TestGrid:
         with pytest.raises(DomainError):
             capacity_grid(_random_stochastic(rng, 4, 2), _random_stochastic(rng, 4, 2), 1e-3)
 
+    @pytest.mark.parametrize("resolution", [1e-320, 5e-324])
+    def test_subnormal_resolution_refused(self, resolution):
+        # 1 / resolution overflows to inf, even for a one-input channel
+        for pyx in (bsc(0.1), TransitionMatrix([[0.3, 0.7]])):
+            pux = TransitionMatrix.identity(pyx.input_size)
+            with pytest.raises(DomainError, match="lattice"):
+                capacity_grid(pyx, pux, resolution)
+
     def test_iterations_counts_lattice_points(self):
         r = capacity_grid(bsc(0.1), bsc(0.2), 0.01)
         assert r.iterations == 101

@@ -537,6 +537,57 @@ class TestVerify:
         assert rc == 2 and out == ""
         assert err.count("\n") == 1 and err.startswith("error:")
 
+    def test_raising_check_writes_strict_json(self, capsys, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("sampler failed")
+
+        def strict(name):
+            raise ValueError(f"{name} is not JSON")
+
+        monkeypatch.setattr(asymcap.verify, "sampled_pair_tv", broken)
+        out_path = tmp_path / "rep.json"
+        rc, out, _ = run_cli(
+            capsys, "verify", "--grid-step", "0.5", "--samples", "10", "--out", str(out_path),
+        )
+        assert rc == 1
+        assert "FAIL pairwise_factorization_tv residual=inf threshold=0.005" in out.splitlines()
+        data = json.loads(out_path.read_text(), parse_constant=strict)
+        check = {c["check"]: c for c in data["checks"]}["pairwise_factorization_tv"]
+        assert check["max_residual"] is None and check["pass"] is False
+
+
+class TestGridCaps:
+    """Grid steps and resolutions past the grid caps exit 2 by validation
+    alone: no grid is built and no file is written."""
+
+    @pytest.fixture(autouse=True)
+    def _no_work(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("work ran")
+
+        for name in ("run_verification", "sweep_capacity_surface", "capacity_optimize"):
+            monkeypatch.setattr(asymcap.cli, name, never)
+
+    @pytest.mark.parametrize("command", [("sweep", "--mode", "capacity"), ("verify",)])
+    @pytest.mark.parametrize("step", ["1e-320", "5e-324", "0.001"])
+    def test_grid_step_below_cap_refused(self, capsys, tmp_path, command, step):
+        # 1e-320 and 5e-324 are subnormal: 0.5 / step overflows to inf
+        out_path = tmp_path / "out"
+        rc, out, err = run_cli(capsys, *command, "--grid-step", step, "--out", str(out_path))
+        assert rc == 2 and out == ""
+        assert err.splitlines() == [
+            f"error: grid step {float(step)!r} gives more than 251 points per axis"
+        ]
+        assert not out_path.exists()
+
+    def test_subnormal_grid_resolution_refused(self, capsys, tmp_path):
+        ch = write_matrix(tmp_path / "ch.txt", [[0.9, 0.1], [0.1, 0.9]])
+        rc, out, err = run_cli(
+            capsys, "capacity-general", "--channel", ch, "--perturb", ch, "--grid-res", "1e-320",
+        )
+        assert rc == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error:") and "lattice" in err
+
 
 class TestCollision:
     def test_bound_met(self, capsys):

@@ -262,8 +262,16 @@ class TestTypicalityDecode:
         cu = np.array([[0, 0, 0, 1, 0, 1], [1, 0, 1, 1, 0, 1]], dtype=np.int64)
         y = np.array([0, 0, 1, 1, 0, 1], dtype=np.int64)
         assert typicality_decode(y, CodebookPair(cu, cu, 0), 0.1, joint) == 1
-        shared = codec._TypicalityRule(joint, 0.1).bind(codec._SharedCounts(cu, 2, 2))
-        assert shared(y[None]).tolist() == [1]
+        decide = codec._typicality_rule(joint, 0.1, 6)
+        assert decide(codec._shared_counts(cu, 2, 2)(y[None])).tolist() == [1]
+
+    @pytest.mark.parametrize("bad", [2, 5, -1])
+    def test_codebook_symbol_checked(self, bad):
+        # 2 would count into the next row's cells, 5 past the table, -1 below it
+        cu = np.array([[0, 0, 0, 0], [bad] * 4, [1, 1, 1, 1]], dtype=np.int64)
+        joint = build_joint_uy(UNIF2, bsc(0.1), bsc(0.1))
+        with pytest.raises(DomainError, match="decoder codebook"):
+            typicality_decode([0, 0, 0, 0], CodebookPair(cu, cu, 0), 0.5, joint)
 
     def test_agrees_with_independent_reimplementation(self):
         px, pyx, pux = UNIF2, bsc(0.05), bsc(0.05)
@@ -315,6 +323,13 @@ class TestMapDecode:
         pyu = induced_channel(UNIF2, bsc(0.1), bsc(0.1))
         with pytest.raises(DomainError):
             map_decode(np.array([0, 0, 0, 2]), pair, pyu)
+
+    @pytest.mark.parametrize("bad", [2, 5, -1])
+    def test_codebook_symbol_checked(self, bad):
+        # unchecked, a row of 2s counted into row 3's cells and won
+        cu = np.array([[0, 0, 0, 0], [bad] * 4, [1, 1, 1, 1]], dtype=np.int64)
+        with pytest.raises(DomainError, match="decoder codebook"):
+            map_decode([0, 0, 0, 0], CodebookPair(cu, cu, 0), bsc(0.1))
 
 
 class TestDecoderIsolation:
@@ -745,25 +760,41 @@ class TestGoldenReports:
         self.test_collision_unchanged(M, n, p1, p2, trials, seed, want)
 
 
+class _FirstBlock(Exception):
+    pass
+
+
 class TestSharedBlockSize:
     """A shared-codebook block is bounded by both of its growing sides:
     trials x M (the counts) and trials x n (uniforms, outputs, one-hot)."""
 
     @staticmethod
-    def _block(M, n):
-        # broadcast views: no codebook of M x n cells is allocated
+    def _block(monkeypatch, M, n, shared=True):
+        # broadcast views: no codebook of M x n cells is allocated, and the
+        # kernel stops at its first block, reporting that block's trials
         book = np.broadcast_to(np.zeros((1, 1), dtype=np.int64), (M, n))
-        rule = codec._MapRule(bsc(0.1))
-        return codec._shared_books(book, book, rule)[0]
+        cfg = _bsc_case(n, M, 1 << 20, 0, codebook_mode="fixed")
+
+        def stop(seed, ts, tags):
+            raise _FirstBlock(ts.size)
+
+        monkeypatch.setattr(codec, "derive_seeds", stop)
+        with pytest.raises(_FirstBlock) as first:
+            codec._trial_errors(cfg, None, (book, book) if shared else None)
+        return first.value.args[0]
 
     @pytest.mark.parametrize(
         ("M", "n", "want"),
         [(4096, 32, 4), (8, 16, 1024), (2, 4096, 4), (2, 1 << 16, 1), (1 << 15, 1, 1)],
     )
-    def test_block_bounded_by_messages_and_length(self, M, n, want):
+    def test_block_bounded_by_messages_and_length(self, monkeypatch, M, n, want):
         # (2, 2^16) is a two-message fixed run of long codewords: one trial
         # a block, not TRIAL_BLOCK_CELLS // 2 trials of 2^16 uniforms each
-        assert self._block(M, n) == want
+        assert self._block(monkeypatch, M, n) == want
+
+    @pytest.mark.parametrize(("M", "n", "want"), [(16, 16, 64), (8, 16, 128), (4096, 32, 1)])
+    def test_fresh_block_holds_trial_block_cells(self, monkeypatch, M, n, want):
+        assert self._block(monkeypatch, M, n, shared=False) == want
 
 
 class TestSharedCounts:
@@ -772,7 +803,7 @@ class TestSharedCounts:
 
     @staticmethod
     def _fresh(cu, y, nu, ny):
-        return codec._FreshCounts(np.broadcast_to(cu, (y.shape[0],) + cu.shape), nu, ny).joint(y)
+        return codec._fresh_counts(np.broadcast_to(cu, (y.shape[0],) + cu.shape), y, nu, ny)
 
     @pytest.mark.parametrize("case", range(40))
     def test_equals_bincount_count(self, case):
@@ -783,13 +814,13 @@ class TestSharedCounts:
         nu, ny = (int(v) for v in rnd.integers(1, 6, size=2))
         cu = rnd.integers(0, nu, size=(M, n))
         y = rnd.integers(0, ny, size=(T, n))
-        shared = codec._SharedCounts(cu, nu, ny)
+        shared = codec._shared_counts(cu, nu, ny)
         want = self._fresh(cu, y, nu, ny)
-        got = shared.joint(y)
+        got = shared(y)
         assert got.dtype == want.dtype and got.shape == (T, M, nu * ny)
         np.testing.assert_array_equal(got, want)
         # a block size that does not divide T: the blocks' counts concatenate
-        parts = [shared.joint(y[lo:lo + 3]) for lo in range(0, T, 3)]
+        parts = [shared(y[lo:lo + 3]) for lo in range(0, T, 3)]
         np.testing.assert_array_equal(np.concatenate(parts), want)
 
     def test_zero_probability_cells_score_alike(self):
@@ -799,19 +830,20 @@ class TestSharedCounts:
             logp = np.log(np.array([0.7, 0.0, 0.3, 0.7, 0.0, 1.0]))
         cu = rnd.integers(0, 3, size=(40, 4))
         y = rnd.integers(0, 2, size=(6, 4))
-        got = codec._count_scores(codec._SharedCounts(cu, 3, 2).joint(y), logp)
-        want = codec._count_scores(self._fresh(cu, y, 3, 2), logp)
+        got = codec._count_scores(np.moveaxis(codec._shared_counts(cu, 3, 2)(y), -1, 0), logp)
+        want = codec._count_scores(np.moveaxis(self._fresh(cu, y, 3, 2), -1, 0), logp)
         assert np.isneginf(want).any() and np.isfinite(want).any()
         np.testing.assert_array_equal(got, want)
 
     def test_float64_indicators_count_alike(self, monkeypatch):
-        monkeypatch.setattr(codec, "_indicator_dtype", lambda n: np.float64)
+        asked = []
+        monkeypatch.setattr(codec, "_indicator_dtype", lambda n: asked.append(n) or np.float64)
         rnd = np.random.default_rng(9)
         cu = rnd.integers(0, 2, size=(13, 21))
         y = rnd.integers(0, 3, size=(4, 21))
-        shared = codec._SharedCounts(cu, 2, 3)
-        assert shared.indicators.dtype == np.float64
-        np.testing.assert_array_equal(shared.joint(y), self._fresh(cu, y, 2, 3))
+        shared = codec._shared_counts(cu, 2, 3)
+        assert asked == [21]
+        np.testing.assert_array_equal(shared(y), self._fresh(cu, y, 2, 3))
 
     def test_indicator_dtype_exact_up_to_its_bound(self):
         # checked through the helper alone: no codebook of 2^24 symbols is built
@@ -820,6 +852,94 @@ class TestSharedCounts:
         assert codec._indicator_dtype((1 << 24) + 1) is np.float64
         assert int(np.float32(1 << 24)) == 1 << 24
         assert int(np.float32((1 << 24) + 1)) != (1 << 24) + 1
+
+
+def _scores(counts, logvals):
+    """Cell-ordered count scores of counts (..., k), one array term at a time."""
+    total = np.zeros(counts.shape[:-1])
+    for c, lv in enumerate(logvals):
+        column = counts[..., c]
+        total = total + (np.where(column > 0, -np.inf, 0.0) if np.isneginf(lv) else column * lv)
+    return total
+
+
+def _typicality_oracle(cu, y, joint, epsilon):
+    """Typicality decisions for outputs y (T, n) against decoder codebooks
+    cu (T, M, n), with the u and y rates counted from the codebooks and the
+    outputs themselves rather than from the (u, y) count tables."""
+    t = joint.table
+    nu, ny = t.shape
+    n = y.shape[-1]
+    with np.errstate(divide="ignore"):
+        lu, ly, luy = np.log2(t.sum(axis=1)), np.log2(t.sum(axis=0)), np.log2(t).ravel()
+    hu, hy, huy = (codec._entropy_bits(p) for p in (t.sum(axis=1), t.sum(axis=0), t))
+    rate_u = -_scores(codec._cell_counts(cu, nu), lu) / n
+    rate_y = -_scores(codec._cell_counts(y, ny), ly) / n
+    rate_uy = -_scores(codec._fresh_counts(cu, y, nu, ny), luy) / n
+    ok = ((np.abs(rate_u - hu) < epsilon) & (np.abs(rate_y - hy) < epsilon)[:, None]
+          & (np.abs(rate_uy - huy) < epsilon))
+    return np.where(ok.sum(axis=-1) == 1, np.argmax(ok, axis=-1) + 1, 0)
+
+
+class TestTypicalityFromCounts:
+    """The typicality rule takes the u and y rates from the margins of the
+    (u, y) count tables; integer margins keep every bit of every rate."""
+
+    def test_column_scores_keep_their_bits(self):
+        # zero counts against negative and -inf log values, signs of zero included
+        rnd = np.random.default_rng(3)
+        counts = rnd.integers(0, 3, size=(5, 7, 6))
+        with np.errstate(divide="ignore"):
+            logvals = np.log(np.array([0.2, 0.0, 0.3, 0.1, 0.0, 0.4]))
+        got = codec._count_scores(np.moveaxis(counts, -1, 0), logvals)
+        assert got.tobytes() == _scores(counts, logvals).tobytes()
+
+    @pytest.mark.parametrize("case", range(30))
+    def test_shared_fresh_and_oracle_agree(self, case):
+        rnd = np.random.default_rng(100 + case)
+        nu, ny = (int(v) for v in rnd.integers(1, 5, size=2))
+        if case < 2:  # nu != ny both ways
+            nu, ny = (2, 4)[case], (3, 1)[case]
+        t = rnd.random((nu, ny)) * (rnd.random((nu, ny)) > 0.3)  # zero cells
+        t[0, 0] += 0.1
+        joint = JointPmf(t / t.sum())
+        T, M, n = (int(v) for v in rnd.integers(1, (7, 12, 40)))
+        # rows drawn from the joint's u law, a few with any symbol, and the
+        # outputs but the first drawn through p(y|u) from the last row: rows
+        # of zero-probability symbols and jointly typical rows both occur
+        pu = joint.table.sum(axis=1)
+        cu = rnd.choice(nu, size=(M, n), p=pu)
+        cu[: M // 4] = rnd.integers(0, nu, size=(M // 4, n))
+        cdf = np.cumsum(joint.table[cu[-1]] / pu[cu[-1], None], axis=-1)
+        y = (rnd.random((T, n, 1)) > cdf).sum(axis=-1).clip(max=ny - 1)
+        y[:1] = rnd.integers(0, ny, size=(1, n))
+        fresh = np.broadcast_to(cu, (T, M, n))
+        for epsilon in (0.02, 0.1, 0.4, 2.0):
+            decide = codec._typicality_rule(joint, epsilon, n)
+            want = _typicality_oracle(fresh, y, joint, epsilon)
+            np.testing.assert_array_equal(decide(codec._fresh_counts(fresh, y, nu, ny)), want)
+            np.testing.assert_array_equal(decide(codec._shared_counts(cu, nu, ny)(y)), want)
+
+    @pytest.mark.parametrize("cells", [1, 1 << 9, 1 << 20])
+    def test_fixed_run_equals_per_trial_oracle(self, monkeypatch, cells):
+        # ternary input, nu = 4 != ny = 2, zero-probability cells
+        monkeypatch.setattr(codec, "TRIAL_BLOCK_CELLS", cells)
+        cfg = _ternary_case(24, 6, 80, 12, decoder=_TYP, epsilon=0.3, codebook_mode="fixed")
+        joint = build_joint_uy(cfg.px, cfg.pyx, cfg.pux)
+        pair = generate_codebooks(cfg.M, cfg.n, cfg.px, cfg.pux, cfg.master_seed)
+        errs = np.zeros(cfg.M, dtype=np.int64)
+        sent = np.zeros(cfg.M, dtype=np.int64)
+        for t in range(cfg.trials):
+            w = int(stream(derive_seed(cfg.master_seed, t, TAG_MESSAGE)).integers(cfg.M))
+            uy = stream(derive_seed(cfg.master_seed, t, TAG_CHANNEL)).random(cfg.n)
+            y = np.array([_scalar_row_draw(uy[j], cfg.pyx.matrix[pair.cx[w, j]])
+                          for j in range(cfg.n)])
+            got = _typicality_oracle(pair.cu[None], y[None], joint, cfg.epsilon)[0]
+            sent[w] += 1
+            errs[w] += got != w + 1
+        report = run_experiment(cfg)
+        assert report.per_message_errors == tuple(zip(errs.tolist(), sent.tolist()))
+        assert 0 < report.error_count < cfg.trials
 
 
 def _binom_log_pmf(n, d):

@@ -382,6 +382,12 @@ class TestDefaultGrid:
             with pytest.raises(DomainError, match="does not divide 0.5"):
                 default_grid(step)
 
+    def test_points_per_axis_capped(self):
+        assert len(default_grid(0.002)) == asymcap.verify.MAX_GRID_AXIS == 251
+        for step in (0.001, 1e-320, 5e-324):  # 0.5 / step overflows for the last two
+            with pytest.raises(DomainError, match="points per axis"):
+                default_grid(step)
+
     @pytest.mark.parametrize("step, points", [(0.01, 51), (0.1, 6), (1 / 16, 9), (0.5, 2)])
     def test_steps_dividing_half_accepted_despite_rounding(self, step, points):
         g = default_grid(step)
