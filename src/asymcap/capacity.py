@@ -21,6 +21,7 @@ from .info import (
     Pmf,
     TransitionMatrix,
     _entropy_bits,
+    _kernel,
     _log_ratios,
     binary_entropy,
     bsc_capacity_gap,
@@ -118,19 +119,6 @@ def capacity_closed_form_bsc(p1: float, p2: float) -> CapacityResult:
             raise DomainError(f"{name}={p!r} outside [0, 1]")
     cap = 1.0 - binary_entropy(composite_crossover(p1, p2))
     return CapacityResult(cap, np.array([0.5, 0.5]), SOLVER_CLOSED_FORM, 0, 0.0)
-
-
-def _kernel(pyx: TransitionMatrix, pux: TransitionMatrix):
-    """Flattened map from p(x) to p(u, y): q = p @ A with A (nx, nu*ny)."""
-    if pyx.input_size != pux.input_size:
-        raise DimensionMismatch(
-            f"channel and perturbation input sizes disagree: "
-            f"{pyx.input_size} vs {pux.input_size}"
-        )
-    nu = pux.output_size
-    ny = pyx.output_size
-    a = pux.matrix[:, :, None] * pyx.matrix[:, None, :]
-    return a.reshape(pyx.input_size, nu * ny), nu, ny
 
 
 def _joint_rows(P: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -325,12 +313,8 @@ def capacity_gap(px: Pmf, pyx: TransitionMatrix, pux: TransitionMatrix) -> float
     Computed exactly from the triple joint p(x, u, y) = p(x) p(y|x) p(u|x);
     nonnegative because U depends on (X, Y) only through X.
     """
-    if not (px.size == pyx.input_size == pux.input_size):
-        raise DimensionMismatch(
-            f"input alphabets disagree: px has {px.size}, channel has "
-            f"{pyx.input_size}, perturbation has {pux.input_size}"
-        )
-    triple = np.einsum("x,xy,xu->xuy", px.probs, pyx.matrix, pux.matrix)
+    a, nu, ny = _kernel(pyx, pux, px)
+    triple = (px.probs[:, None] * a).reshape(px.size, nu, ny)
     h_xu = _entropy_bits(triple.sum(axis=2))
     h_uy = _entropy_bits(triple.sum(axis=0))
     h_u = _entropy_bits(triple.sum(axis=(0, 2)))

@@ -86,6 +86,10 @@ class CodebookPair:
             raise DimensionMismatch(
                 f"codebook shapes disagree: {cx.shape} vs {cu.shape}"
             )
+        if 0 in cx.shape:
+            raise DimensionMismatch(
+                f"codebooks need at least one message and one symbol, got shape {cx.shape}"
+            )
         cx.setflags(write=False)
         cu.setflags(write=False)
         object.__setattr__(self, "cx", cx)
@@ -499,16 +503,11 @@ def collision_experiment(
     """
     if not 1 <= m_collide <= M:
         raise DomainError(f"m_collide must lie in [1, M], got {m_collide}")
-    if trials < 1:
-        raise DomainError("trials must be at least 1")
-    px = Pmf.uniform(2)
-    pyx = bsc(p1)
-    pux = bsc(p2)
-    base = generate_codebooks(M, n, px, pux, seed)
+    cfg = SimConfig.binary_symmetric(n, M, p1, p2, trials=trials, codebook_mode=MODE_FIXED,
+                                     master_seed=seed)
+    base = generate_codebooks(M, n, cfg.px, cfg.pux, seed)
     cu = np.array(base.cu)
     cu[:m_collide] = base.cu[0]
-    cfg = SimConfig(n=n, M=M, px=px, pyx=pyx, pux=pux, trials=trials,
-                    codebook_mode=MODE_FIXED, master_seed=seed)
-    decide = _map_rule(induced_channel(px, pyx, pux))
+    decide = _map_rule(induced_channel(cfg.px, cfg.pyx, cfg.pux))
     errs, sent = _trial_errors(cfg, decide, (base.cx, cu), collide=m_collide)
     return _lambda_max(errs, sent)

@@ -296,18 +296,28 @@ def check_markov(j: JointPmf) -> float:
     return float(dev[:, good, :].max())
 
 
+def _kernel(pyx: TransitionMatrix, pux: TransitionMatrix, px: Pmf | None = None):
+    """The model's map from p(x) to p(u, y): (A, nu, ny) with row x of
+    A (nx, nu*ny) the flattened table p(u|x) p(y|x), so q = p @ A.  Checks
+    that the input alphabets of the tables given, px too if given, agree."""
+    sizes = {"channel": pyx.input_size, "perturbation": pux.input_size}
+    if px is not None:
+        sizes = {"px": px.size} | sizes
+    if len(set(sizes.values())) > 1:
+        raise DimensionMismatch(
+            "input alphabets disagree: " + ", ".join(f"{k} has {v}" for k, v in sizes.items())
+        )
+    nx, nu, ny = pyx.input_size, pux.output_size, pyx.output_size
+    return (pux.matrix[:, :, None] * pyx.matrix[:, None, :]).reshape(nx, nu * ny), nu, ny
+
+
 def build_joint_uy(px: Pmf, pyx: TransitionMatrix, pux: TransitionMatrix) -> JointPmf:
     """Joint law of (U, Y) when X ~ px feeds channel pyx and perturbation pux.
 
-    table[u, y] = sum_x px[x] * pyx[x, y] * pux[x, u].
+    table[u, y] = sum_x px[x] * pux[x, u] * pyx[x, y], one row times _kernel.
     """
-    if not (px.size == pyx.input_size == pux.input_size):
-        raise DimensionMismatch(
-            f"input alphabets disagree: px has {px.size}, channel has "
-            f"{pyx.input_size}, perturbation has {pux.input_size}"
-        )
-    table = np.einsum("x,xy,xu->uy", px.probs, pyx.matrix, pux.matrix)
-    return JointPmf(table)
+    a, nu, ny = _kernel(pyx, pux, px)
+    return JointPmf((px.probs[None] @ a).reshape(nu, ny))
 
 
 def build_joint_xuyv(px: Pmf, p1: float, p2: float) -> JointPmf:

@@ -21,10 +21,13 @@ from asymcap.capacity import (
 from asymcap.info import (
     DimensionMismatch,
     DomainError,
+    JointPmf,
     Pmf,
     TransitionMatrix,
     binary_entropy,
     bsc,
+    build_joint_uy,
+    mutual_information,
 )
 
 # Frozen reference values (high-precision evaluations rounded to float64).
@@ -196,7 +199,9 @@ class TestOptimize:
                 SolverOptions(convergence_tol=tol)
 
     def test_input_size_mismatch(self):
-        with pytest.raises(DimensionMismatch):
+        # the solvers take no px, so the message names only the two matrices
+        with pytest.raises(DimensionMismatch, match="^input alphabets disagree: "
+                           "channel has 2, perturbation has 3$"):
             capacity_optimize(bsc(0.1), TransitionMatrix.identity(3))
 
 
@@ -417,6 +422,37 @@ class TestGap:
     def test_alphabet_mismatch(self):
         with pytest.raises(DimensionMismatch):
             capacity_gap(Pmf.uniform(3), bsc(0.1), bsc(0.1))
+
+
+def _model_instance(seed):
+    """Seeded (px, pyx, pux): nx from 2 to 5, nu != ny, about a third of the
+    entries zero."""
+    rng = np.random.default_rng(seed)
+    nx = int(rng.integers(2, 6))
+    ny, nu = (int(v) for v in rng.choice(np.arange(1, 6), size=2, replace=False))
+    w = rng.random(nx) + 0.05
+    w[rng.random(nx) < 0.3] = 0.0
+    w[0] += 0.1
+    pyx, pux = _golden_pair(seed, nx, ny, nu, zeros=True)
+    return w / w.sum(), pyx, pux
+
+
+class TestOneModel:
+    """The (U, Y) joint, the solver's objective and the gap share one kernel."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_gap_is_difference_of_informations(self, seed):
+        p, pyx, pux = _model_instance(seed)
+        i_xy = mutual_information(JointPmf(p[:, None] * pyx.matrix))
+        i_uy = mutual_information(build_joint_uy(Pmf(p), pyx, pux))
+        assert capacity_gap(Pmf(p), pyx, pux) == pytest.approx(i_xy - i_uy, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_joint_and_objective_agree(self, seed):
+        p, pyx, pux = _model_instance(seed)
+        want = input_mutual_information(p, pyx, pux)
+        assert mutual_information(build_joint_uy(Pmf(p), pyx, pux)) == pytest.approx(
+            want, abs=1e-14)
 
 
 class TestSweepSurface:

@@ -124,6 +124,13 @@ class TestCodebookPair:
         with pytest.raises(DimensionMismatch):
             CodebookPair(np.zeros(3, dtype=np.int64), np.zeros(3, dtype=np.int64), 0)
 
+    @pytest.mark.parametrize("shape", [(2, 0), (0, 3)])
+    def test_empty_codebook_rejected(self, shape):
+        # decoding one would fail in a reduction over zero rows or symbols
+        empty = np.zeros(shape, dtype=np.int64)
+        with pytest.raises(DimensionMismatch, match=rf"shape \({shape[0]}, {shape[1]}\)"):
+            CodebookPair(empty, empty, 0)
+
 
 class TestTransmit:
     def test_identity_channel(self):

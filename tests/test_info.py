@@ -272,8 +272,35 @@ class TestBuildJoints:
         np.testing.assert_allclose(j.table, expected, atol=1e-15)
 
     def test_joint_uy_alphabet_check(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DimensionMismatch, match="px has 3, channel has 2, perturbation has 2"):
             build_joint_uy(Pmf.uniform(3), bsc(0.1), bsc(0.2))
+
+    @staticmethod
+    def _einsum_joint(px, pyx, pux):
+        """Reference: the sum over x as one einsum, through JointPmf as well."""
+        return JointPmf(np.einsum("x,xy,xu->uy", px.probs, pyx.matrix, pux.matrix)).table
+
+    def test_joint_uy_bsc_grid_bit_identical(self):
+        px = Pmf.uniform(2)
+        for p1 in np.arange(51) / 100:
+            for p2 in np.arange(51) / 100:
+                got = build_joint_uy(px, bsc(p1), bsc(p2)).table
+                assert got.tobytes() == self._einsum_joint(px, bsc(p1), bsc(p2)).tobytes()
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_joint_uy_general_within_four_eps(self, seed):
+        rng = np.random.default_rng(seed)
+        nx, ny, nu = (int(v) for v in rng.integers(2, 6, size=3))
+        tables = []
+        for rows, cols in ((1, nx), (nx, ny), (nx, nu)):
+            m = rng.random((rows, cols)) + 0.02
+            m[rng.random((rows, cols)) < 0.3] = 0.0
+            m[:, 0] += 0.05
+            tables.append(m / m.sum(axis=1, keepdims=True))
+        px, pyx, pux = Pmf(tables[0][0]), TransitionMatrix(tables[1]), TransitionMatrix(tables[2])
+        np.testing.assert_allclose(build_joint_uy(px, pyx, pux).table,
+                                   self._einsum_joint(px, pyx, pux),
+                                   rtol=4 * np.finfo(float).eps, atol=0.0)
 
     def test_xuyv_marginals(self):
         j = build_joint_xuyv(Pmf.uniform(2), 0.1, 0.2)
