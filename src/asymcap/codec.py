@@ -22,6 +22,7 @@ from .info import (
     JointPmf,
     Pmf,
     TransitionMatrix,
+    _check_inputs,
     _entropy_bits,
     bsc,
     build_joint_uy,
@@ -119,10 +120,7 @@ def generate_codebooks(
         raise CodebookLimitError(
             f"codebook of {M} x {n} = {M * n} cells exceeds cap {CODEBOOK_CELL_CAP}"
         )
-    if px.size != pux.input_size:
-        raise DimensionMismatch(
-            f"px alphabet {px.size} does not match perturbation input {pux.input_size}"
-        )
+    _check_inputs(px, pux=pux)
     seeds = np.array([seed & MASK64], dtype=np.uint64)
     cdf_x, cdfs_u = capped_cdf(px.probs), capped_cdf(pux.matrix)
     cx, cu = _codebooks(StreamSeries(), seeds, M, n, cdf_x, cdfs_u)
@@ -336,8 +334,7 @@ class SimConfig:
             raise DomainError("epsilon only applies to the typicality decoder")
         if self.codebook_mode not in (MODE_FRESH, MODE_FIXED):
             raise DomainError(f"unknown codebook_mode {self.codebook_mode!r}")
-        if not (self.px.size == self.pyx.input_size == self.pux.input_size):
-            raise DimensionMismatch("px, pyx, pux input alphabets disagree")
+        _check_inputs(self.px, self.pyx, self.pux)
         if self.M * self.n > CODEBOOK_CELL_CAP:
             raise CodebookLimitError(
                 f"codebook of {self.M} x {self.n} cells exceeds cap {CODEBOOK_CELL_CAP}"

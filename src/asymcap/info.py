@@ -296,17 +296,25 @@ def check_markov(j: JointPmf) -> float:
     return float(dev[:, good, :].max())
 
 
-def _kernel(pyx: TransitionMatrix, pux: TransitionMatrix, px: Pmf | None = None):
-    """The model's map from p(x) to p(u, y): (A, nu, ny) with row x of
-    A (nx, nu*ny) the flattened table p(u|x) p(y|x), so q = p @ A.  Checks
-    that the input alphabets of the tables given, px too if given, agree."""
-    sizes = {"channel": pyx.input_size, "perturbation": pux.input_size}
-    if px is not None:
-        sizes = {"px": px.size} | sizes
+def _check_inputs(px: Pmf | None = None, pyx: TransitionMatrix | None = None,
+                  pux: TransitionMatrix | None = None) -> None:
+    """Raise DimensionMismatch unless the input alphabets of the tables
+    given agree; the message names each of them with its size."""
+    sizes = {"px": None if px is None else px.size,
+             "channel": None if pyx is None else pyx.input_size,
+             "perturbation": None if pux is None else pux.input_size}
+    sizes = {k: v for k, v in sizes.items() if v is not None}
     if len(set(sizes.values())) > 1:
         raise DimensionMismatch(
             "input alphabets disagree: " + ", ".join(f"{k} has {v}" for k, v in sizes.items())
         )
+
+
+def _kernel(pyx: TransitionMatrix, pux: TransitionMatrix, px: Pmf | None = None):
+    """The model's map from p(x) to p(u, y): (A, nu, ny) with row x of
+    A (nx, nu*ny) the flattened table p(u|x) p(y|x), so q = p @ A.  Checks
+    that the input alphabets of the tables given, px too if given, agree."""
+    _check_inputs(px, pyx, pux)
     nx, nu, ny = pyx.input_size, pux.output_size, pyx.output_size
     return (pux.matrix[:, :, None] * pyx.matrix[:, None, :]).reshape(nx, nu * ny), nu, ny
 

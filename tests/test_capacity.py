@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from asymcap import capacity
 from asymcap.capacity import (
     MAX_RESTARTS,
     AlphabetLimitError,
@@ -24,6 +25,7 @@ from asymcap.info import (
     JointPmf,
     Pmf,
     TransitionMatrix,
+    _kernel,
     binary_entropy,
     bsc,
     build_joint_uy,
@@ -137,6 +139,117 @@ class TestGrid:
     def test_iterations_counts_lattice_points(self):
         r = capacity_grid(bsc(0.1), bsc(0.2), 0.01)
         assert r.iterations == 101
+
+
+def _composition_blocks(k, d):
+    """Integer compositions of k into d parts in lexicographic order, one
+    int64 block per lattice line (the first d - 2 parts fixed)."""
+    if d == 1:
+        yield np.array([[k]], dtype=np.int64)
+        return
+    if d == 2:
+        a = np.arange(k + 1, dtype=np.int64)
+        yield np.stack([a, k - a], axis=1)
+        return
+    for c0 in range(k + 1):
+        for sub in _composition_blocks(k - c0, d - 1):
+            pre = np.full((sub.shape[0], 1), c0, dtype=np.int64)
+            yield np.hstack([pre, sub])
+
+
+def _exhaustive_grid(pyx, pux, resolution):
+    """Reference lattice search: every line evaluated, first strict maximum wins."""
+    nx = pyx.input_size
+    k = max(1, round(1.0 / resolution))
+    a, nu, ny = _kernel(pyx, pux)
+    best_val, best_p, total = -np.inf, None, 0
+    for blk in _composition_blocks(k, nx):
+        pts = blk.astype(float) / k
+        vals = capacity._mi_batch(pts @ a, nu, ny)
+        i = int(np.argmax(vals))
+        if vals[i] > best_val:
+            best_val = float(vals[i])
+            best_p = pts[i].copy()
+        total += blk.shape[0]
+    return CapacityResult(best_val, best_p, "grid", total, 1.0 / k)
+
+
+PRUNING_RESOLUTIONS = (1.0, 0.5, 0.37, 0.2, 0.013, 0.01, 1e-3)
+PRUNING_KINDS = ("plain", "zeros", "tiny", "flat", "diagonal")
+
+
+def _pruning_case(i):
+    """Case i of 140 covers each (nx, kind, resolution) once: nx 1-4, ny and
+    nu 1-6, tables plain, with zero cells, with entries near 1e-300, flat
+    (a useless channel, or a perturbation with equal rows), or with a heavy
+    diagonal, whose maximizer tends to lie inside the simplex."""
+    nx, kind = 1 + i % 4, PRUNING_KINDS[i // 4 % 5]
+    resolution = PRUNING_RESOLUTIONS[i % 7]
+    if nx == 4 and resolution == 1e-3:
+        resolution = 0.02  # 1e-3 exceeds the lattice size guard at nx = 4
+    rng = np.random.default_rng(1000 + i)
+    mats = []
+    for cols in rng.integers(1, 7, size=2):
+        m = rng.random((nx, cols)) + 0.02
+        if kind == "zeros":
+            m[rng.random((nx, cols)) < 0.35] = 0.0
+            m[:, 0] += 0.05
+        elif kind == "tiny":
+            m[rng.random((nx, cols)) < 0.35] = 1e-300
+        elif kind == "flat" and len(mats) == i // 20 % 2:
+            m[:] = m[0]
+        elif kind == "diagonal":
+            m[np.arange(nx), np.arange(nx) % cols] += 5.0
+        mats.append(TransitionMatrix(m / m.sum(axis=1, keepdims=True)))
+    return mats[0], mats[1], resolution
+
+
+class TestGridPruning:
+    """capacity_grid skips lattice lines by a bound, yet must return the
+    exhaustive search's result bit for bit."""
+
+    @pytest.mark.parametrize("case", range(140))
+    def test_matches_exhaustive_search(self, case):
+        pyx, pux, resolution = _pruning_case(case)
+        got = capacity_grid(pyx, pux, resolution)
+        want = _exhaustive_grid(pyx, pux, resolution)
+        assert _golden_summary(got) == _golden_summary(want)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_interior_maximum(self, seed):
+        # the maximizer is inside the simplex and off the probed midpoints,
+        # so only a valid bound keeps its line
+        rng = np.random.default_rng(seed)
+        pyx, pux = (_random_stochastic(rng, 3, 3, floor=0.02 + 5.0 * np.eye(3)) for _ in "yu")
+        got = capacity_grid(pyx, pux, 1e-3)
+        assert np.all(got.argmax_px > 0.0)
+        assert _golden_summary(got) == _golden_summary(_exhaustive_grid(pyx, pux, 1e-3))
+
+    @staticmethod
+    def _rows_evaluated(monkeypatch, pyx, pux):
+        rows = []
+        mi_batch = capacity._mi_batch
+        monkeypatch.setattr(capacity, "_mi_batch",
+                            lambda q, nu, ny: rows.append(len(q)) or mi_batch(q, nu, ny))
+        return capacity_grid(pyx, pux, 1e-3), sum(rows)
+
+    def test_peaked_objective_skips_most_lines(self, monkeypatch):
+        pyx, pux = _golden_pair(31, 3, 3, 3)
+        r, rows = self._rows_evaluated(monkeypatch, pyx, pux)
+        assert r.iterations == 501_501
+        assert rows <= 0.25 * 501_501
+
+    @pytest.mark.parametrize("flat", ["channel", "perturbation"])
+    def test_flat_objective_evaluates_every_point(self, monkeypatch, flat):
+        rng = np.random.default_rng(9)
+        pyx, pux = _random_stochastic(rng, 3, 4), _random_stochastic(rng, 3, 3)
+        if flat == "channel":
+            pyx = TransitionMatrix(np.repeat(pyx.matrix[:1], 3, axis=0))
+        else:
+            pux = TransitionMatrix(np.repeat(pux.matrix[:1], 3, axis=0))
+        r, rows = self._rows_evaluated(monkeypatch, pyx, pux)
+        assert rows == 501_501
+        assert _golden_summary(r) == _golden_summary(_exhaustive_grid(pyx, pux, 1e-3))
 
 
 class TestOptimize:

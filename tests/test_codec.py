@@ -381,6 +381,19 @@ class TestSimConfig:
         with pytest.raises(DimensionMismatch):
             SimConfig(n=4, M=2, px=Pmf.uniform(3), pyx=bsc(0.1), pux=bsc(0.1))
 
+    def test_alphabet_messages_agree_across_modules(self):
+        # one check behind SimConfig, build_joint_uy and generate_codebooks;
+        # each message names the tables its caller passed, with their sizes
+        px, pyx, pux = Pmf.uniform(3), bsc(0.1), bsc(0.2)
+        full = "^input alphabets disagree: px has 3, channel has 2, perturbation has 2$"
+        with pytest.raises(DimensionMismatch, match=full):
+            SimConfig(n=4, M=2, px=px, pyx=pyx, pux=pux)
+        with pytest.raises(DimensionMismatch, match=full):
+            build_joint_uy(px, pyx, pux)
+        with pytest.raises(DimensionMismatch,
+                           match="^input alphabets disagree: px has 3, perturbation has 2$"):
+            generate_codebooks(2, 4, px, pux, 0)
+
     def test_cell_cap(self):
         with pytest.raises(CodebookLimitError):
             SimConfig.binary_symmetric(n=1 << 7, M=1 << 20, p1=0.1, p2=0.1)
