@@ -64,6 +64,21 @@ _BISECT_BATCH = 512   # lattice points probed per array pass while bisecting
 # the uniform start then wins, which pins down the maximizer on flat
 # objectives (p1 or p2 equal to 1/2) where every input distribution is optimal.
 _TIE_TOL = 1e-12
+# Projected Armijo search along the projection arc (Bertsekas, Nonlinear
+# Programming, 2nd ed., 1999, sec. 2.3): a trial step is accepted when it
+# gains at least _SIGMA of its first-order gain.  On a quadratic, _SIGMA =
+# 1/2 accepts exactly the steps up to the maximum along the line, so a
+# step that overshoots it is rejected.  The next pass starts from the
+# accepted step doubled, up to _T_MAX, which only keeps it finite.
+_SIGMA = 0.5
+_T_MAX = 2.0 ** 32
+# A row is at its float floor when an accepted step leaves j unchanged, or
+# a rejected trial predicts a gain of at most _FLOOR_ULPS ulps of |j|, or
+# its step is at most _EPS.  Such a step moves p by about its rounding; the
+# projection is not exactly idempotent, so without that bound a gain of
+# rounding noise could keep a search halving forever.
+_FLOOR_ULPS = 4
+_EPS = float(np.finfo(float).eps)
 # Fixed Philox key for restart sampling keeps the solver deterministic.
 _RESTART_KEY = 0x243F6A8885A308D3
 
@@ -98,8 +113,17 @@ class CapacityResult:
 
     residual is the projected-gradient stationarity norm for the gradient
     solver, the lattice spacing for the grid solver, and 0 for the closed
-    form.  Non-convergence of the gradient solver shows up as residual
-    above the tolerance with iterations equal to max_iterations.
+    form.  For the gradient solver, iterations counts the ascent steps the
+    winning run took, and the run stopped in one of three ways:
+
+    - tolerance: residual is below convergence_tol, iterations below
+      max_iterations;
+    - float floor: a step left I(U;Y) unchanged, or no shorter step could
+      show a gain in float arithmetic; iterations is below max_iterations
+      and residual may stay above the tolerance, as what remains to gain
+      is lost in rounding;
+    - budget: iterations equals max_iterations; a residual above the
+      tolerance then says the run did not converge.
     """
 
     capacity: float
@@ -164,9 +188,44 @@ def _project_rows(V: np.ndarray) -> np.ndarray:
     return np.maximum(V - theta[:, None], 0.0)
 
 
-def _stationarity(P: np.ndarray, G: np.ndarray) -> np.ndarray:
+def _dead_inputs(P: np.ndarray, a: np.ndarray, nu: int, ny: int) -> np.ndarray:
+    """Mask of the coordinates of each row of P that sit at 0 with a
+    one-sided derivative of -inf.
+
+    Mass eps moved onto an input x at 0 feeds the cells c = (u, y) with
+    q(c) = 0 that x reaches, and changes I(U;Y) by kappa eps log2(1/eps) +
+    O(eps), where kappa adds A[x, c] over those cells with q(u) = q(y) = 0
+    and subtracts it over those with q(u), q(y) > 0.  The gradient skips
+    cells with q(c) = 0, so the ascent itself must hold x at 0 when
+    kappa < 0."""
+    t = _joint_rows(P, a).reshape(-1, nu, ny)
+    zu, zy = t.sum(axis=2, keepdims=True) == 0, t.sum(axis=1, keepdims=True) == 0
+    sign = (zu & zy).astype(float) - ((t == 0) & ~zu & ~zy)
+    return (P == 0) & (_joint_rows(sign.reshape(len(P), -1), a.T) < 0)
+
+
+def _direction(P: np.ndarray, a: np.ndarray, nu: int, ny: int):
+    """The gradient of each row of P less its largest entry off the dead
+    coordinates, and the dead mask (_dead_inputs).
+
+    Neither the projection nor a first-order gain sees a constant added to
+    a row, but rounding does: the raw gradient carries -log2(e) in every
+    entry, and a long step t g would round p + t g far above p's own ulp.
+    Shifted, every coordinate the projection keeps lies in (-1, 1]."""
+    dead = _dead_inputs(P, a, nu, ny)
+    G = _gradient_batch(P, a, nu, ny)
+    return G - np.where(dead, -np.inf, G).max(axis=1, keepdims=True), dead
+
+
+def _arc(P: np.ndarray, G: np.ndarray, t, dead: np.ndarray) -> np.ndarray:
+    """proj(p + t g) for each row, its dead coordinates ranked below every
+    other coordinate so that they stay at 0."""
+    return _project_rows(np.where(dead, -np.inf, P + np.reshape(t, (-1, 1)) * G))
+
+
+def _stationarity(P: np.ndarray, G: np.ndarray, dead: np.ndarray) -> np.ndarray:
     """Projected-gradient norm |proj(p + g) - p| of each row."""
-    d = _project_rows(P + G) - P
+    d = _arc(P, G, 1.0, dead) - P
     return np.sqrt(_row_dot(d, d))
 
 
@@ -345,6 +404,41 @@ def capacity_grid(
     return CapacityResult(best_val, best_p, SOLVER_GRID, comb(k + nx - 1, nx - 1), 1.0 / k)
 
 
+def _ascend(p: np.ndarray, a: np.ndarray, nu: int, ny: int, opts: SolverOptions):
+    """Projected Armijo ascent of I(U;Y) from each row of p, all rows as one
+    array.  Returns the final rows, their values and the steps each took.
+
+    A row stops on the tolerance, at the float floor or on the budget
+    (CapacityResult).  Stopped rows are frozen by masks and the step search
+    is per row, so each row takes exactly the path it would take alone."""
+    p = p.copy()
+    steps = np.zeros(len(p), dtype=np.int64)
+    running = np.ones(len(p), dtype=bool)
+    t_init = np.ones(len(p))  # warm start: the step accepted last pass, doubled
+    j0 = _mi_batch(_joint_rows(p, a), nu, ny)
+    for _ in range(opts.max_iterations):
+        g, dead = _direction(p, a, nu, ny)
+        running &= ~(_stationarity(p, g, dead) < opts.convergence_tol)
+        t_step, pending = t_init.copy(), running.copy()
+        while pending.any():
+            cand = _arc(p, g, t_step, dead)
+            j_cand = _mi_batch(_joint_rows(cand, a), nu, ny)
+            gain = _row_dot(g, cand - p)  # first-order gain of the trial
+            accept = pending & (j_cand >= j0 + _SIGMA * gain)
+            floor = (accept & (j_cand == j0)) | (pending & ~accept & (
+                (gain <= _FLOOR_ULPS * np.spacing(np.abs(j0))) | (t_step <= _EPS)))
+            np.copyto(p, cand, where=accept[:, None])
+            np.copyto(j0, j_cand, where=accept)
+            np.copyto(t_init, np.minimum(_T_MAX, 2.0 * t_step), where=accept)
+            steps += accept
+            running &= ~floor
+            pending &= ~(accept | floor)
+            np.multiply(t_step, 0.5, out=t_step, where=pending)
+        if not running.any():
+            break
+    return p, j0, steps
+
+
 def capacity_optimize(
     pyx: TransitionMatrix,
     pux: TransitionMatrix,
@@ -357,46 +451,22 @@ def capacity_optimize(
     is a deterministic function of the inputs).  Among runs whose values
     tie within 1e-12 the uniform start wins, then earlier restarts.
 
-    All runs advance together as the rows of one (starts, nx) array.  Rows
-    that converged or stalled are frozen by masks, and the Armijo search is
-    per row, so each run takes exactly the path it would take alone.
+    Each run is a projected Armijo search along the projection arc, its
+    warm start the last accepted step doubled.  A run stops on the
+    tolerance, at the float floor, or on the budget; CapacityResult says
+    what iterations and residual then hold.  An input at 0 whose one-sided
+    derivative is -inf (_dead_inputs) is held at 0, in the steps and in
+    the residual.  All runs advance together as the rows of one
+    (starts, nx) array, and each takes exactly the path it would take
+    alone.
     """
     opts = options or SolverOptions()
     a, nu, ny = _kernel(pyx, pux)
     nx = a.shape[0]
     e = -np.log1p(-stream(_RESTART_KEY).random((opts.restarts, nx)))  # flat Dirichlet
-    p = np.vstack([np.full(nx, 1.0 / nx), e / e.sum(axis=1, keepdims=True)])
-    steps = np.zeros(len(p), dtype=np.int64)
-    running = np.ones(len(p), dtype=bool)
-    t_init = np.ones(len(p))  # warm start: the step accepted last pass, doubled
-    j0 = _mi_batch(_joint_rows(p, a), nu, ny)
-    for _ in range(opts.max_iterations):
-        g = _gradient_batch(p, a, nu, ny)
-        running &= ~(_stationarity(p, g) < opts.convergence_tol)
-        t_step, pending = t_init.copy(), running.copy()
-        while True:
-            # With no float-representable ascent step left, a row would
-            # stall identically on every remaining pass: account them.
-            stalled = pending & (t_step <= 1e-14)
-            steps[stalled] = opts.max_iterations
-            running &= ~stalled
-            pending &= ~stalled
-            if not pending.any():
-                break
-            cand = _project_rows(p + t_step[:, None] * g)
-            j_cand = _mi_batch(_joint_rows(cand, a), nu, ny)
-            accept = pending & (j_cand >= j0 + 1e-4 * _row_dot(g, cand - p))
-            np.copyto(p, cand, where=accept[:, None])
-            np.copyto(j0, j_cand, where=accept)
-            np.copyto(t_init, np.minimum(1.0, 2.0 * t_step), where=accept)
-            pending &= ~accept
-            np.multiply(t_step, 0.5, out=t_step, where=pending)
-        steps += running
-        if not running.any():
-            break
-
-    residual = _stationarity(p, _gradient_batch(p, a, nu, ny))
-    vals = _mi_batch(_joint_rows(p, a), nu, ny)
+    starts = np.vstack([np.full(nx, 1.0 / nx), e / e.sum(axis=1, keepdims=True)])
+    p, vals, steps = _ascend(starts, a, nu, ny, opts)
+    residual = _stationarity(p, *_direction(p, a, nu, ny))
     w = int(np.flatnonzero(vals >= vals.max() - _TIE_TOL)[0])
     return CapacityResult(float(vals[w]), p[w], SOLVER_GRADIENT, int(steps[w]),
                           float(residual[w]))

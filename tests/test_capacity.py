@@ -1,5 +1,7 @@
 """Capacity solvers: closed form, lattice search, gradient ascent."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -311,6 +313,61 @@ class TestOptimize:
             with pytest.raises(DomainError):
                 SolverOptions(convergence_tol=tol)
 
+    def test_low_capacity_pair_does_not_crawl(self):
+        # capacity about 8e-4 and a tiny gradient: with the warm start capped
+        # at t <= 1 the ascent spent all 300 iterations and printed 6.7e-4
+        pyx, pux = _golden_pair(133, 3, 3, 3)
+        r = capacity_optimize(pyx, pux)
+        assert r.capacity >= capacity_grid(pyx, pux, 1e-3).capacity - 1e-9
+        assert r.iterations <= 60
+
+    def test_zero_entries_reach_lattice_maximum(self):
+        # nx3_zeros: an input at 0 feeds empty cells; letting the steps move
+        # it (the gradient skips those cells) stopped the ascent at 0.0858880
+        pyx, pux = _golden_pair(32, 3, 3, 4, zeros=True)
+        g = capacity_grid(pyx, pux, 1e-3)
+        assert g.capacity == pytest.approx(0.0859982, abs=1e-7)
+        assert abs(capacity_optimize(pyx, pux).capacity - g.capacity) < 1e-5
+
+    # X = 2 shares U with X = 0 and Y with X = 1, so at px = (1/2, 1/2, 0)
+    # it alone feeds the empty cell (u, y) = (0, 1), and moving mass onto it
+    # costs eps log2(1/eps); the private X = 2 of the second pair gains that.
+    _CONFUSER = ([[1, 0], [0, 1], [0, 1]], [[1, 0], [0, 1], [1, 0]])
+    _PRIVATE = ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+
+    @pytest.mark.parametrize("tables, dead", [(_CONFUSER, True), (_PRIVATE, False)])
+    def test_dead_input_has_minus_infinite_derivative(self, tables, dead):
+        pyx, pux = (TransitionMatrix(np.array(m, dtype=float)) for m in tables)
+        a, nu, ny = _kernel(pyx, pux)
+        p = np.array([0.5, 0.5, 0.0])
+        np.testing.assert_array_equal(capacity._dead_inputs(p[None], a, nu, ny)[0],
+                                      [False, False, dead])
+        base = input_mutual_information(p, pyx, pux)
+        slopes = [(input_mutual_information(p + eps * np.array([-0.5, -0.5, 1.0]), pyx, pux)
+                   - base) / eps for eps in (1e-4, 1e-8, 1e-12)]
+        assert all(np.diff(slopes) < -1.0) if dead else all(np.diff(slopes) > 1.0)
+
+    def test_zero_cells_give_no_warning_and_no_nan(self):
+        pyx, pux = (TransitionMatrix(np.array(m, dtype=float)) for m in self._CONFUSER)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            r = capacity_optimize(pyx, pux)
+        assert np.isfinite([r.capacity, r.residual, *r.argmax_px]).all()
+        assert r.capacity == pytest.approx(1.0, abs=1e-9)
+        assert r.argmax_px[2] == 0.0
+
+    @pytest.mark.parametrize("name", ["nx3_zeros", "nx4_a", "nx8_zeros"])
+    def test_batch_rows_follow_their_lone_paths(self, name):
+        pyx, pux = GOLDEN_CASES[name][0]()
+        a, nu, ny = _kernel(pyx, pux)
+        starts = np.random.default_rng(5).dirichlet(np.ones(a.shape[0]), size=8)
+        opts = SolverOptions()
+        batch = capacity._ascend(starts, a, nu, ny, opts)
+        for i in range(len(starts)):
+            alone = capacity._ascend(starts[i:i + 1], a, nu, ny, opts)
+            for got, want in zip(batch, alone):
+                np.testing.assert_array_equal(got[i], want[0])
+
     def test_input_size_mismatch(self):
         # the solvers take no px, so the message names only the two matrices
         with pytest.raises(DimensionMismatch, match="^input alphabets disagree: "
@@ -356,9 +413,9 @@ def _golden_summary(r):
             r.iterations, r.residual.hex())
 
 
-# Solver results captured before the restarts were batched into one
-# (starts, nx) ascent; batching must keep every bit.  Each entry is
-# (capacity, argmax_px, iterations, residual), floats as float.hex.
+# Solver results of the projected Armijo ascent that stops at the float
+# floor; any change of a bit must be explained.  Each entry is (capacity,
+# argmax_px, iterations, residual), floats as float.hex.
 GOLDEN_RESULTS = {
     "bsc_0.1_0.2": (
         "0x1.62d2cc4075e8cp-3",
@@ -381,72 +438,88 @@ GOLDEN_RESULTS = {
         0, "0x0.0p+0",
     ),
     "nx2_a": (
-        "0x1.1e0d61495aaa2p-7",
-        ["0x1.9f9269b00f883p-2", "0x1.3036cb27f83bep-1"],
-        300, "0x1.1eb9e96f4395dp-26",
+        "0x1.1e0d61495aea2p-7",
+        ["0x1.9f925f856ba7fp-2", "0x1.3036d03d4a2c0p-1"],
+        11, "0x1.d71a4286e8ef6p-29",
     ),
     "nx2_zeros": (
-        "0x1.0c7e1aa865ab8p-10",
-        ["0x1.da9bcadfb5da4p-2", "0x1.12b21a902512ep-1"],
-        300, "0x1.138f8d942fb70p-14",
+        "0x1.0c97dfbe54814p-10",
+        ["0x1.d2250eee54876p-2", "0x1.16ed7888d5bc5p-1"],
+        17, "0x1.03b87a2c330b2p-31",
     ),
     "nx3_a": (
-        "0x1.0777ff19cc8efp-6",
-        ["0x0.0p+0", "0x1.dea0221c2d574p-2", "0x1.10afeef1e9545p-1"],
-        300, "0x1.1f1e38c4c8865p-26",
+        "0x1.0777ff19cc9f7p-6",
+        ["0x0.0p+0", "0x1.dea0191580c96p-2", "0x1.10aff3753f9b5p-1"],
+        13, "0x1.de0d0da320f60p-29",
     ),
     "nx3_zeros": (
-        "0x1.5fcc21f71a01bp-4",
-        ["0x1.1fdd22b2b9d56p-1", "0x0.0p+0", "0x1.c045ba9a8c554p-2"],
-        300, "0x1.cdae3476334bfp-5",
+        "0x1.603fac67ae572p-4",
+        ["0x1.2997f24b5c3e5p-1", "0x0.0p+0", "0x1.acd01b6947836p-2"],
+        21, "0x1.a36fc1766f881p-31",
     ),
     "nx4_a": (
-        "0x1.04bc46d12b9dcp-6",
+        "0x1.04bc46d12ba72p-6",
         [
-            "0x1.1073fe5355f00p-1", "0x0.0p+0", "0x0.0p+0",
-            "0x1.df180359541ffp-2",
+            "0x1.1073fb9400a2dp-1", "0x0.0p+0", "0x0.0p+0",
+            "0x1.df1808d7feba6p-2",
         ],
-        300, "0x1.62cd7fb213770p-27",
+        14, "0x1.f24d1a0767e2bp-30",
     ),
     "nx4_zeros": (
-        "0x1.8518e9666f024p-3",
+        "0x1.8518e9666f020p-3",
         [
-            "0x1.417a28970c44bp-1", "0x1.7d0baed1e776ap-2", "0x0.0p+0",
+            "0x1.417a28889540dp-1", "0x1.7d0baeeed57e7p-2", "0x0.0p+0",
             "0x0.0p+0",
         ],
-        300, "0x1.4c2b25d9d3f48p-29",
+        16, "0x1.22e00fca45bc5p-28",
     ),
     "nx8_a": (
-        "0x1.2f7261a4b9288p-4",
+        "0x1.2f7261a4b927ep-4",
         [
             "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
-            "0x0.0p+0", "0x0.0p+0", "0x1.a9dc979e95896p-2",
-            "0x1.2b11b430b53b4p-1", "0x0.0p+0",
+            "0x0.0p+0", "0x0.0p+0", "0x1.a9dc97ff9d97cp-2",
+            "0x1.2b11b40031342p-1", "0x0.0p+0",
         ],
-        300, "0x1.0a2fcf062370ap-28",
+        14, "0x1.ee29d4b31d31cp-28",
     ),
     "nx8_zeros": (
-        "0x1.558bfae3c3be0p-2",
+        "0x1.558bfae3c3bdap-2",
         [
-            "0x0.0p+0", "0x0.0p+0", "0x1.e3e1b1e1bc4b0p-2",
-            "0x0.0p+0", "0x0.0p+0", "0x1.00fe05209f364p-2",
-            "0x0.0p+0", "0x1.1b2048fda47e4p-2",
+            "0x0.0p+0", "0x0.0p+0", "0x1.e3e1b25c19455p-2",
+            "0x0.0p+0", "0x0.0p+0", "0x1.00fe04ea36629p-2",
+            "0x0.0p+0", "0x1.1b2048b9b0580p-2",
         ],
-        32, "0x1.0b941faadaf39p-30",
+        17, "0x1.64f00ff96408ep-27",
     ),
     "nx3_two_steps": (
-        "0x1.a47fc4a78ad12p-7",
-        ["0x1.236c108005474p-2", "0x1.6a0a68285ec70p-2", "0x1.728987579bf14p-2"],
-        2, "0x1.0c79b28dfd98cp-5",
+        "0x1.c6a4acef45372p-7",
+        ["0x1.09c3e607c98ecp-2", "0x1.748f093968da4p-2", "0x1.81ad10becd970p-2"],
+        2, "0x1.1d0edf29b9421p-5",
     ),
     "nx4_loose": (
-        "0x1.5c05032c5cbb8p-6",
+        "0x1.5c05032cfdaccp-6",
         [
-            "0x0.0p+0", "0x1.308637a624640p-1", "0x0.0p+0",
-            "0x1.9ef390b3b7384p-2",
+            "0x0.0p+0", "0x1.30867f060849bp-1", "0x0.0p+0",
+            "0x1.9ef301f3ef6cbp-2",
         ],
-        79, "0x1.fe927af80b232p-21",
+        14, "0x1.31a5c27eaca0ap-21",
     ),
+}
+
+# Capacities the same cases reached under the earlier step rule (warm
+# start capped at t <= 1, sufficient-increase constant 1e-4); the float-floor
+# ascent may only find more.
+GOLDEN_FLOORS = {
+    "nx2_a": "0x1.1e0d61495aaa2p-7",
+    "nx2_zeros": "0x1.0c7e1aa865ab8p-10",
+    "nx3_a": "0x1.0777ff19cc8efp-6",
+    "nx3_zeros": "0x1.5fcc21f71a01bp-4",
+    "nx4_a": "0x1.04bc46d12b9dcp-6",
+    "nx4_zeros": "0x1.8518e9666f024p-3",
+    "nx8_a": "0x1.2f7261a4b9288p-4",
+    "nx8_zeros": "0x1.558bfae3c3be0p-2",
+    "nx3_two_steps": "0x1.a47fc4a78ad12p-7",
+    "nx4_loose": "0x1.5c05032c5cbb8p-6",
 }
 
 
@@ -456,6 +529,8 @@ class TestOptimizeGolden:
         build, kw = GOLDEN_CASES[name]
         pyx, pux = build()
         r = capacity_optimize(pyx, pux, SolverOptions(**kw))
+        if name in GOLDEN_FLOORS:
+            assert r.capacity >= float.fromhex(GOLDEN_FLOORS[name]) - 1e-12
         assert _golden_summary(r) == GOLDEN_RESULTS[name]
 
 
