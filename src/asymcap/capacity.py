@@ -13,6 +13,7 @@ shows cannot hold the maximum.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from math import comb
@@ -79,6 +80,9 @@ _T_MAX = 2.0 ** 32
 # rounding noise could keep a search halving forever.
 _FLOOR_ULPS = 4
 _EPS = float(np.finfo(float).eps)
+# Each pass of a row's step search tries t, t/2, ..., t/2^(_LADDER-1) (_ascend).
+_LADDER = 4
+_RUNGS = np.ldexp(1.0, -np.arange(_LADDER))
 # Fixed Philox key for restart sampling keeps the solver deterministic.
 _RESTART_KEY = 0x243F6A8885A308D3
 
@@ -229,6 +233,14 @@ def _stationarity(P: np.ndarray, G: np.ndarray, dead: np.ndarray) -> np.ndarray:
     return np.sqrt(_row_dot(d, d))
 
 
+def _vector(v, what: str, size: int | None = None) -> np.ndarray:
+    """v as a float vector of the given size, or any size >= 1; else DimensionMismatch."""
+    v = np.asarray(v, dtype=float)
+    if v.ndim != 1 or not len(v) or len(v) != (size or len(v)):
+        raise DimensionMismatch(f"{what} must have shape ({size or 'n >= 1'},), got {v.shape}")
+    return v
+
+
 def input_mutual_information(
     p, pyx: TransitionMatrix, pux: TransitionMatrix
 ) -> float:
@@ -238,11 +250,7 @@ def input_mutual_information(
     finite-difference probes slightly off the simplex.
     """
     a, nu, ny = _kernel(pyx, pux)
-    p = np.asarray(p, dtype=float)
-    if p.shape != (a.shape[0],):
-        raise DimensionMismatch(
-            f"input weights must have shape ({a.shape[0]},), got {p.shape}"
-        )
+    p = _vector(p, "input weights", a.shape[0])
     return float(_mi_batch(_joint_rows(p[None], a), nu, ny)[0])
 
 
@@ -255,12 +263,12 @@ def mutual_information_gradient(
     minus log2(e); cells with q(u,y) = 0 are skipped.
     """
     a, nu, ny = _kernel(pyx, pux)
-    return _gradient_batch(np.asarray(p, dtype=float)[None], a, nu, ny)[0]
+    return _gradient_batch(_vector(p, "input weights", a.shape[0])[None], a, nu, ny)[0]
 
 
 def simplex_project(v: np.ndarray) -> np.ndarray:
     """Euclidean projection onto the probability simplex (sort and threshold)."""
-    return _project_rows(np.asarray(v, dtype=float)[None])[0]
+    return _project_rows(_vector(v, "vector")[None])[0]
 
 
 def _lines(k: int, nx: int):
@@ -316,14 +324,16 @@ def _live_lines(a, nu, ny, k, lead, length) -> np.ndarray:
     """Mask of the lattice lines that can hold a point within MARGIN of the
     lattice maximum (capacity_grid says why the bound holds).
 
-    Both ends of every line are probed; then lines are bisected depth first,
-    _BISECT_BATCH segments [i0, i1] of j at a time.  A segment with midpoint
-    m is dropped when the larger, over its ends e, of g(m) + g'(m) (e - m)
-    - h(e) is below the best value probed minus MARGIN.  A line goes live
-    when a probed point scores within MARGIN of that best, or when a
-    surviving segment holds _SHORT_SEGMENT points or fewer.  A segment of
-    one or two points has its midpoint at an end, where g' may be infinite;
-    its points are probed line ends, so dropping it is safe."""
+    Both ends of every line are probed; then lines are bisected breadth
+    first (a first-in first-out queue, so the best value rises before
+    segments split further), _BISECT_BATCH segments [i0, i1] of j at a time.
+    A segment with midpoint m is dropped when the larger, over its ends e,
+    of g(m) + g'(m) (e - m) - h(e) is below the best value probed minus
+    MARGIN.  A line goes live when a probed point scores within MARGIN of
+    that best, or when a surviving segment holds _SHORT_SEGMENT points or
+    fewer.  A segment of one or two points has its midpoint at an end, where
+    g' may be infinite; its points are probed line ends, so dropping it is
+    safe."""
     n = len(length)
     if n == 1:
         return np.ones(1, dtype=bool)
@@ -332,11 +342,13 @@ def _live_lines(a, nu, ny, k, lead, length) -> np.ndarray:
     g, h, _ = _batched(parts, np.tile(lines, 2), np.concatenate([zero, length]))
     best = (g - h).max()
     live = (g - h >= best - MARGIN).reshape(2, n).any(axis=0)
-    stack = [(lines, zero, length, h[:n], h[n:])]
-    while stack:
-        seg = stack.pop()
+    queue = deque([(lines, zero, length, h[:n], h[n:])])
+    while queue:
+        seg = queue.popleft()
+        while queue and len(seg[0]) < _BISECT_BATCH:
+            seg = [np.concatenate(v) for v in zip(seg, queue.popleft())]
         if len(seg[0]) > _BISECT_BATCH:
-            stack.append(tuple(v[_BISECT_BATCH:] for v in seg))
+            queue.appendleft(tuple(v[_BISECT_BATCH:] for v in seg))
             seg = tuple(v[:_BISECT_BATCH] for v in seg)
         line, i0, i1, h0, h1 = (v[~live[seg[0]]] for v in seg)
         if not len(line):
@@ -352,7 +364,7 @@ def _live_lines(a, nu, ny, k, lead, length) -> np.ndarray:
         keep &= ~live[line]
         if keep.any():
             line, i0, i1, mid, h0, h1, h = (v[keep] for v in (line, i0, i1, mid, h0, h1, h))
-            stack.append((np.concatenate([line, line]), np.concatenate([i0, mid]),
+            queue.append((np.concatenate([line, line]), np.concatenate([i0, mid]),
                           np.concatenate([mid, i1]), np.concatenate([h0, h]),
                           np.concatenate([h, h1])))
     return live
@@ -409,8 +421,13 @@ def _ascend(p: np.ndarray, a: np.ndarray, nu: int, ny: int, opts: SolverOptions)
     array.  Returns the final rows, their values and the steps each took.
 
     A row stops on the tolerance, at the float floor or on the budget
-    (CapacityResult).  Stopped rows are frozen by masks and the step search
-    is per row, so each row takes exactly the path it would take alone."""
+    (CapacityResult).  Stopped rows are left out of the step search, which
+    is per row, so each row takes exactly the path it would take alone.
+    Each pass of it tries the ladder t, t/2, ..., t/2^(_LADDER-1) at once
+    for every row still searching, and goes on from t/2^_LADDER for rows
+    that no rung stops.  The rungs are exact halvings, the trials of a
+    one-step-per-pass search, and a row takes the first rung at which that
+    search would stop, so the path is the same bit for bit."""
     p = p.copy()
     steps = np.zeros(len(p), dtype=np.int64)
     running = np.ones(len(p), dtype=bool)
@@ -419,21 +436,27 @@ def _ascend(p: np.ndarray, a: np.ndarray, nu: int, ny: int, opts: SolverOptions)
     for _ in range(opts.max_iterations):
         g, dead = _direction(p, a, nu, ny)
         running &= ~(_stationarity(p, g, dead) < opts.convergence_tol)
-        t_step, pending = t_init.copy(), running.copy()
-        while pending.any():
-            cand = _arc(p, g, t_step, dead)
+        rows, t_top = np.flatnonzero(running), t_init[running]
+        while len(rows):
+            r = np.repeat(rows, _LADDER)
+            t_step = (t_top[:, None] * _RUNGS).ravel()
+            pr, gr, jr = p[r], g[r], j0[r]
+            cand = _arc(pr, gr, t_step, dead[r])
             j_cand = _mi_batch(_joint_rows(cand, a), nu, ny)
-            gain = _row_dot(g, cand - p)  # first-order gain of the trial
-            accept = pending & (j_cand >= j0 + _SIGMA * gain)
-            floor = (accept & (j_cand == j0)) | (pending & ~accept & (
-                (gain <= _FLOOR_ULPS * np.spacing(np.abs(j0))) | (t_step <= _EPS)))
-            np.copyto(p, cand, where=accept[:, None])
-            np.copyto(j0, j_cand, where=accept)
-            np.copyto(t_init, np.minimum(_T_MAX, 2.0 * t_step), where=accept)
-            steps += accept
-            running &= ~floor
-            pending &= ~(accept | floor)
-            np.multiply(t_step, 0.5, out=t_step, where=pending)
+            gain = _row_dot(gr, cand - pr)  # first-order gain of the trial
+            accept = j_cand >= jr + _SIGMA * gain
+            floor = np.where(accept, j_cand == jr, (
+                gain <= _FLOOR_ULPS * np.spacing(np.abs(jr))) | (t_step <= _EPS))
+            stop = (accept | floor).reshape(-1, _LADDER)
+            hit = stop.any(axis=1)
+            k = (np.arange(len(rows)) * _LADDER + stop.argmax(axis=1))[hit]  # first stop
+            stopped, acc = rows[hit], accept[k]
+            up, done = k[acc], stopped[acc]
+            p[done], j0[done] = cand[up], j_cand[up]
+            t_init[done] = np.minimum(_T_MAX, 2.0 * t_step[up])
+            steps[done] += 1
+            running[stopped[floor[k]]] = False
+            rows, t_top = rows[~hit], t_top[~hit] * 0.5 ** _LADDER
         if not running.any():
             break
     return p, j0, steps
@@ -451,14 +474,14 @@ def capacity_optimize(
     is a deterministic function of the inputs).  Among runs whose values
     tie within 1e-12 the uniform start wins, then earlier restarts.
 
-    Each run is a projected Armijo search along the projection arc, its
-    warm start the last accepted step doubled.  A run stops on the
-    tolerance, at the float floor, or on the budget; CapacityResult says
-    what iterations and residual then hold.  An input at 0 whose one-sided
-    derivative is -inf (_dead_inputs) is held at 0, in the steps and in
-    the residual.  All runs advance together as the rows of one
-    (starts, nx) array, and each takes exactly the path it would take
-    alone.
+    Each run is a projected Armijo search along the projection arc, its warm
+    start the last accepted step doubled; it backtracks on a ladder of exact
+    halvings tried at once, with one-step-at-a-time bits (_ascend).  A run
+    stops on the tolerance, at the float floor, or on the budget;
+    CapacityResult says what iterations and residual then hold.  An input at
+    0 whose one-sided derivative is -inf (_dead_inputs) is held at 0, in the
+    steps and in the residual.  All runs advance together as the rows of one
+    (starts, nx) array, and each takes exactly the path it would take alone.
     """
     opts = options or SolverOptions()
     a, nu, ny = _kernel(pyx, pux)

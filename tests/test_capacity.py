@@ -534,6 +534,83 @@ class TestOptimizeGolden:
         assert _golden_summary(r) == GOLDEN_RESULTS[name]
 
 
+def _sequential_ascend(p, a, nu, ny, opts):
+    """Reference for capacity._ascend: each pass of the step search tries one
+    step per pending row and halves it for the rows that go on.  Returns
+    _ascend's (rows, values, steps) and the most trials one search took."""
+    p = p.copy()
+    steps = np.zeros(len(p), dtype=np.int64)
+    running = np.ones(len(p), dtype=bool)
+    t_init = np.ones(len(p))
+    j0 = capacity._mi_batch(capacity._joint_rows(p, a), nu, ny)
+    most = 0
+    for _ in range(opts.max_iterations):
+        g, dead = capacity._direction(p, a, nu, ny)
+        running &= ~(capacity._stationarity(p, g, dead) < opts.convergence_tol)
+        t_step, pending = t_init.copy(), running.copy()
+        trials = np.zeros(len(p), dtype=np.int64)
+        while pending.any():
+            trials += pending
+            cand = capacity._arc(p, g, t_step, dead)
+            j_cand = capacity._mi_batch(capacity._joint_rows(cand, a), nu, ny)
+            gain = capacity._row_dot(g, cand - p)
+            accept = pending & (j_cand >= j0 + capacity._SIGMA * gain)
+            floor = (accept & (j_cand == j0)) | (pending & ~accept & (
+                (gain <= capacity._FLOOR_ULPS * np.spacing(np.abs(j0)))
+                | (t_step <= capacity._EPS)))
+            np.copyto(p, cand, where=accept[:, None])
+            np.copyto(j0, j_cand, where=accept)
+            np.copyto(t_init, np.minimum(capacity._T_MAX, 2.0 * t_step), where=accept)
+            steps += accept
+            running &= ~floor
+            pending &= ~(accept | floor)
+            np.multiply(t_step, 0.5, out=t_step, where=pending)
+        most = max(most, int(trials.max()))
+        if not running.any():
+            break
+    return (p, j0, steps), most
+
+
+# max_iterations 1 and 2 stop runs mid-search, restarts=1 leaves a batch of
+# two rows, and the loose tolerance stops them early
+ORACLE_OPTIONS = (SolverOptions(), SolverOptions(max_iterations=1),
+                  SolverOptions(max_iterations=2, restarts=1),
+                  SolverOptions(restarts=3, convergence_tol=1e-5))
+
+
+class TestSequentialOracle:
+    """_ascend tries a ladder of halved steps per pass; every row must end
+    bit for bit where the one-trial-per-pass search leaves it."""
+
+    @staticmethod
+    def _check(pyx, pux, opts, seed):
+        a, nu, ny = _kernel(pyx, pux)
+        nx = a.shape[0]
+        starts = np.vstack([np.full(nx, 1.0 / nx),
+                            np.random.default_rng(seed).dirichlet(np.ones(nx), opts.restarts)])
+        want, most = _sequential_ascend(starts, a, nu, ny, opts)
+        got = capacity._ascend(starts, a, nu, ny, opts)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+        return most
+
+    @pytest.mark.parametrize("name", list(GOLDEN_CASES))
+    def test_golden_cases(self, name):
+        build, kw = GOLDEN_CASES[name]
+        self._check(*build(), SolverOptions(**kw), seed=0)
+
+    def test_random_pairs(self):
+        most = 0
+        for i in range(200):
+            rng = np.random.default_rng(i)
+            nx, ny, nu = (int(v) for v in rng.integers(2, (9, 6, 6)))
+            pyx, pux = _golden_pair(500 + i, nx, ny, nu, zeros=i % 3 == 0)
+            most = max(most, self._check(pyx, pux, ORACLE_OPTIONS[i % 4], seed=i))
+        # some search ran past the first ladder, so the rungs after it were
+        # compared too
+        assert most > capacity._LADDER
+
+
 class TestGradient:
     @pytest.mark.parametrize("seed", [3, 14, 15])
     def test_matches_central_differences(self, seed):
@@ -563,6 +640,13 @@ class TestGradient:
         val = input_mutual_information(np.array([0.5, 0.5]), bsc(0.1), bsc(0.1))
         assert val == pytest.approx(CAP_01_01, abs=TOL)
 
+    @pytest.mark.parametrize("fn", [input_mutual_information, mutual_information_gradient])
+    @pytest.mark.parametrize("p", [np.ones(3) / 3, np.full((1, 2), 0.5), 0.5])
+    def test_bad_shape_is_dimension_mismatch(self, fn, p):
+        with pytest.raises(DimensionMismatch,
+                           match=r"^input weights must have shape \(2,\), got "):
+            fn(p, bsc(0.1), bsc(0.2))
+
 
 class TestSimplexProject:
     def test_known_points(self):
@@ -579,6 +663,12 @@ class TestSimplexProject:
     def test_fixed_point_on_simplex(self):
         p = np.array([0.2, 0.3, 0.5])
         np.testing.assert_allclose(simplex_project(p), p, atol=1e-12)
+
+    @pytest.mark.parametrize("v", [np.ones((2, 2)), np.ones((1, 3)), [], 1.0])
+    def test_bad_shape_is_dimension_mismatch(self, v):
+        with pytest.raises(DimensionMismatch,
+                           match=r"^vector must have shape \(n >= 1,\), got "):
+            simplex_project(v)
 
 
 class TestGap:
