@@ -13,7 +13,6 @@ shows cannot hold the maximum.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from math import comb
@@ -272,35 +271,28 @@ def simplex_project(v: np.ndarray) -> np.ndarray:
 
 
 def _lines(k: int, nx: int):
-    """The lattice's lines in lexicographic order.  Line i fixes the leading
-    parts lead[i] (nx - 2 of them) and holds the length[i] + 1 points
-    (lead[i], j, length[i] - j), j = 0..length[i]; for nx = 1 there is
-    one line, the point (k)."""
-    if nx == 1:
-        return np.zeros((1, 0), dtype=np.int64), np.zeros(1, dtype=np.int64)
+    """The lattice's lines in lexicographic order, for nx >= 2.  Line i
+    fixes the leading parts lead[i] (nx - 2 of them) and holds the
+    length[i] + 1 points (lead[i], j, length[i] - j), j = 0..length[i]."""
     d = nx - 2
     lead = np.indices((k + 1,) * d, dtype=np.int64).reshape(d, (k + 1) ** d).T
     lead = lead[lead.sum(axis=1) <= k]
     return lead, k - lead.sum(axis=1)
 
 
-def _line_block(k: int, nx: int, lead: np.ndarray, length: int) -> np.ndarray:
-    """The int64 (length + 1, nx) compositions of k that make up one line."""
-    if nx == 1:
-        return np.array([[k]], dtype=np.int64)
-    j = np.arange(length + 1, dtype=np.int64)
-    return np.column_stack([np.broadcast_to(lead, (length + 1, nx - 2)), j, length - j])
+def _points(k, lead, length, line, j) -> np.ndarray:
+    """The lattice points (lead[line], j, length[line] - j) / k, one per row."""
+    return np.column_stack([lead[line], j, length[line] - j]) / k
 
 
 def _dc_parts(a, nu, ny, k, lead, length, line, j):
     """g = H(U) + H(Y), h = H(U, Y) and g's slope per unit step of j at the
-    lattice points (lead[line], j, length[line] - j); I(U;Y) = g - h.
+    lattice points _points(k, lead, length, line, j); I(U;Y) = g - h.
 
     A cell with q(u) = 0 (or q(y) = 0) adds 0 to the slope.  At a point
     strictly inside a line every coordinate the line moves is positive, so
     such a cell is 0 along the whole line."""
-    pts = np.column_stack([lead[line], j, length[line] - j]) / k
-    q = pts @ a
+    q = _points(k, lead, length, line, j) @ a
     t = q.reshape(-1, nu, ny)
     tu, ty = t.sum(axis=2), t.sum(axis=1)
     lu, ly, lq = (np.log2(np.where(v > 0, v, 1.0)) for v in (tu, ty, q))
@@ -324,16 +316,15 @@ def _live_lines(a, nu, ny, k, lead, length) -> np.ndarray:
     """Mask of the lattice lines that can hold a point within MARGIN of the
     lattice maximum (capacity_grid says why the bound holds).
 
-    Both ends of every line are probed; then lines are bisected breadth
-    first (a first-in first-out queue, so the best value rises before
-    segments split further), _BISECT_BATCH segments [i0, i1] of j at a time.
-    A segment with midpoint m is dropped when the larger, over its ends e,
-    of g(m) + g'(m) (e - m) - h(e) is below the best value probed minus
-    MARGIN.  A line goes live when a probed point scores within MARGIN of
-    that best, or when a surviving segment holds _SHORT_SEGMENT points or
-    fewer.  A segment of one or two points has its midpoint at an end, where
-    g' may be infinite; its points are probed line ends, so dropping it is
-    safe."""
+    Both ends of every line are probed; then the lines are bisected one
+    level per pass.  A pass probes the midpoint m of every surviving segment
+    [i0, i1] of j, on every line not yet live, and drops a segment when the
+    larger, over its ends e, of g(m) + g'(m) (e - m) - h(e) is below the
+    best value probed minus MARGIN; it halves the segments it keeps.  A line
+    goes live when a probed point scores within MARGIN of that best, or when
+    a surviving segment holds _SHORT_SEGMENT points or fewer.  A segment of
+    one or two points has its midpoint at an end, where g' may be infinite;
+    its points are probed line ends, so dropping it is safe."""
     n = len(length)
     if n == 1:
         return np.ones(1, dtype=bool)
@@ -342,31 +333,20 @@ def _live_lines(a, nu, ny, k, lead, length) -> np.ndarray:
     g, h, _ = _batched(parts, np.tile(lines, 2), np.concatenate([zero, length]))
     best = (g - h).max()
     live = (g - h >= best - MARGIN).reshape(2, n).any(axis=0)
-    queue = deque([(lines, zero, length, h[:n], h[n:])])
-    while queue:
-        seg = queue.popleft()
-        while queue and len(seg[0]) < _BISECT_BATCH:
-            seg = [np.concatenate(v) for v in zip(seg, queue.popleft())]
-        if len(seg[0]) > _BISECT_BATCH:
-            queue.appendleft(tuple(v[_BISECT_BATCH:] for v in seg))
-            seg = tuple(v[:_BISECT_BATCH] for v in seg)
-        line, i0, i1, h0, h1 = (v[~live[seg[0]]] for v in seg)
-        if not len(line):
-            continue
+    line, i0, i1, h0, h1 = (v[~live] for v in (lines, zero, length, h[:n], h[n:]))
+    while len(line):
         mid = (i0 + i1) // 2
-        g, h, slope = parts(line, mid)
+        g, h, slope = _batched(parts, line, mid)
         best = max(best, (g - h).max())
         cut = best - MARGIN
         live[line[g - h >= cut]] = True
         bound = g + np.maximum((i0 - mid) * slope - h0, (i1 - mid) * slope - h1)
+        live[line[(bound >= cut) & (i1 - i0 < _SHORT_SEGMENT)]] = True
         keep = (bound >= cut) & ~live[line]
-        live[line[keep & (i1 - i0 < _SHORT_SEGMENT)]] = True
-        keep &= ~live[line]
-        if keep.any():
-            line, i0, i1, mid, h0, h1, h = (v[keep] for v in (line, i0, i1, mid, h0, h1, h))
-            queue.append((np.concatenate([line, line]), np.concatenate([i0, mid]),
-                          np.concatenate([mid, i1]), np.concatenate([h0, h]),
-                          np.concatenate([h, h1])))
+        line, i0, i1, mid, h0, h1, h = (v[keep] for v in (line, i0, i1, mid, h0, h1, h))
+        line, i0, i1, h0, h1 = (np.tile(line, 2), np.concatenate([i0, mid]),
+                                np.concatenate([mid, i1]), np.concatenate([h0, h]),
+                                np.concatenate([h, h1]))
     return live
 
 
@@ -385,8 +365,9 @@ def capacity_grid(
     concave in p(x), so on a segment of a line g lies under its tangent at
     the midpoint and h over its chord (_live_lines).  Rounding in the bound
     and in the values is far below MARGIN, so a skipped line holds only
-    points strictly below the maximum, and the tie rule still holds.
-    Refuses input alphabets larger than GRID_INPUT_LIMIT.
+    points strictly below the maximum, and the tie rule still holds.  A
+    one-symbol input has the one-point lattice p(x) = 1.  Refuses input
+    alphabets larger than GRID_INPUT_LIMIT.
     """
     nx = pyx.input_size
     if nx > GRID_INPUT_LIMIT:
@@ -402,12 +383,15 @@ def capacity_grid(
         )
     k = max(1, round(inv))
     a, nu, ny = _kernel(pyx, pux)
+    if nx == 1:
+        return CapacityResult(float(_mi_batch(a, nu, ny)[0]), [1.0], SOLVER_GRID, 1, 1.0 / k)
     lead, length = _lines(k, nx)
 
     best_val = -np.inf
     best_p = None
     for line in np.flatnonzero(_live_lines(a, nu, ny, k, lead, length)):
-        pts = _line_block(k, nx, lead[line], length[line]).astype(float) / k
+        j = np.arange(length[line] + 1)
+        pts = _points(k, lead, length, np.full_like(j, line), j)
         vals = _mi_batch(pts @ a, nu, ny)
         i = int(np.argmax(vals))
         if vals[i] > best_val:

@@ -497,6 +497,9 @@ def collision_experiment(
     (row 1's perturbed codeword); messages 1..m_collide are sent round
     robin and decoded by the MAP rule with its lowest-index tie-break.
     Returns the largest empirical per-message error among the colliders.
+    For m_collide >= 2 and at least two trials that is exactly 1: rows
+    1..m_collide score identically, the tie-break elects row 1, and
+    messages 2..m_collide are never decoded.
     """
     if not 1 <= m_collide <= M:
         raise DomainError(f"m_collide must lie in [1, M], got {m_collide}")

@@ -101,18 +101,6 @@ class Pmf:
             raise DimensionMismatch("alphabet size must be at least 1")
         return Pmf(np.full(k, 1.0 / k))
 
-    @staticmethod
-    def from_file(path) -> "Pmf":
-        rows = load_matrix(path)
-        if rows.shape[0] != 1:
-            raise MatrixFileError(
-                f"{path}: expected a single row for a pmf, got {rows.shape[0]} rows"
-            )
-        try:
-            return Pmf(rows[0])
-        except ValueError as exc:
-            raise MatrixFileError(f"{path}: row 1: {exc}") from exc
-
 
 @dataclass(frozen=True)
 class TransitionMatrix:

@@ -1,0 +1,70 @@
+"""The package names and outputs the benchmark's traced run depends on.
+
+`bench/run.py --trace 1` wraps package functions by name and replays each
+op through the library, comparing what the replay returns with what the
+CLI printed.  These tests only read `bench/`: they fail when a change to
+the package removes or renames something that run needs.
+"""
+
+import importlib.util
+import sys
+import types
+from pathlib import Path
+
+import pytest
+
+import asymcap.capacity
+import asymcap.cli
+import asymcap.codec
+import asymcap.info
+import asymcap.rng
+import asymcap.verify
+from asymcap.cli import main
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    mod = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = mod
+    spec.loader.exec_module(mod)
+    return mod
+
+
+tracing = _load("tracing")
+workloads = _load("workloads")
+
+
+@pytest.fixture
+def ac():
+    """The package namespace bench/run.py hands to the tracing module."""
+    return types.SimpleNamespace(
+        cli=asymcap.cli, rng=asymcap.rng, codec=asymcap.codec, info=asymcap.info,
+        capacity=asymcap.capacity, verify=asymcap.verify,
+    )
+
+
+def test_library_targets_resolve(ac):
+    # getattr on every name the traced run wraps: a missing one raises
+    assert tracing.library_targets(tracing.Tracer(), ac)
+
+
+def test_cli_targets_resolve(ac):
+    targets = tracing.cli_targets(tracing.Tracer(), ac)
+    assert [attr for _, attr, _ in targets] == list(tracing.CLI_ENTRY_POINTS)
+
+
+def test_capacity_general_replay_matches_cli(ac, capsys, tmp_path):
+    pool = workloads.make_inputs("capacity", 0, str(tmp_path))
+    op = next(op for op in pool[0] if op.label == "nx3")
+    rc = main(list(op.argv))
+    stdout = capsys.readouterr().out
+    assert workloads.check_output(op, rc, stdout)[0] is None
+    tr = tracing.Tracer()
+    with tracing.patched(tracing.library_targets(tr, ac)):
+        got = tracing.replay(tr, ac, op, tracing.prepare(ac, op))
+    want = workloads.printed_values(op, stdout)
+    assert set(want) == {"optimize", "grid"}
+    assert got == want
+    assert "capacity.capacity_grid" in tr.name

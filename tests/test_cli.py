@@ -189,6 +189,22 @@ class TestCapacityGeneral:
         diff = next(l for l in lines if l.startswith("difference "))
         assert float(diff.split()[1]) < 1e-5
 
+    def test_one_input_symbol_has_a_one_point_lattice(self, capsys, tmp_path):
+        # one input symbol: the ascent has nothing to move and the lattice
+        # is the single point p(x) = 1; both report I(U;Y) there
+        ch = write_matrix(tmp_path / "ch.txt", [[0.3, 0.7]])
+        pe = write_matrix(tmp_path / "pe.txt", [[0.5, 0.25, 0.25]])
+        rc, out, _ = run_cli(capsys, "capacity-general", "--channel", ch, "--perturb", pe)
+        assert rc == 0
+        assert out.splitlines()[1:] == [
+            "optimize 6.661338148e-17",
+            "iterations 0",
+            "residual 0",
+            "argmax_px 1",
+            "grid 6.661338148e-17",
+            "difference 0",
+        ]
+
     def test_large_alphabet_skips_grid_crosscheck(self, capsys, tmp_path):
         rows = [
             [0.7, 0.1, 0.1, 0.1],

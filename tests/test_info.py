@@ -351,14 +351,6 @@ class TestLoadMatrix:
         with pytest.raises(MatrixFileError):
             load_matrix(f)
 
-    def test_pmf_from_file_single_row(self, tmp_path):
-        f = tmp_path / "p.txt"
-        f.write_text("0.25 0.75\n")
-        assert Pmf.from_file(f).probs[1] == pytest.approx(0.75)
-        f.write_text("0.25 0.75\n0.5 0.5\n")
-        with pytest.raises(MatrixFileError):
-            Pmf.from_file(f)
-
     def test_transition_from_file_names_row(self, tmp_path):
         f = tmp_path / "t.txt"
         f.write_text("0.9 0.1\n0.9 0.6\n")
