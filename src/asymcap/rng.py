@@ -140,10 +140,16 @@ def rows_from_uniforms(cdfs: np.ndarray, given, u: np.ndarray) -> np.ndarray:
     rows cdfs (from capped_cdf), counted one output symbol at a time.
 
     With given None, cdfs is the one capped cumulative vector of
-    sample_pmf.
+    sample_pmf.  u is only read, so a caller may draw every chunk of a
+    long sample into one reused buffer (Generator.random(out=...)).
     """
-    out = np.zeros(u.shape, dtype=np.int64)
+    if cdfs.shape[-1] == 1:  # one output symbol: every draw is 0
+        return np.zeros(u.shape, dtype=np.int64)
     for k in range(cdfs.shape[-1] - 1):  # the last entry is always +inf
         col = cdfs[..., k]
-        out += (col if given is None else col[given]) <= u
+        hit = (col if given is None else col.take(given)) <= u
+        if k:
+            out += hit
+        else:
+            out = hit.astype(np.int64)
     return out

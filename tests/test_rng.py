@@ -189,6 +189,59 @@ class TestRowsFromUniforms:
         np.testing.assert_array_equal(rows_from_uniforms(cdf, None, u), want)
         np.testing.assert_array_equal(sample_pmf(stream(4), probs, (50, 3)), want)
 
+    @staticmethod
+    def brute(cdfs, given, u):
+        """sum_k [cdf[given, k] <= u], one draw at a time."""
+        rows = cdfs[None] if given is None else cdfs
+        idx = np.zeros(u.shape, dtype=np.int64) if given is None else np.asarray(given)
+        out = np.zeros(u.shape, dtype=np.int64)
+        for pos in np.ndindex(u.shape):
+            out[pos] = sum(int(c <= u[pos]) for c in rows[idx[pos]])
+        return out
+
+    def check(self, cdfs, given, u):
+        got = rows_from_uniforms(cdfs, given, u)
+        assert got.dtype == np.int64 and got.shape == u.shape
+        np.testing.assert_array_equal(got, self.brute(cdfs, given, u))
+
+    def test_one_output_symbol_gives_int64_zeros(self):
+        u = stream(1).random((4, 3))
+        for cdfs, given in ((capped_cdf([1.0]), None),
+                            (capped_cdf([[1.0], [1.0]]), np.array([[0, 1, 1]] * 4))):
+            got = rows_from_uniforms(cdfs, given, u)
+            assert got.dtype == np.int64 and got.shape == u.shape
+            assert not got.any()
+
+    def test_zero_size_uniforms(self):
+        u = np.empty((0, 2))
+        self.check(capped_cdf([0.2, 0.8]), None, u)
+        self.check(capped_cdf([[0.2, 0.8], [0.5, 0.5]]), np.empty((0, 2), dtype=np.int64), u)
+
+    @pytest.mark.parametrize("probs", [[0.3, 0.0, 0.2, 0.5], [0.0, 0.25, 0.25, 0.0, 0.5],
+                                       [0.1, 0.2, 0.3, 0.4]])
+    def test_vector_with_zero_mass_symbols(self, probs):
+        u = stream(5).random((7, 9))
+        u[0, :3] = [0.0, 0.3, 1.0 - 2.0**-53]  # the bottom, a cdf step and the top draw
+        self.check(capped_cdf(probs), None, u)
+
+    def test_rows_with_zero_mass_symbols(self):
+        matrix = np.array([[0.3, 0.0, 0.2, 0.5], [0.0, 0.0, 1.0, 0.0],
+                           [0.25, 0.25, 0.0, 0.5], [0.0, 0.5, 0.5, 0.0]])
+        u = stream(6).random((6, 11))
+        given = stream(7).integers(4, size=u.shape)
+        self.check(capped_cdf(matrix), given, u)
+
+    def test_rows_of_three_symbols_keep_the_shape_of_u(self):
+        matrix = np.array([[0.2, 0.3, 0.5], [0.6, 0.0, 0.4]])
+        u = stream(8).random((3, 4, 5))
+        given = stream(9).integers(2, size=u.shape)
+        self.check(capped_cdf(matrix), given, u)
+
+    def test_out_of_range_given_raises(self):
+        cdfs = capped_cdf(np.array([[0.5, 0.5], [0.1, 0.9]]))
+        with pytest.raises(IndexError):
+            rows_from_uniforms(cdfs, np.array([0, 2]), np.array([0.1, 0.2]))
+
 
 class TestSampleRows:
     def test_matches_per_row_scalar_rule(self):

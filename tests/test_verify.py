@@ -107,8 +107,10 @@ def one_shot_pair_tv(p1, p2, samples, seed):
 
 
 class TestSampledPairTv:
+    # 3 * PAIR_CHUNK + 5 ends on a short chunk after three full ones, so the
+    # reused uniform buffer is refilled and then cut short
     @pytest.mark.parametrize("samples", [1, PAIR_CHUNK - 1, PAIR_CHUNK, PAIR_CHUNK + 1,
-                                         2 * PAIR_CHUNK + 3])
+                                         2 * PAIR_CHUNK + 3, 3 * PAIR_CHUNK + 5])
     def test_chunk_edges_match_one_shot_draw(self, samples):
         got = sampled_pair_tv(0.1, 0.2, samples, 11)
         assert got.hex() == one_shot_pair_tv(0.1, 0.2, samples, 11).hex()
