@@ -501,16 +501,14 @@ def sweep_capacity_surface(p1_grid, p2_grid) -> list[tuple[float, float, float, 
     """Closed-form capacity and gap on a (p1, p2) grid, row-major.
 
     Both grids must lie within [0, 0.5].  Rows are
-    (p1, p2, 1 - H(q), H(q) - H(p1)) with q = p1 + p2 - 2 p1 p2.
+    (p1, p2, 1 - H(q), H(q) - H(p1)) with q = p1 + p2 - 2 p1 p2, evaluated
+    over the whole mesh at once, each entry as the scalar formulas give it.
     """
-    p1s = [float(p) for p in p1_grid]
-    p2s = [float(p) for p in p2_grid]
-    for p in p1s + p2s:
-        if not 0.0 <= p <= 0.5:
-            raise DomainError(f"grid value {p!r} outside [0, 0.5]")
-    rows = []
-    for p1 in p1s:
-        for p2 in p2s:
-            cap = 1.0 - binary_entropy(composite_crossover(p1, p2))
-            rows.append((p1, p2, cap, bsc_capacity_gap(p1, p2)))
-    return rows
+    g1, g2 = (np.fromiter(grid, dtype=float) for grid in (p1_grid, p2_grid))
+    g = np.concatenate([g1, g2])
+    bad = np.extract(~((g >= 0.0) & (g <= 0.5)), g)  # NaN is never inside
+    if bad.size:
+        raise DomainError(f"grid value {float(bad[0])!r} outside [0, 0.5]")
+    p1, p2 = np.repeat(g1, len(g2)), np.tile(g2, len(g1))
+    cap = 1.0 - binary_entropy(composite_crossover(p1, p2))
+    return list(zip(p1.tolist(), p2.tolist(), cap.tolist(), bsc_capacity_gap(p1, p2).tolist()))

@@ -40,6 +40,8 @@ GRID_CROSSCHECK_LIMIT = 3       # capacity-general cross-checks up to this |X|
 
 SIM_SWEEP_HEADER = "n,M,rate,decoder,epsilon,trials,errors,pe_hat,ci95,lambda_max_hat"
 CAP_SWEEP_HEADER = "p1,p2,capacity,gap"
+_NUMBER_FORMAT = ".10g"  # every number the CLI prints or writes
+_CAP_SWEEP_ROW = ",".join(["{:" + _NUMBER_FORMAT + "}"] * 4)  # one format op per row
 
 INT_LIST = "comma-separated integers"  # a Param kind; a JSON list also serves
 SEED_INT = "integer in [0, 2^64)"  # a Param kind: derive_seed keeps 64 bits, so a wider seed aliases
@@ -141,7 +143,7 @@ SWEEP_SIMULATION = (
 
 
 def _fmt(v: float) -> str:
-    return format(float(v), ".10g")
+    return format(float(v), _NUMBER_FORMAT)
 
 
 def _config_json(eff: dict) -> str:
@@ -273,7 +275,7 @@ def _sim_sweep_row(cfg: SimConfig) -> str:
 def cmd_sweep(eff: dict) -> int:
     if eff["mode"] == "capacity":
         grid = default_grid(eff["grid_step"])
-        rows = (",".join(_fmt(v) for v in row) for row in sweep_capacity_surface(grid, grid))
+        rows = (_CAP_SWEEP_ROW.format(*row) for row in sweep_capacity_surface(grid, grid))
         echo = {k: eff[k] for k in ("mode", "grid_step", "seed")}
         _write_csv(eff["out"], echo, CAP_SWEEP_HEADER, rows)
         return 0

@@ -199,17 +199,16 @@ def _entropy_bits(arr: np.ndarray) -> float:
     return float(-(pos * np.log2(pos)).sum())
 
 
-def binary_entropy(p: float) -> float:
-    """Entropy in bits of a Bernoulli(p) symbol.
-
-    Raises DomainError for p outside [0, 1].
-    """
-    p = float(p)
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"probability {p!r} outside [0, 1]")
-    if p == 0.0 or p == 1.0:
-        return 0.0
-    return float(-(p * np.log2(p) + (1.0 - p) * np.log2(1.0 - p)))
+def binary_entropy(p):
+    """Entropy in bits of a Bernoulli(p) symbol, elementwise for an array (a
+    float for a float).  Raises DomainError for any p outside [0, 1] or NaN."""
+    p = np.asarray(p, dtype=float)[()]  # a numpy scalar for a float
+    inside = (p >= 0.0) & (p <= 1.0)  # False for NaN
+    if not inside.all():
+        raise DomainError(f"probability {float(np.extract(~inside, p)[0])!r} outside [0, 1]")
+    q = 1.0 - p  # below, log2(1) = 0 stands in for log2(0); 0.0 - x keeps H(0) = +0.0
+    h = 0.0 - (p * np.log2(p + (p == 0.0)) + q * np.log2(q + (q == 0.0)))
+    return h if isinstance(h, np.ndarray) else float(h)
 
 
 def entropy(pmf: Pmf) -> float:
@@ -343,12 +342,12 @@ def build_joint_xuyv(px: Pmf, p1: float, p2: float) -> JointPmf:
     return JointPmf(table)
 
 
-def composite_crossover(p1: float, p2: float) -> float:
+def composite_crossover(p1, p2):
     """Crossover of two independent binary flips in series: p1 + p2 - 2 p1 p2."""
     return p1 + p2 - 2.0 * p1 * p2
 
 
-def bsc_capacity_gap(p1: float, p2: float) -> float:
+def bsc_capacity_gap(p1, p2):
     """Capacity lost to a BSC(p2) perturbation of a BSC(p1) channel, in
     bits: H(q) - H(p1) with q the composite crossover."""
     return binary_entropy(composite_crossover(p1, p2)) - binary_entropy(p1)

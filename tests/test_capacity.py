@@ -30,7 +30,9 @@ from asymcap.info import (
     _kernel,
     binary_entropy,
     bsc,
+    bsc_capacity_gap,
     build_joint_uy,
+    composite_crossover,
     mutual_information,
 )
 
@@ -610,6 +612,36 @@ class TestSequentialOracle:
         # compared too
         assert most > capacity._LADDER
 
+    def test_search_stops_at_first_step_below_eps(self, monkeypatch):
+        # Perturbation rows 1e-7 apart leave I(U;Y) near 3e-16.  At that
+        # float floor every short trial rounds to the same point and is
+        # rejected with a gain above the ulp bound, so only the t <= eps
+        # clause ends the second step's search: it halves from its warm
+        # start 2^-2 to 2^-52 (51 trials).  The ladder holding 2^-52 starts
+        # at 2^-50, so no later ladder may be tried.
+        pyx = TransitionMatrix([[0.2918142402906411, 0.7081857597093588],
+                                [0.8628540137592364, 0.1371459862407636],
+                                [0.2592288362754238, 0.7407711637245762]])
+        pux = TransitionMatrix([[0.5964789627096031, 0.24296984152213663, 0.16055119576826027],
+                                [0.5964786019485463, 0.24297011189235637, 0.16055128615909736],
+                                [0.5964785919664817, 0.2429701038974458, 0.1605513041360725]])
+        start = np.array([[0.8620255797687251, 0.020483166889079637, 0.11749125334219539]])
+        opts = SolverOptions(convergence_tol=1e-300)  # no tolerance stop above the floor
+        a, nu, ny = _kernel(pyx, pux)
+        want, most = _sequential_ascend(start, a, nu, ny, opts)
+        assert most == 51 and want[2][0] == 1
+        tried, real_arc = [], capacity._arc
+
+        def arc(p, g, t, dead):
+            tried.append(np.min(t))
+            return real_arc(p, g, t, dead)
+
+        monkeypatch.setattr(capacity, "_arc", arc)
+        got = capacity._ascend(start, a, nu, ny, opts)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+        assert min(tried) == capacity._EPS / 2
+
 
 class TestGradient:
     @pytest.mark.parametrize("seed", [3, 14, 15])
@@ -762,6 +794,26 @@ class TestSweepSurface:
     def test_rejects_values_beyond_half(self):
         with pytest.raises(DomainError):
             sweep_capacity_surface([0.6], [0.1])
+
+    @pytest.mark.parametrize("grids", [([np.nan], [0.1]), ([0.1], [np.inf]),
+                                       ([0.1, 0.2], [0.3, -0.0, -1e-300])])
+    def test_rejects_nan_inf_and_negative(self, grids):
+        with pytest.raises(DomainError):
+            sweep_capacity_surface(*grids)
+
+    def test_matches_per_point_formulas(self):
+        grid = np.linspace(0.0, 0.5, 26).tolist()
+        want = [(p1, p2, 1.0 - binary_entropy(composite_crossover(p1, p2)),
+                 bsc_capacity_gap(p1, p2)) for p1 in grid for p2 in grid]
+        got = sweep_capacity_surface(grid, grid)
+        assert [tuple(v.hex() for v in row) for row in got] == [
+            tuple(v.hex() for v in row) for row in want]
+
+    def test_rows_are_plain_floats(self):
+        rows = sweep_capacity_surface(np.array([0.0, 0.25]), (p for p in (0.1, 0.5)))
+        assert len(rows) == 4
+        assert all(type(row) is tuple and len(row) == 4 for row in rows)
+        assert all(type(v) is float for row in rows for v in row)
 
     def test_monotone_in_both_noises(self):
         grid = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]

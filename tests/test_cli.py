@@ -1,6 +1,7 @@
 """Command-line interface: parsing, precedence, outputs, exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -348,6 +349,20 @@ class TestSweepCapacity:
         rc, out, _ = run_cli(capsys, "sweep", "--mode", "capacity", "--out", str(out_path))
         assert rc == 0
         assert "wrote 2601 rows" in out
+
+    # sha256 of the whole CSV, pinned when the surface was a scalar double loop
+    PINNED_SHA256 = {
+        "0.01": "bae868c6d9a13155e09faef4aaceb71d90898ebe72c72047e76ddbd1678f09d0",
+        "0.002": "1750c1ac2c1298ffb0f2dcefa6cd0a503e721de528205567201de3b44c44b27e",
+    }
+
+    @pytest.mark.parametrize("step", list(PINNED_SHA256))
+    def test_pinned_csv_bytes(self, capsys, tmp_path, step):
+        out_path = tmp_path / "cap.csv"
+        rc, _, _ = run_cli(capsys, "sweep", "--mode", "capacity", "--grid-step", step,
+                           "--out", str(out_path))
+        assert rc == 0
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == self.PINNED_SHA256[step]
 
     def test_rerun_byte_identical(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

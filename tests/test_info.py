@@ -50,10 +50,45 @@ class TestBinaryEntropy:
     def test_range(self, p):
         assert 0.0 <= binary_entropy(p) <= 1.0 + 1e-15
 
-    @pytest.mark.parametrize("bad", [-0.1, 1.1, 2.0, -1e-9])
+    @pytest.mark.parametrize("bad", [-0.1, 1.1, 2.0, -1e-9, float("nan"), float("inf")])
     def test_domain(self, bad):
         with pytest.raises(DomainError):
             binary_entropy(bad)
+
+    # float.hex of the scalar H(p), pinned when it was a scalar-only function
+    PINNED = {
+        0.0: "0x0.0p+0",
+        5e-324: "0x0.0000000000432p-1022",
+        1e-300: "0x1.4db3639c84769p-987",
+        0.05: "0x1.25453e71f2a22p-2",
+        0.1: "0x1.e0406181bc7cep-2",
+        1 / 3: "0x1.d62adf1ea257cp-1",
+        0.25: "0x1.9f5fd8a9063e3p-1",
+        0.5: "0x1.0000000000000p+0",
+        1 - 2.0 ** -53: "0x1.b38aa3b295c18p-48",
+        1.0: "0x0.0p+0",
+    }
+
+    @pytest.mark.parametrize("p", list(PINNED))
+    def test_pinned_bits(self, p):
+        h = binary_entropy(p)
+        assert type(h) is float and h.hex() == self.PINNED[p]
+
+    def test_array_matches_scalar_bits(self):
+        rng = np.random.default_rng(19)
+        p = np.concatenate([
+            list(self.PINNED), rng.random(20_000), 0.5 * rng.random(2_000),
+            np.ldexp(rng.random(2_000), -rng.integers(30, 1074, 2_000)),  # subnormals too
+            1.0 - np.ldexp(rng.random(2_000), -rng.integers(1, 54, 2_000)),
+        ]).reshape(-1, 2)
+        h = binary_entropy(p)
+        assert h.shape == p.shape and h.dtype == np.float64
+        assert h.tobytes() == np.array([binary_entropy(float(v)) for v in p.flat]).tobytes()
+
+    @pytest.mark.parametrize("bad", [[0.2, np.nan], [np.inf, 0.2], [[0.1], [-1e-300]]])
+    def test_array_domain(self, bad):
+        with pytest.raises(DomainError):
+            binary_entropy(np.array(bad))
 
 
 class TestPmf:
