@@ -25,8 +25,10 @@ from .info import (
     Pmf,
     TransitionMatrix,
     _entropy_bits,
+    _freeze,
     _kernel,
     _log_ratios,
+    _probability,
     binary_entropy,
     bsc_capacity_gap,
     composite_crossover,
@@ -136,9 +138,7 @@ class CapacityResult:
     residual: float
 
     def __post_init__(self):
-        arr = np.array(self.argmax_px, dtype=float, copy=True)
-        arr.setflags(write=False)
-        object.__setattr__(self, "argmax_px", arr)
+        _freeze(self, "argmax_px", np.array(self.argmax_px, dtype=float, copy=True))
 
 
 def capacity_closed_form_bsc(p1: float, p2: float) -> CapacityResult:
@@ -148,11 +148,7 @@ def capacity_closed_form_bsc(p1: float, p2: float) -> CapacityResult:
     q = p1 + p2 - 2 p1 p2, so the value is 1 - H(q), attained by the
     uniform input.
     """
-    p1 = float(p1)
-    p2 = float(p2)
-    for name, p in (("p1", p1), ("p2", p2)):
-        if not 0.0 <= p <= 1.0:
-            raise DomainError(f"{name}={p!r} outside [0, 1]")
+    p1, p2 = _probability("p1", p1), _probability("p2", p2)
     cap = 1.0 - binary_entropy(composite_crossover(p1, p2))
     return CapacityResult(cap, np.array([0.5, 0.5]), SOLVER_CLOSED_FORM, 0, 0.0)
 
@@ -174,10 +170,11 @@ def _mi_batch(q: np.ndarray, nu: int, ny: int) -> np.ndarray:
     return (t * _log_ratios(t)).sum(axis=(1, 2))
 
 
-def _gradient_batch(P: np.ndarray, a: np.ndarray, nu: int, ny: int) -> np.ndarray:
-    """Gradient of I(U;Y) at each row of P (see mutual_information_gradient)."""
-    logs = _log_ratios(_joint_rows(P, a).reshape(-1, nu, ny))
-    return (a @ logs.reshape(len(P), -1, 1))[:, :, 0] - _LOG2E
+def _gradient_batch(q: np.ndarray, a: np.ndarray, nu: int, ny: int) -> np.ndarray:
+    """Gradient of I(U;Y) at each row of P, given q = _joint_rows(P, a)
+    (see mutual_information_gradient)."""
+    logs = _log_ratios(q.reshape(-1, nu, ny))
+    return (a @ logs.reshape(len(q), -1, 1))[:, :, 0] - _LOG2E
 
 
 def _project_rows(V: np.ndarray) -> np.ndarray:
@@ -191,9 +188,9 @@ def _project_rows(V: np.ndarray) -> np.ndarray:
     return np.maximum(V - theta[:, None], 0.0)
 
 
-def _dead_inputs(P: np.ndarray, a: np.ndarray, nu: int, ny: int) -> np.ndarray:
+def _dead_inputs(P: np.ndarray, q: np.ndarray, a: np.ndarray, nu: int, ny: int) -> np.ndarray:
     """Mask of the coordinates of each row of P that sit at 0 with a
-    one-sided derivative of -inf.
+    one-sided derivative of -inf, given q = _joint_rows(P, a).
 
     Mass eps moved onto an input x at 0 feeds the cells c = (u, y) with
     q(c) = 0 that x reaches, and changes I(U;Y) by kappa eps log2(1/eps) +
@@ -201,7 +198,7 @@ def _dead_inputs(P: np.ndarray, a: np.ndarray, nu: int, ny: int) -> np.ndarray:
     and subtracts it over those with q(u), q(y) > 0.  The gradient skips
     cells with q(c) = 0, so the ascent itself must hold x at 0 when
     kappa < 0."""
-    t = _joint_rows(P, a).reshape(-1, nu, ny)
+    t = q.reshape(-1, nu, ny)
     zu, zy = t.sum(axis=2, keepdims=True) == 0, t.sum(axis=1, keepdims=True) == 0
     sign = (zu & zy).astype(float) - ((t == 0) & ~zu & ~zy)
     return (P == 0) & (_joint_rows(sign.reshape(len(P), -1), a.T) < 0)
@@ -215,8 +212,9 @@ def _direction(P: np.ndarray, a: np.ndarray, nu: int, ny: int):
     a row, but rounding does: the raw gradient carries -log2(e) in every
     entry, and a long step t g would round p + t g far above p's own ulp.
     Shifted, every coordinate the projection keeps lies in (-1, 1]."""
-    dead = _dead_inputs(P, a, nu, ny)
-    G = _gradient_batch(P, a, nu, ny)
+    q = _joint_rows(P, a)
+    dead = _dead_inputs(P, q, a, nu, ny)
+    G = _gradient_batch(q, a, nu, ny)
     return G - np.where(dead, -np.inf, G).max(axis=1, keepdims=True), dead
 
 
@@ -262,7 +260,8 @@ def mutual_information_gradient(
     minus log2(e); cells with q(u,y) = 0 are skipped.
     """
     a, nu, ny = _kernel(pyx, pux)
-    return _gradient_batch(_vector(p, "input weights", a.shape[0])[None], a, nu, ny)[0]
+    p = _vector(p, "input weights", a.shape[0])
+    return _gradient_batch(_joint_rows(p[None], a), a, nu, ny)[0]
 
 
 def simplex_project(v: np.ndarray) -> np.ndarray:

@@ -190,15 +190,10 @@ def _merge(args: argparse.Namespace, params: tuple[Param, ...]) -> dict:
 
 
 def _resolve_decoder(eff: dict) -> None:
-    """Replace the CLI decoder name by the internal one and settle epsilon."""
-    if eff["decoder"] == "typ":
-        eff["decoder"] = DECODER_TYPICALITY
-        if eff["epsilon"] is None:
-            eff["epsilon"] = DEFAULT_EPSILON
-        return
-    if eff["epsilon"] is not None:
-        raise UsageError("--epsilon only applies to the typicality decoder")
-    eff["decoder"] = DECODER_MAP
+    """Give the typicality decoder its default epsilon when none is given,
+    so that the echoed config holds the value that runs."""
+    if eff["decoder"] == "typ" and eff["epsilon"] is None:
+        eff["epsilon"] = DEFAULT_EPSILON
 
 
 def _write_csv(path: str, echo: dict, header: str, rows) -> None:
@@ -248,7 +243,8 @@ def cmd_capacity_general(eff: dict) -> int:
 
 def _sim_config(eff: dict, n: int, m: int, seed: int, mode: str = MODE_FRESH) -> SimConfig:
     return SimConfig.binary_symmetric(
-        n=n, M=m, p1=eff["p1"], p2=eff["p2"], decoder=eff["decoder"], epsilon=eff["epsilon"],
+        n=n, M=m, p1=eff["p1"], p2=eff["p2"], epsilon=eff["epsilon"],
+        decoder=DECODER_TYPICALITY if eff["decoder"] == "typ" else DECODER_MAP,
         trials=eff["trials"], codebook_mode=mode, master_seed=seed,
     )
 
@@ -262,14 +258,14 @@ def cmd_simulate(eff: dict) -> int:
     return 0
 
 
+def _csv_cell(v) -> str:
+    return "" if v is None else _fmt(v) if isinstance(v, float) else str(v)
+
+
 def _sim_sweep_row(cfg: SimConfig) -> str:
-    rep = run_experiment(cfg)
-    eps = "" if cfg.epsilon is None else _fmt(cfg.epsilon)
-    return ",".join([
-        str(cfg.n), str(cfg.M), _fmt(math.log2(cfg.M) / cfg.n), cfg.decoder, eps,
-        str(cfg.trials), str(rep.error_count), _fmt(rep.pe_hat),
-        _fmt(rep.ci95_halfwidth), _fmt(rep.lambda_max_hat),
-    ])
+    """One lattice row: the run's report fields in SIM_SWEEP_HEADER order."""
+    rep = run_experiment(cfg).to_json_dict()
+    return ",".join(_csv_cell(rep[k]) for k in SIM_SWEEP_HEADER.split(","))
 
 
 def cmd_sweep(eff: dict) -> int:

@@ -24,6 +24,8 @@ from .info import (
     TransitionMatrix,
     _check_inputs,
     _entropy_bits,
+    _freeze,
+    _probability,
     bsc,
     build_joint_uy,
 )
@@ -70,6 +72,22 @@ class CodebookLimitError(ValueError):
     """Requested codebook exceeds the memory cap."""
 
 
+def _check_codebook_size(M: int, n: int) -> None:
+    """Raise unless M and n are at least 1 and M x n cells fit CODEBOOK_CELL_CAP."""
+    if M < 1 or n < 1:
+        raise DomainError("M and n must be at least 1")
+    if M * n > CODEBOOK_CELL_CAP:
+        raise CodebookLimitError(
+            f"codebook of {M} x {n} = {M * n} cells exceeds cap {CODEBOOK_CELL_CAP}"
+        )
+
+
+def _check_epsilon(epsilon) -> None:
+    """Raise unless the typicality slack epsilon is positive and finite."""
+    if epsilon is None or not 0.0 < epsilon < math.inf:
+        raise DomainError(f"typicality epsilon must be positive and finite, got {epsilon!r}")
+
+
 @dataclass(frozen=True)
 class CodebookPair:
     """Encoder and decoder codeword matrices (M x n) plus generating seed."""
@@ -91,10 +109,8 @@ class CodebookPair:
             raise DimensionMismatch(
                 f"codebooks need at least one message and one symbol, got shape {cx.shape}"
             )
-        cx.setflags(write=False)
-        cu.setflags(write=False)
-        object.__setattr__(self, "cx", cx)
-        object.__setattr__(self, "cu", cu)
+        _freeze(self, "cx", cx)
+        _freeze(self, "cu", cu)
 
     @property
     def M(self) -> int:
@@ -114,12 +130,7 @@ def generate_codebooks(
     derive_seed(seed, 0, TAG_CODEBOOK) and the perturbation the one keyed
     by derive_seed(seed, 0, TAG_PERTURB).
     """
-    if M < 1 or n < 1:
-        raise DomainError("M and n must be at least 1")
-    if M * n > CODEBOOK_CELL_CAP:
-        raise CodebookLimitError(
-            f"codebook of {M} x {n} = {M * n} cells exceeds cap {CODEBOOK_CELL_CAP}"
-        )
+    _check_codebook_size(M, n)
     _check_inputs(px, pux=pux)
     seeds = np.array([seed & MASK64], dtype=np.uint64)
     cdf_x, cdfs_u = capped_cdf(px.probs), capped_cdf(pux.matrix)
@@ -281,8 +292,7 @@ def typicality_decode(
     than one row passes.  Codewords containing zero-probability symbols are
     never typical.  Every rate is read from the rows' (u, y) count tables.
     """
-    if not 0.0 < epsilon < math.inf:
-        raise DomainError("epsilon must be positive and finite")
+    _check_epsilon(epsilon)
     if joint.ndim != 2:
         raise DimensionMismatch("typicality_decode expects a 2-D joint over (U, Y)")
     counts = _checked_counts(y, pair, *joint.table.shape)
@@ -321,31 +331,26 @@ class SimConfig:
     p2: float | None = None
 
     def __post_init__(self):
-        if self.n < 1 or self.M < 1:
-            raise DomainError("n and M must be at least 1")
+        _check_codebook_size(self.M, self.n)
         if self.trials < 1:
             raise DomainError("trials must be at least 1")
         if self.decoder not in (DECODER_MAP, DECODER_TYPICALITY):
             raise DomainError(f"unknown decoder {self.decoder!r}")
         if self.decoder == DECODER_TYPICALITY:
-            if self.epsilon is None or not 0.0 < self.epsilon < math.inf:
-                raise DomainError("typicality decoding needs a positive, finite epsilon")
+            _check_epsilon(self.epsilon)
         elif self.epsilon is not None:
             raise DomainError("epsilon only applies to the typicality decoder")
         if self.codebook_mode not in (MODE_FRESH, MODE_FIXED):
             raise DomainError(f"unknown codebook_mode {self.codebook_mode!r}")
         _check_inputs(self.px, self.pyx, self.pux)
-        if self.M * self.n > CODEBOOK_CELL_CAP:
-            raise CodebookLimitError(
-                f"codebook of {self.M} x {self.n} cells exceeds cap {CODEBOOK_CELL_CAP}"
-            )
 
     @staticmethod
     def binary_symmetric(n: int, M: int, p1: float, p2: float, **options) -> "SimConfig":
         """Uniform binary input, BSC(p1) channel, BSC(p2) perturbation; options
         set the remaining fields (decoder, epsilon, trials, ...) by name."""
+        p1, p2 = _probability("p1", p1), _probability("p2", p2)
         return SimConfig(n=n, M=M, px=Pmf.uniform(2), pyx=bsc(p1), pux=bsc(p2),
-                         p1=float(p1), p2=float(p2), **options)
+                         p1=p1, p2=p2, **options)
 
     def echo(self) -> dict:
         """JSON-ready snapshot of the effective configuration: the scalar

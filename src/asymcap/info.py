@@ -66,6 +66,39 @@ def _clean_mass(arr: np.ndarray, what: str) -> None:
     arr /= total
 
 
+def _freeze(obj, field: str, arr: np.ndarray) -> None:
+    """Store arr, made read-only, as field of the frozen dataclass obj."""
+    arr.setflags(write=False)
+    object.__setattr__(obj, field, arr)
+
+
+def _table(obj, field: str, axes: tuple[int, int], what: str, per_row: bool = False) -> None:
+    """Validate and freeze a float copy of obj's probability table field.
+
+    The table needs axes[0] to axes[1] axes of 1 to MAX_SYMBOLS symbols
+    each; its mass is checked and renormalized as a whole (_clean_mass),
+    or with per_row row by row, each named by its 1-based index.
+    """
+    arr = np.array(getattr(obj, field), dtype=float, copy=True)
+    lo, hi = axes
+    if not lo <= arr.ndim <= hi or arr.size == 0 or max(arr.shape) > MAX_SYMBOLS:
+        span = f"{lo}" if lo == hi else f"{lo} to {hi}"
+        raise DimensionMismatch(f"{what}: expected {span} {'axis' if hi == 1 else 'axes'} of "
+                                f"1 to {MAX_SYMBOLS} symbols, got shape {arr.shape}")
+    for i, part in enumerate(arr if per_row else [arr]):
+        _clean_mass(part, f"row {i + 1}" if per_row else what)
+    _freeze(obj, field, arr)
+
+
+def _probability(name: str, p) -> float:
+    """p as a float, or DomainError naming it unless it lies in [0, 1]
+    (NaN does not)."""
+    p = float(p)
+    if not 0.0 <= p <= 1.0:
+        raise DomainError(f"{name}={p!r} outside [0, 1]")
+    return p
+
+
 @dataclass(frozen=True)
 class Pmf:
     """Probability mass function on the alphabet {0, ..., K-1}.
@@ -80,16 +113,7 @@ class Pmf:
     probs: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.probs, dtype=float, copy=True)
-        if arr.ndim != 1 or arr.size == 0:
-            raise DimensionMismatch("pmf: expected a non-empty 1-D vector")
-        if arr.size > MAX_SYMBOLS:
-            raise DimensionMismatch(
-                f"pmf: alphabet size {arr.size} exceeds the dense-table cap {MAX_SYMBOLS}"
-            )
-        _clean_mass(arr, "pmf")
-        arr.setflags(write=False)
-        object.__setattr__(self, "probs", arr)
+        _table(self, "probs", (1, 1), "pmf")
 
     @property
     def size(self) -> int:
@@ -109,17 +133,7 @@ class TransitionMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.matrix, dtype=float, copy=True)
-        if arr.ndim != 2 or arr.size == 0:
-            raise DimensionMismatch("transition matrix must be 2-D and non-empty")
-        if max(arr.shape) > MAX_SYMBOLS:
-            raise DimensionMismatch(
-                f"alphabet size {max(arr.shape)} exceeds the dense-table cap {MAX_SYMBOLS}"
-            )
-        for i in range(arr.shape[0]):
-            _clean_mass(arr[i], f"row {i + 1}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "matrix", arr)
+        _table(self, "matrix", (2, 2), "transition matrix", per_row=True)
 
     @property
     def input_size(self) -> int:
@@ -149,18 +163,7 @@ class JointPmf:
     table: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.table, dtype=float, copy=True)
-        if not 2 <= arr.ndim <= MAX_AXES:
-            raise DimensionMismatch(
-                f"joint table must have 2 to {MAX_AXES} axes, got {arr.ndim}"
-            )
-        if arr.size == 0 or max(arr.shape) > MAX_SYMBOLS:
-            raise DimensionMismatch(
-                f"each axis needs 1 to {MAX_SYMBOLS} symbols, got shape {arr.shape}"
-            )
-        _clean_mass(arr, "joint table")
-        arr.setflags(write=False)
-        object.__setattr__(self, "table", arr)
+        _table(self, "table", (2, MAX_AXES), "joint table")
 
     @property
     def ndim(self) -> int:
@@ -324,11 +327,7 @@ def build_joint_xuyv(px: Pmf, p1: float, p2: float) -> JointPmf:
     """
     if px.size != 2:
         raise DimensionMismatch("px must be binary")
-    for name, p in (("p1", p1), ("p2", p2)):
-        if not 0.0 <= float(p) <= 1.0:
-            raise DomainError(f"{name}={p!r} outside [0, 1]")
-    p1 = float(p1)
-    p2 = float(p2)
+    p1, p2 = _probability("p1", p1), _probability("p2", p2)
     table = np.zeros((2, 2, 2, 2))
     for x in (0, 1):
         for z1 in (0, 1):
@@ -355,9 +354,7 @@ def bsc_capacity_gap(p1, p2):
 
 def bsc(p: float) -> TransitionMatrix:
     """Binary symmetric channel with crossover probability p."""
-    p = float(p)
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"crossover {p!r} outside [0, 1]")
+    p = _probability("crossover", p)
     return TransitionMatrix(np.array([[1.0 - p, p], [p, 1.0 - p]]))
 
 

@@ -342,7 +342,8 @@ class TestOptimize:
         pyx, pux = (TransitionMatrix(np.array(m, dtype=float)) for m in tables)
         a, nu, ny = _kernel(pyx, pux)
         p = np.array([0.5, 0.5, 0.0])
-        np.testing.assert_array_equal(capacity._dead_inputs(p[None], a, nu, ny)[0],
+        q = capacity._joint_rows(p[None], a)
+        np.testing.assert_array_equal(capacity._dead_inputs(p[None], q, a, nu, ny)[0],
                                       [False, False, dead])
         base = input_mutual_information(p, pyx, pux)
         slopes = [(input_mutual_information(p + eps * np.array([-0.5, -0.5, 1.0]), pyx, pux)

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -63,6 +64,40 @@ class TestCapacity:
         rc, _, err = run_cli(capsys, "capacity", "--p1", "0.1")
         assert rc == 2
         assert "--p2" in err
+
+    # Every subcommand that takes a crossover reports a bad one in the same
+    # words.  NaN never reaches the library: the flag parser refuses it.
+    CROSSOVER_ARGS = {
+        "capacity": ("capacity", "--p1", "0.1", "--p2", "0.1"),
+        "simulate": SIM_ARGS,
+        "collision": ("collision", "--messages", "4", "--collide", "2", "--n", "8",
+                      "--p1", "0.1", "--p2", "0.1", "--trials", "20"),
+        "sweep": ("sweep", "--mode", "simulation", "--n-list", "8", "--m-list", "2",
+                  "--p1", "0.1", "--p2", "0.1", "--trials", "10", "--out", "s.csv"),
+    }
+
+    @pytest.mark.parametrize("command", list(CROSSOVER_ARGS))
+    @pytest.mark.parametrize("name, value, where, line", [
+        ("p1", "1.5", "flag", "error: p1=1.5 outside [0, 1]"),
+        ("p2", "-0.5", "flag", "error: p2=-0.5 outside [0, 1]"),
+        ("p1", 1.5, "config", "error: p1=1.5 outside [0, 1]"),
+        ("p2", float("nan"), "config", "error: --p2: expected float, got nan"),
+    ], ids=["p1-flag", "p2-flag", "p1-config", "nan-config"])
+    def test_crossover_outside_unit_interval(self, capsys, tmp_path, monkeypatch,
+                                             command, name, value, where, line):
+        monkeypatch.chdir(tmp_path)
+        argv = list(self.CROSSOVER_ARGS[command])
+        at = argv.index("--" + name) + 1
+        if where == "flag":
+            argv[at] = value
+        else:
+            del argv[at - 1:at + 1]
+            (tmp_path / "c.json").write_text(json.dumps({name: value}))
+            argv += ["--config", "c.json"]
+        rc, out, err = run_cli(capsys, *argv)
+        assert rc == 2 and out == ""
+        assert err.splitlines() == [line]
+        assert not (tmp_path / "s.csv").exists()
 
 
 class TestConfigPrecedence:
@@ -174,6 +209,51 @@ class TestConfigPrecedence:
         )
         assert rc == 0
         assert "wrote 2601 rows" in out
+
+
+def _mask_elapsed(text: str) -> str:
+    return re.sub(r'"elapsed_seconds": [^,}]*', '"elapsed_seconds": 0', text)
+
+
+# One valid run per subcommand whose echo is a configuration: the stdout
+# `config:` line, or the `# config:` line of the CSV it writes.  (verify's
+# report records its grid and thresholds, which are not parameters.)
+REPLAYS = {
+    "capacity": ("capacity", "--p1", "0.1", "--p2", "0.2", "--seed", "3"),
+    "capacity-general": ("capacity-general", "--channel", "ch.txt", "--perturb", "ch.txt",
+                         "--restarts", "2", "--grid-res", "0.05"),
+    "simulate-map": SIM_ARGS + ("--seed", "4"),
+    "simulate-typ": SIM_ARGS + ("--decoder", "typ", "--fixed-codebook"),
+    "simulate-typ-epsilon": SIM_ARGS + ("--decoder", "typ", "--epsilon", "0.2"),
+    "sweep-capacity": ("sweep", "--mode", "capacity", "--grid-step", "0.25", "--out", "s.csv"),
+    "sweep-map": ("sweep", "--mode", "simulation", "--n-list", "4,8", "--m-list", "2",
+                  "--p1", "0.1", "--p2", "0.05", "--trials", "10", "--out", "s.csv"),
+    "sweep-typ": ("sweep", "--mode", "simulation", "--n-list", "8", "--m-list", "2,4",
+                  "--p1", "0.1", "--p2", "0.05", "--trials", "10", "--decoder", "typ",
+                  "--out", "s.csv"),
+    "collision": ("collision", "--messages", "4", "--collide", "2", "--n", "8",
+                  "--p1", "0.1", "--p2", "0.1", "--trials", "20"),
+}
+
+
+@pytest.mark.parametrize("argv", list(REPLAYS.values()), ids=list(REPLAYS))
+def test_echoed_config_replays(capsys, tmp_path, monkeypatch, argv):
+    """The echoed config, given back through --config (with --out where the
+    run writes a file), reproduces the run: same stdout, same file bytes."""
+    monkeypatch.chdir(tmp_path)
+    write_matrix(tmp_path / "ch.txt", [[0.9, 0.1], [0.2, 0.8]])
+    csv = tmp_path / "s.csv"
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 0 and err == ""
+    written = csv.read_bytes() if "--out" in argv else None
+    echo = (csv.read_text() if written else out).splitlines()[0]
+    (tmp_path / "c.json").write_text(echo.split("config: ", 1)[1])
+    csv.unlink(missing_ok=True)
+    rc, again, err = run_cli(capsys, argv[0], "--config", "c.json",
+                             *(("--out", "s.csv") if written else ()))
+    assert (rc, err) == (0, "")
+    assert _mask_elapsed(again) == _mask_elapsed(out)
+    assert (csv.read_bytes() if written else None) == written
 
 
 class TestCapacityGeneral:

@@ -21,6 +21,7 @@ from asymcap.codec import (
     transmit,
     typicality_decode,
 )
+from asymcap.capacity import capacity_closed_form_bsc
 from asymcap.info import (
     DimensionMismatch,
     DomainError,
@@ -29,6 +30,7 @@ from asymcap.info import (
     TransitionMatrix,
     bsc,
     build_joint_uy,
+    build_joint_xuyv,
     composite_crossover,
 )
 from asymcap.rng import (
@@ -397,6 +399,46 @@ class TestSimConfig:
     def test_cell_cap(self):
         with pytest.raises(CodebookLimitError):
             SimConfig.binary_symmetric(n=1 << 7, M=1 << 20, p1=0.1, p2=0.1)
+
+    @pytest.mark.parametrize("M, n, error, message", [
+        (1 << 20, 1 << 7, CodebookLimitError,
+         f"codebook of {1 << 20} x {1 << 7} = {1 << 27} cells exceeds cap {CODEBOOK_CELL_CAP}"),
+        (0, 4, DomainError, "M and n must be at least 1"),
+        (2, -1, DomainError, "M and n must be at least 1"),
+    ])
+    def test_codebook_size_messages_agree_across_owners(self, M, n, error, message):
+        for build in (lambda: SimConfig.binary_symmetric(n=n, M=M, p1=0.1, p2=0.1),
+                      lambda: generate_codebooks(M, n, UNIF2, bsc(0.1), 0)):
+            with pytest.raises(error) as info:
+                build()
+            assert str(info.value) == message
+
+    @pytest.mark.parametrize("epsilon", [0.0, -0.1, float("nan"), float("inf")])
+    def test_epsilon_messages_agree_across_owners(self, epsilon):
+        pair = generate_codebooks(2, 4, UNIF2, bsc(0.1), 0)
+        joint = build_joint_uy(UNIF2, bsc(0.1), bsc(0.1))
+        message = f"typicality epsilon must be positive and finite, got {epsilon!r}"
+        for build in (lambda: SimConfig.binary_symmetric(n=4, M=2, p1=0.1, p2=0.1,
+                                                         decoder="typicality", epsilon=epsilon),
+                      lambda: typicality_decode(np.zeros(4, dtype=np.int64), pair, epsilon, joint)):
+            with pytest.raises(DomainError) as info:
+                build()
+            assert str(info.value) == message
+
+    @pytest.mark.parametrize("p1, p2, message", [
+        (1.5, 0.1, "p1=1.5 outside [0, 1]"),
+        (float("nan"), 0.1, "p1=nan outside [0, 1]"),
+        (0.1, -0.5, "p2=-0.5 outside [0, 1]"),
+        (0.1, np.float64(2.0), "p2=2.0 outside [0, 1]"),
+    ])
+    def test_crossover_messages_agree_across_modules(self, p1, p2, message):
+        for build in (lambda: SimConfig.binary_symmetric(n=4, M=2, p1=p1, p2=p2),
+                      lambda: capacity_closed_form_bsc(p1, p2),
+                      lambda: build_joint_xuyv(UNIF2, p1, p2),
+                      lambda: collision_experiment(4, 2, 8, p1, p2, 10, 0)):
+            with pytest.raises(DomainError) as info:
+                build()
+            assert str(info.value) == message
 
     def test_binary_symmetric_echo_carries_the_dataclass_defaults(self):
         echo = SimConfig.binary_symmetric(n=4, M=2, p1=0.1, p2=0.2).echo()

@@ -150,8 +150,10 @@ class TestTransitionMatrix:
     def test_bsc(self):
         t = bsc(0.1)
         np.testing.assert_allclose(t.matrix, [[0.9, 0.1], [0.1, 0.9]])
-        with pytest.raises(DomainError):
-            bsc(1.5)
+        for bad in (1.5, -0.0001, float("nan")):
+            with pytest.raises(DomainError) as info:
+                bsc(bad)
+            assert str(info.value) == f"crossover={bad!r} outside [0, 1]"
 
 
 class TestJointPmf:
@@ -181,6 +183,34 @@ class TestJointPmf:
         j = JointPmf([[0.1, 0.2], [0.3, 0.4]])
         with pytest.raises(IndexError):
             j.marginal((2,))
+
+
+# A wrong number of axes, an empty table and an oversized alphabet: one
+# message per type, naming the type and the shape it got.
+PMF_AXES = "pmf: expected 1 axis"
+MATRIX_AXES = "transition matrix: expected 2 axes"
+JOINT_AXES = "joint table: expected 2 to 4 axes"
+
+
+@pytest.mark.parametrize("cls, table, head", [
+    (Pmf, [[0.5, 0.5]], PMF_AXES),
+    (Pmf, np.empty(0), PMF_AXES),
+    (Pmf, np.full(65, 1 / 65), PMF_AXES),
+    (Pmf, 1.0, PMF_AXES),
+    (TransitionMatrix, [0.5, 0.5], MATRIX_AXES),
+    (TransitionMatrix, np.empty((0, 2)), MATRIX_AXES),
+    (TransitionMatrix, np.full((2, 65), 1 / 65), MATRIX_AXES),
+    (TransitionMatrix, np.full((65, 2), 0.5), MATRIX_AXES),
+    (JointPmf, np.full(4, 0.25), JOINT_AXES),
+    (JointPmf, np.full((2,) * 5, 1 / 32), JOINT_AXES),
+    (JointPmf, np.empty((2, 0)), JOINT_AXES),
+    (JointPmf, np.full((65, 1), 1 / 65), JOINT_AXES),
+])
+def test_table_shape_message(cls, table, head):
+    shape = np.shape(table)
+    with pytest.raises(DimensionMismatch) as info:
+        cls(table)
+    assert str(info.value) == f"{head} of 1 to 64 symbols, got shape {shape}"
 
 
 class TestEntropy:
