@@ -299,7 +299,9 @@ def cmd_verify(eff: dict) -> int:
     with open(eff["out"], "w", encoding="utf-8", newline="") as fh:
         report = run_verification(grid_step=eff["grid_step"], samples=eff["samples"],
                                   seed=eff["seed"])
-        fh.write(json.dumps(report.to_json_dict(), indent=2, allow_nan=False) + "\n")
+        echo = {k: v for k, v in eff.items() if k != "out"}
+        fh.write(json.dumps({"config": echo} | report.to_json_dict(), indent=2,
+                            allow_nan=False) + "\n")
     for c in report.checks:
         status = "PASS" if c.passed else "FAIL"
         print(f"{status} {c.name} residual={_fmt(c.max_residual)} threshold={_fmt(c.threshold)}")

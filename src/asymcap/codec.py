@@ -327,8 +327,6 @@ class SimConfig:
     trials: int = 1000
     codebook_mode: str = MODE_FRESH
     master_seed: int = 0
-    p1: float | None = None
-    p2: float | None = None
 
     def __post_init__(self):
         _check_codebook_size(self.M, self.n)
@@ -348,16 +346,26 @@ class SimConfig:
     def binary_symmetric(n: int, M: int, p1: float, p2: float, **options) -> "SimConfig":
         """Uniform binary input, BSC(p1) channel, BSC(p2) perturbation; options
         set the remaining fields (decoder, epsilon, trials, ...) by name."""
-        p1, p2 = _probability("p1", p1), _probability("p2", p2)
-        return SimConfig(n=n, M=M, px=Pmf.uniform(2), pyx=bsc(p1), pux=bsc(p2),
-                         p1=p1, p2=p2, **options)
+        return SimConfig(n=n, M=M, px=Pmf.uniform(2), pyx=bsc(_probability("p1", p1)),
+                         pux=bsc(_probability("p2", p2)), **options)
 
     def echo(self) -> dict:
         """JSON-ready snapshot of the effective configuration: the scalar
-        fields, then the px, pyx and pux tables as nested lists."""
+        fields, the crossovers p1 and p2 of pyx and pux (see _crossover),
+        then the px, pyx and pux tables as nested lists."""
         tables = {"px": self.px.probs, "pyx": self.pyx.matrix, "pux": self.pux.matrix}
         echo = {f.name: getattr(self, f.name) for f in fields(self) if f.name not in tables}
+        echo |= {"p1": _crossover(self.pyx.matrix), "p2": _crossover(self.pux.matrix)}
         return echo | {name: t.tolist() for name, t in tables.items()}
+
+
+def _crossover(m: np.ndarray) -> float | None:
+    """The crossover p of a binary symmetric table, else None.  bsc(p)'s
+    off-diagonal entry is p itself, as fl(fl(1 - p) + p) = 1 leaves its
+    row sum exact."""
+    if m.shape == (2, 2) and m[0, 0] == m[1, 1] and m[0, 1] == m[1, 0]:
+        return float(m[0, 1])
+    return None
 
 
 @dataclass(frozen=True)

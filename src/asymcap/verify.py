@@ -20,6 +20,7 @@ from .info import (
     DomainError,
     JointPmf,
     Pmf,
+    _probability,
     binary_entropy,
     bsc,
     build_joint_uy,
@@ -107,21 +108,21 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """All check outcomes plus the configuration that produced them."""
+    """All check outcomes, each with the threshold it was judged against.
+
+    The run's inputs (grid step, samples, seed) are its caller's to echo:
+    the grid follows from the step, and the sampling point and thresholds
+    are module constants.
+    """
 
     checks: tuple[CheckResult, ...]
-    config: dict
 
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
     def to_json_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "checks": [c.to_json_dict() for c in self.checks],
-            "pass": self.passed,
-        }
+        return {"checks": [c.to_json_dict() for c in self.checks], "pass": self.passed}
 
 
 def default_grid(step: float = DEFAULT_GRID_STEP) -> np.ndarray:
@@ -199,11 +200,10 @@ def sampled_pair_tv(p1: float, p2: float, samples: int, seed: int) -> float:
     so the integer counts, and the result, are those of one draw of all
     samples.
     """
+    pyx, pux = bsc(_probability("p1", p1)), bsc(_probability("p2", p2))
     if samples < 1:
         raise DomainError("samples must be at least 1")
     px = Pmf.uniform(2)
-    pyx = bsc(p1)
-    pux = bsc(p2)
     gx, gu, gy = (stream(derive_seed(seed, 0, tag))
                   for tag in (TAG_CODEBOOK, TAG_PERTURB, TAG_CHANNEL))
     cdf_x, cdfs_u, cdfs_y = capped_cdf(px.probs), capped_cdf(pux.matrix), capped_cdf(pyx.matrix)
@@ -241,7 +241,7 @@ def codebook_iid_zscores(
     adjacent cell pairs, which is a standard normal under independence.
     """
     px = Pmf.uniform(2)
-    pux = bsc(p2)
+    pux = bsc(_probability("p2", p2))
     pair = generate_codebooks(M, n, px, pux, derive_seed(seed, 1))
     pu = px.probs @ pux.matrix
     total = M * n
@@ -319,15 +319,4 @@ def run_verification(
         *_family(("codebook_symbol_frequency", "codebook_cell_correlation"), Z_LIMIT,
                  operator.le, math.inf, lambda: codebook_iid_zscores(s2, m, n, seed)),
     ]
-    config = {
-        "grid_step": float(grid_step),
-        "grid": [float(g) for g in grid],
-        "samples": int(samples),
-        "seed": int(seed),
-        "sampling_point": [s1, s2],
-        "identity_threshold": IDENTITY_THRESHOLD,
-        "tv_threshold": TV_THRESHOLD,
-        "z_limit": Z_LIMIT,
-        "control_threshold": CONTROL_THRESHOLD,
-    }
-    return VerificationReport(tuple(checks), config)
+    return VerificationReport(tuple(checks))

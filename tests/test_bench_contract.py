@@ -3,7 +3,8 @@
 `bench/run.py --trace 1` wraps package functions by name and replays each
 op through the library, comparing what the replay returns with what the
 CLI printed.  These tests only read `bench/`: they fail when a change to
-the package removes or renames something that run needs.
+the package removes or renames something that run needs, or prints an
+output that the benchmark's checks reject.
 """
 
 import importlib.util
@@ -68,3 +69,13 @@ def test_capacity_general_replay_matches_cli(ac, capsys, tmp_path):
     assert set(want) == {"optimize", "grid"}
     assert got == want
     assert "capacity.capacity_grid" in tr.name
+
+
+@pytest.mark.parametrize("workload", sorted(workloads.PASSES))
+def test_workload_outputs_pass_the_bench_checks(capsys, tmp_path, workload):
+    # the check the benchmark applies to every op it runs: a problem here is
+    # an op it would count as failed
+    for op in workloads.make_inputs(workload, 0, str(tmp_path))[0]:
+        rc = main(list(op.argv))
+        out = capsys.readouterr().out
+        assert workloads.check_output(op, rc, out)[0] is None, (op.label, out)

@@ -215,9 +215,9 @@ def _mask_elapsed(text: str) -> str:
     return re.sub(r'"elapsed_seconds": [^,}]*', '"elapsed_seconds": 0', text)
 
 
-# One valid run per subcommand whose echo is a configuration: the stdout
-# `config:` line, or the `# config:` line of the CSV it writes.  (verify's
-# report records its grid and thresholds, which are not parameters.)
+# One valid run per subcommand, echoing its configuration in the stdout
+# `config:` line, the `# config:` line of the CSV it writes, or the
+# "config" key of verify's JSON report.
 REPLAYS = {
     "capacity": ("capacity", "--p1", "0.1", "--p2", "0.2", "--seed", "3"),
     "capacity-general": ("capacity-general", "--channel", "ch.txt", "--perturb", "ch.txt",
@@ -225,14 +225,15 @@ REPLAYS = {
     "simulate-map": SIM_ARGS + ("--seed", "4"),
     "simulate-typ": SIM_ARGS + ("--decoder", "typ", "--fixed-codebook"),
     "simulate-typ-epsilon": SIM_ARGS + ("--decoder", "typ", "--epsilon", "0.2"),
-    "sweep-capacity": ("sweep", "--mode", "capacity", "--grid-step", "0.25", "--out", "s.csv"),
+    "sweep-capacity": ("sweep", "--mode", "capacity", "--grid-step", "0.25", "--out", "run.out"),
     "sweep-map": ("sweep", "--mode", "simulation", "--n-list", "4,8", "--m-list", "2",
-                  "--p1", "0.1", "--p2", "0.05", "--trials", "10", "--out", "s.csv"),
+                  "--p1", "0.1", "--p2", "0.05", "--trials", "10", "--out", "run.out"),
     "sweep-typ": ("sweep", "--mode", "simulation", "--n-list", "8", "--m-list", "2,4",
                   "--p1", "0.1", "--p2", "0.05", "--trials", "10", "--decoder", "typ",
-                  "--out", "s.csv"),
+                  "--out", "run.out"),
     "collision": ("collision", "--messages", "4", "--collide", "2", "--n", "8",
                   "--p1", "0.1", "--p2", "0.1", "--trials", "20"),
+    "verify": ("verify", "--grid-step", "0.5", "--seed", "3", "--out", "run.out"),
 }
 
 
@@ -242,18 +243,21 @@ def test_echoed_config_replays(capsys, tmp_path, monkeypatch, argv):
     run writes a file), reproduces the run: same stdout, same file bytes."""
     monkeypatch.chdir(tmp_path)
     write_matrix(tmp_path / "ch.txt", [[0.9, 0.1], [0.2, 0.8]])
-    csv = tmp_path / "s.csv"
+    path = tmp_path / "run.out"
     rc, out, err = run_cli(capsys, *argv)
     assert rc == 0 and err == ""
-    written = csv.read_bytes() if "--out" in argv else None
-    echo = (csv.read_text() if written else out).splitlines()[0]
-    (tmp_path / "c.json").write_text(echo.split("config: ", 1)[1])
-    csv.unlink(missing_ok=True)
+    written = path.read_bytes() if "--out" in argv else None
+    if argv[0] == "verify":
+        echo = json.dumps(json.loads(written)["config"])
+    else:
+        echo = (path.read_text() if written else out).splitlines()[0].split("config: ", 1)[1]
+    (tmp_path / "c.json").write_text(echo)
+    path.unlink(missing_ok=True)
     rc, again, err = run_cli(capsys, argv[0], "--config", "c.json",
-                             *(("--out", "s.csv") if written else ()))
+                             *(("--out", "run.out") if written else ()))
     assert (rc, err) == (0, "")
     assert _mask_elapsed(again) == _mask_elapsed(out)
-    assert (csv.read_bytes() if written else None) == written
+    assert (path.read_bytes() if written else None) == written
 
 
 class TestCapacityGeneral:
@@ -565,6 +569,9 @@ class TestVerify:
         assert sum(1 for l in lines if l.startswith("PASS ")) == 14
         data = json.loads(out_path.read_text())
         assert list(data.keys()) == ["config", "checks", "pass"]
+        assert out_path.read_text().startswith(
+            '{\n  "config": {\n    "grid_step": 0.1,\n    "samples": 1000000,\n'
+            '    "seed": 0\n  },\n')
         assert data["pass"] is True
         assert len(data["checks"]) == 14
 

@@ -42,6 +42,7 @@ from asymcap.rng import (
     derive_seed,
     stream,
 )
+from asymcap.verify import codebook_iid_zscores, sampled_pair_tv
 
 UNIF2 = Pmf.uniform(2)
 
@@ -432,10 +433,14 @@ class TestSimConfig:
         (0.1, np.float64(2.0), "p2=2.0 outside [0, 1]"),
     ])
     def test_crossover_messages_agree_across_modules(self, p1, p2, message):
-        for build in (lambda: SimConfig.binary_symmetric(n=4, M=2, p1=p1, p2=p2),
-                      lambda: capacity_closed_form_bsc(p1, p2),
-                      lambda: build_joint_xuyv(UNIF2, p1, p2),
-                      lambda: collision_experiment(4, 2, 8, p1, p2, 10, 0)):
+        builds = [lambda: SimConfig.binary_symmetric(n=4, M=2, p1=p1, p2=p2),
+                  lambda: capacity_closed_form_bsc(p1, p2),
+                  lambda: build_joint_xuyv(UNIF2, p1, p2),
+                  lambda: collision_experiment(4, 2, 8, p1, p2, 10, 0),
+                  lambda: sampled_pair_tv(p1, p2, 10, 0)]
+        if message.startswith("p2"):
+            builds.append(lambda: codebook_iid_zscores(p2, 4, 4, 0))
+        for build in builds:
             with pytest.raises(DomainError) as info:
                 build()
             assert str(info.value) == message
@@ -450,11 +455,21 @@ class TestSimConfig:
         ]
 
     def test_general_matrices_leave_p_fields_unset(self):
-        cfg = SimConfig(n=4, M=2, px=UNIF2, pyx=bsc(0.1), pux=bsc(0.1))
-        assert cfg.p1 is None and cfg.p2 is None
-        echo = cfg.echo()
-        assert echo["p1"] is None
-        assert echo["pyx"] == bsc(0.1).matrix.tolist()
+        z_channel = TransitionMatrix([[1.0, 0.0], [0.3, 0.7]])
+        ternary = TransitionMatrix([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]])
+        echo = SimConfig(n=4, M=2, px=UNIF2, pyx=z_channel, pux=bsc(0.2)).echo()
+        assert (echo["p1"], echo["p2"]) == (None, 0.2)
+        echo = SimConfig(n=4, M=2, px=Pmf.uniform(3), pyx=ternary, pux=ternary).echo()
+        assert (echo["p1"], echo["p2"]) == (None, None)
+        assert echo["pyx"] == ternary.matrix.tolist()
+
+    @pytest.mark.parametrize("p", [0.0, 0.1, 0.2, 0.5, 1.0, 1 / 3, 5e-324, 1 - 2**-53])
+    def test_bsc_tables_report_their_crossovers(self, p):
+        # read off the tables, bit for bit: there is no second copy to disagree
+        echo = SimConfig(n=4, M=2, px=UNIF2, pyx=bsc(p), pux=bsc(0.2)).echo()
+        assert (echo["p1"], echo["p2"]) == (p, 0.2)
+        with pytest.raises(TypeError):
+            SimConfig(n=4, M=2, px=UNIF2, pyx=bsc(0.1), pux=bsc(0.2), p1=0.3)
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,6 @@
 """Structural identity checks and sampled-distribution diagnostics."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -191,13 +192,14 @@ class TestVerificationReport:
     def test_pass_is_a_conjunction(self):
         good = CheckResult("a", 0.0, 1.0, True)
         bad = CheckResult("b", 2.0, 1.0, False)
-        assert VerificationReport((good,), {}).passed
-        assert not VerificationReport((good, bad), {}).passed
+        assert VerificationReport((good,)).passed
+        assert not VerificationReport((good, bad)).passed
 
     def test_json_shape(self):
-        rep = VerificationReport((CheckResult("a", 0.0, 1.0, True),), {"k": 1})
+        # the run's config is the CLI's to echo; the report holds only checks
+        rep = VerificationReport((CheckResult("a", 0.0, 1.0, True),))
         d = rep.to_json_dict()
-        assert list(d.keys()) == ["config", "checks", "pass"]
+        assert list(d.keys()) == ["checks", "pass"]
         assert d["pass"] is True
         assert d["checks"][0]["check"] == "a"
 
@@ -230,11 +232,17 @@ class TestRunVerification:
             assert extra in names
 
     def test_config_echo_contents(self, fast_report):
-        cfg = fast_report.config
-        assert cfg["grid_step"] == 0.25
-        assert cfg["samples"] == 20_000
-        assert cfg["seed"] == 0
-        assert cfg["sampling_point"] == [0.1, 0.2]
+        # each check carries its own threshold; grid step, samples and seed
+        # are the CLI's to echo
+        assert [f.name for f in dataclasses.fields(fast_report)] == ["checks"]
+        thresholds = {c.name: c.threshold for c in fast_report.checks}
+        assert thresholds == {
+            **dict.fromkeys(IDENTITY_CHECKS, IDENTITY_THRESHOLD),
+            "corrupted_joint_control": CONTROL_THRESHOLD,
+            "pairwise_factorization_tv": TV_THRESHOLD,
+            "codebook_symbol_frequency": Z_LIMIT,
+            "codebook_cell_correlation": Z_LIMIT,
+        }
 
     def test_samples_capped_before_any_check(self, monkeypatch):
         def never(*args, **kwargs):
