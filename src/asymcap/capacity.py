@@ -28,6 +28,7 @@ from .info import (
     _freeze,
     _kernel,
     _log_ratios,
+    _mutual_information,
     _probability,
     binary_entropy,
     bsc_capacity_gap,
@@ -166,8 +167,7 @@ def _row_dot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
 def _mi_batch(q: np.ndarray, nu: int, ny: int) -> np.ndarray:
     """I(U;Y) in bits for each row of q (rows are flattened (u, y) tables)."""
-    t = q.reshape(-1, nu, ny)
-    return (t * _log_ratios(t)).sum(axis=(1, 2))
+    return _mutual_information(q.reshape(-1, nu, ny))
 
 
 def _gradient_batch(q: np.ndarray, a: np.ndarray, nu: int, ny: int) -> np.ndarray:

@@ -51,19 +51,20 @@ class MatrixFileError(ValueError):
     """A plain-text matrix file failed to parse."""
 
 
-def _clean_mass(arr: np.ndarray, what: str) -> None:
-    """Check that a table is finite, nonnegative and sums to 1 within
-    NORM_TOL, then renormalize it in place."""
+def _clean_mass(arr: np.ndarray, what: str, lead: int = 0) -> np.ndarray:
+    """Check that each table in arr (axes after the first `lead`) is finite,
+    nonnegative and sums to 1 within NORM_TOL; renormalize it in place."""
     if not np.all(np.isfinite(arr)):
         raise DomainError(f"{what}: non-finite entry")
     if np.any(arr < 0.0):
         raise DomainError(f"{what}: negative entry")
-    total = float(arr.sum())
-    if abs(total - 1.0) > NORM_TOL:
-        raise DomainError(
-            f"{what}: entries sum to {total:.9g}, expected 1 within {NORM_TOL:g}"
-        )
+    total = arr.sum(axis=tuple(range(lead, arr.ndim)), keepdims=True) if lead else float(arr.sum())
+    off = abs(total - 1.0) > NORM_TOL
+    if off.any() if lead else off:  # a plain bool for one table: cheaper than .any()
+        raise DomainError(f"{what}: entries sum to {np.extract(off, total)[0]:.9g}, "
+                          f"expected 1 within {NORM_TOL:g}")
     arr /= total
+    return arr
 
 
 def _freeze(obj, field: str, arr: np.ndarray) -> None:
@@ -90,13 +91,14 @@ def _table(obj, field: str, axes: tuple[int, int], what: str, per_row: bool = Fa
     _freeze(obj, field, arr)
 
 
-def _probability(name: str, p) -> float:
-    """p as a float, or DomainError naming it unless it lies in [0, 1]
-    (NaN does not)."""
-    p = float(p)
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"{name}={p!r} outside [0, 1]")
-    return p
+def _probability(name: str, p):
+    """p as a float (a float array for an array), or DomainError naming it
+    unless every entry lies in [0, 1] (NaN does not)."""
+    p = np.asarray(p, dtype=float)[()]  # a numpy scalar for a float
+    inside = (p >= 0.0) & (p <= 1.0)
+    if not inside.all():
+        raise DomainError(f"{name}={float(np.extract(~inside, p)[0])!r} outside [0, 1]")
+    return p if isinstance(p, np.ndarray) else float(p)
 
 
 @dataclass(frozen=True)
@@ -182,11 +184,15 @@ class JointPmf:
         _check_axes(self.ndim, axes, "marginal axes")
         if len(axes) == 0:
             raise DimensionMismatch("marginal needs at least one axis")
-        drop = tuple(a for a in range(self.ndim) if a not in axes)
-        t = self.table.sum(axis=drop) if drop else np.array(self.table)
-        kept = sorted(axes)
-        t = np.transpose(t, [kept.index(a) for a in axes])
-        return Pmf(t) if len(axes) == 1 else JointPmf(t)
+        return (Pmf if len(axes) == 1 else JointPmf)(_marginal_sum(self.table, axes))
+
+
+def _marginal_sum(t: np.ndarray, axes: tuple[int, ...], lead: int = 0) -> np.ndarray:
+    """Sum of each table in t (axes after the first `lead`) onto `axes`, in order."""
+    drop = tuple(lead + a for a in range(t.ndim - lead) if a not in axes)
+    kept = sorted(axes)
+    return np.transpose(t.sum(axis=drop) if drop else np.array(t),
+                        [*range(lead), *(lead + kept.index(a) for a in axes)])
 
 
 def _check_axes(ndim: int, axes: tuple[int, ...], what: str) -> None:
@@ -197,18 +203,32 @@ def _check_axes(ndim: int, axes: tuple[int, ...], what: str) -> None:
         raise DimensionMismatch(f"{what}: repeated axis")
 
 
-def _entropy_bits(arr: np.ndarray) -> float:
-    pos = arr[arr > 0]
-    return float(-(pos * np.log2(pos)).sum())
+def _entropy_terms(pos: np.ndarray):
+    """-sum p log2 p over the last axis of pos, positive cells in C order."""
+    return -(pos * np.log2(pos)).sum(axis=-1)
+
+
+def _entropy_bits(arr: np.ndarray, lead: int = 0):
+    """Entropy in bits of a table, or with lead=1 of each table along arr's
+    first axis.  Zero cells are dropped before the sum, so a stack's rows
+    are summed in groups that share their positive cells, C-ordered (numpy
+    sums pairwise only along the fast axis): each row then adds the same
+    terms in the same order as its table alone."""
+    if not lead:
+        return float(_entropy_terms(arr[arr > 0]))
+    rows = arr.reshape(len(arr), arr[:1].size)  # an empty stack has rows of 0 cells
+    pos, h, todo = rows > 0, np.empty(len(rows)), np.ones(len(rows), dtype=bool)
+    while todo.any():  # the first row left, with every row that shares its positive cells
+        same = (pos == pos[todo.argmax()]).all(axis=1)
+        h[same] = _entropy_terms(rows[np.ix_(same, pos[same.argmax()])])
+        todo &= ~same
+    return h
 
 
 def binary_entropy(p):
     """Entropy in bits of a Bernoulli(p) symbol, elementwise for an array (a
     float for a float).  Raises DomainError for any p outside [0, 1] or NaN."""
-    p = np.asarray(p, dtype=float)[()]  # a numpy scalar for a float
-    inside = (p >= 0.0) & (p <= 1.0)  # False for NaN
-    if not inside.all():
-        raise DomainError(f"probability {float(np.extract(~inside, p)[0])!r} outside [0, 1]")
+    p = _probability("probability", p)
     q = 1.0 - p  # below, log2(1) = 0 stands in for log2(0); 0.0 - x keeps H(0) = +0.0
     h = 0.0 - (p * np.log2(p + (p == 0.0)) + q * np.log2(q + (q == 0.0)))
     return h if isinstance(h, np.ndarray) else float(h)
@@ -233,7 +253,12 @@ def mutual_information(j: JointPmf) -> float:
     """Mutual information in bits of a 2-D joint distribution."""
     if j.ndim != 2:
         raise DimensionMismatch("mutual_information expects a 2-D joint")
-    return float((j.table * _log_ratios(j.table)).sum())
+    return float(_mutual_information(j.table))
+
+
+def _mutual_information(t: np.ndarray):
+    """I(A;B) in bits over the last two axes of t, one or a stack of joints."""
+    return (t * _log_ratios(t)).sum(axis=(-2, -1))
 
 
 def conditional_entropy(
@@ -253,15 +278,15 @@ def conditional_entropy(
     _check_axes(j.ndim, given, "given_axes")
     if set(target) & set(given):
         raise DimensionMismatch("target_axes and given_axes overlap")
+    return _conditional_entropy(j.table, target, given)
 
-    both = tuple(sorted(target + given))
-    drop_both = tuple(a for a in range(j.ndim) if a not in both)
-    h_both = _entropy_bits(j.table.sum(axis=drop_both) if drop_both else j.table)
-    if not given:
-        return h_both
-    drop_given = tuple(a for a in range(j.ndim) if a not in given)
-    h_given = _entropy_bits(j.table.sum(axis=drop_given))
-    return h_both - h_given
+
+def _conditional_entropy(t: np.ndarray, target: tuple, given: tuple, lead: int = 0):
+    """H(target | given) of each table in t (axes after the first `lead`)."""
+    def h(axes):
+        drop = tuple(lead + a for a in range(t.ndim - lead) if a not in axes)
+        return _entropy_bits(t.sum(axis=drop) if drop else t, lead)
+    return h(target + given) - h(given) if given else h(target)
 
 
 def check_markov(j: JointPmf) -> float:
@@ -272,18 +297,17 @@ def check_markov(j: JointPmf) -> float:
     """
     if j.ndim != 3:
         raise DimensionMismatch("check_markov expects a 3-D joint over (A, B, C)")
-    t = j.table
-    pb = t.sum(axis=(0, 2))
-    pab = t.sum(axis=2)
-    pcb = t.sum(axis=0)
-    good = pb > 0
-    if not np.any(good):
-        return 0.0
+    return float(_markov_deviation(j.table))
+
+
+def _markov_deviation(t: np.ndarray):
+    """check_markov over the last three axes of t, one or a stack of joints."""
+    pb, pab, pcb = t.sum(axis=(-3, -1)), t.sum(axis=-1), t.sum(axis=-3)
     with np.errstate(divide="ignore", invalid="ignore"):
-        cond = t / pb[None, :, None]
-        prod = (pab / pb[None, :])[:, :, None] * (pcb / pb[:, None])[None, :, :]
+        cond = t / pb[..., None, :, None]
+        prod = (pab / pb[..., None, :])[..., None] * (pcb / pb[..., None])[..., None, :, :]
         dev = np.abs(cond - prod)
-    return float(dev[:, good, :].max())
+    return np.where((pb > 0)[..., None, :, None], dev, 0.0).max(axis=(-3, -2, -1))
 
 
 def _check_inputs(px: Pmf | None = None, pyx: TransitionMatrix | None = None,
@@ -327,18 +351,16 @@ def build_joint_xuyv(px: Pmf, p1: float, p2: float) -> JointPmf:
     """
     if px.size != 2:
         raise DimensionMismatch("px must be binary")
-    p1, p2 = _probability("p1", p1), _probability("p2", p2)
-    table = np.zeros((2, 2, 2, 2))
-    for x in (0, 1):
-        for z1 in (0, 1):
-            for z2 in (0, 1):
-                w = (
-                    px.probs[x]
-                    * (p1 if z1 else 1.0 - p1)
-                    * (p2 if z2 else 1.0 - p2)
-                )
-                table[x, x ^ z2, x ^ z1, x ^ z1 ^ z2] += w
-    return JointPmf(table)
+    return JointPmf(_xuyv_table(px.probs, _probability("p1", p1), _probability("p2", p2)))
+
+
+def _xuyv_table(px: np.ndarray, p1, p2) -> np.ndarray:
+    """build_joint_xuyv's table before renormalization, stacked over p1's shape."""
+    x, z1, z2 = np.indices((2, 2, 2)).reshape(3, -1)
+    flip1, flip2 = np.stack([1.0 - p1, p1], -1), np.stack([1.0 - p2, p2], -1)
+    table = np.zeros(np.shape(p1) + (2, 2, 2, 2))
+    table[..., x, x ^ z2, x ^ z1, x ^ z1 ^ z2] = px[x] * flip1[..., z1] * flip2[..., z2]
+    return table
 
 
 def composite_crossover(p1, p2):

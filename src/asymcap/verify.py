@@ -12,25 +12,15 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .codec import generate_codebooks
-from .info import (
-    DomainError,
-    JointPmf,
-    Pmf,
-    _probability,
-    binary_entropy,
-    bsc,
-    build_joint_uy,
-    build_joint_xuyv,
-    check_markov,
-    composite_crossover,
-    conditional_entropy,
-    entropy,
-    mutual_information,
-)
+from .info import (DomainError, JointPmf, Pmf, _clean_mass, _conditional_entropy, _entropy_bits,
+                   _marginal_sum, _markov_deviation, _mutual_information, _probability,
+                   _xuyv_table, binary_entropy, bsc, build_joint_uy, build_joint_xuyv,
+                   check_markov, composite_crossover)
 from .rng import (TAG_CHANNEL, TAG_CODEBOOK, TAG_PERTURB, capped_cdf, derive_seed,
                   rows_from_uniforms, stream)
 
@@ -60,6 +50,7 @@ SAMPLING_POINT = (0.1, 0.2)  # (p1, p2) used by the sampling checks
 DEFAULT_GRID_STEP = 0.1
 MAX_GRID_AXIS = 251          # points per grid axis, so steps of at least 0.002
 DEFAULT_SAMPLES = 1_000_000
+IDENTITY_CHUNK = 1024        # grid points identity_residuals evaluates as one stack
 PAIR_CHUNK = 1 << 16         # samples sampled_pair_tv draws and counts at a time
 # sampled_pair_tv's memory is bounded by PAIR_CHUNK, so the cap bounds time:
 # at 2^25 samples the check takes about 2.2 s on a 2-vCPU Xeon.
@@ -139,41 +130,44 @@ def default_grid(step: float = DEFAULT_GRID_STEP) -> np.ndarray:
     return np.linspace(0.0, 0.5, k + 1)
 
 
-def identity_residuals(p1: float, p2: float) -> dict[str, float]:
-    """Residuals of the exact structural identities at one (p1, p2) point.
+def identity_residuals(p1, p2) -> dict:
+    """Residuals of the exact structural identities at (p1, p2): floats, or
+    arrays that broadcast together.  Each residual is an array of the
+    broadcast shape, or a plain float for two floats; all points form one
+    stack of tables through info's kernels and get a one-point call's bits.
+    The identities are for the uniform binary input; V = X xor Z1 xor Z2
+    has crossover composite_crossover(p1, p2) given X."""
+    p1, p2 = np.broadcast_arrays(_probability("p1", p1), _probability("p2", p2))
+    shape, p1, p2 = p1.shape, p1.ravel(), p2.ravel()
+    j4 = _clean_mass(_xuyv_table(Pmf.uniform(2).probs, p1, p2), "joint table", 1)  # x, u, y, v
+    h = partial(_conditional_entropy, j4, lead=1)  # h(target, given): H(target | given)
 
-    All identities are stated for the uniform binary input; V denotes the
-    composite-noise variable X xor Z1 xor Z2, whose crossover given X is
-    composite_crossover(p1, p2).
-    """
-    j4 = build_joint_xuyv(Pmf.uniform(2), p1, p2)  # axes (x, u, y, v)
+    def marginal(axes):
+        return _clean_mass(_marginal_sum(j4, axes, 1), "joint table", 1)
+
     hq = binary_entropy(composite_crossover(p1, p2))
-    h1 = binary_entropy(p1)
-    h2 = binary_entropy(p2)
+    h1, h2 = binary_entropy(p1), binary_entropy(p2)
     defect = h1 + h2 - hq  # common value of the three conditional entropies
 
-    i_uy = mutual_information(j4.marginal((1, 2)))
-    i_xy = mutual_information(j4.marginal((0, 2)))
-    i_xy_given_u = (
-        conditional_entropy(j4, (0,), (1,))
-        + conditional_entropy(j4, (2,), (1,))
-        - conditional_entropy(j4, (0, 2), (1,))
-    )
-    h_v = entropy(j4.marginal((3,)))
-    h_v_uy = conditional_entropy(j4, (3,), (1, 2))
+    i_uy = _mutual_information(marginal((1, 2)))
+    i_xy = _mutual_information(marginal((0, 2)))
+    i_xy_given_u = h((0,), (1,)) + h((2,), (1,)) - h((0, 2), (1,))
+    h_v = _entropy_bits(marginal((3,)), 1)
+    h_v_uy = h((3,), (1, 2))
 
-    return {
-        "markov_u_x_y": check_markov(j4.marginal((1, 0, 2))),
-        "markov_u_v_y": check_markov(j4.marginal((1, 3, 2))),
-        "markov_x_u_v": check_markov(j4.marginal((0, 1, 3))),
-        "markov_x_y_v": check_markov(j4.marginal((0, 2, 3))),
-        "rate_loss_decomposition": abs(i_uy - (i_xy - i_xy_given_u)),
-        "mutual_info_balance": abs(i_uy - (h_v + h_v_uy - h1 - h2)),
-        "entropy_v_given_x": abs(conditional_entropy(j4, (3,), (0,)) - hq),
-        "entropy_u_given_xv": abs(conditional_entropy(j4, (1,), (0, 3)) - defect),
-        "entropy_y_given_xv": abs(conditional_entropy(j4, (2,), (0, 3)) - defect),
-        "entropy_v_given_uy": abs(h_v_uy - defect),
+    residuals = {
+        "markov_u_x_y": _markov_deviation(marginal((1, 0, 2))),
+        "markov_u_v_y": _markov_deviation(marginal((1, 3, 2))),
+        "markov_x_u_v": _markov_deviation(marginal((0, 1, 3))),
+        "markov_x_y_v": _markov_deviation(marginal((0, 2, 3))),
+        "rate_loss_decomposition": np.abs(i_uy - (i_xy - i_xy_given_u)),
+        "mutual_info_balance": np.abs(i_uy - (h_v + h_v_uy - h1 - h2)),
+        "entropy_v_given_x": np.abs(h((3,), (0,)) - hq),
+        "entropy_u_given_xv": np.abs(h((1,), (0, 3)) - defect),
+        "entropy_y_given_xv": np.abs(h((2,), (0, 3)) - defect),
+        "entropy_v_given_uy": np.abs(h_v_uy - defect),
     }
+    return {name: r.reshape(shape) if shape else float(r[0]) for name, r in residuals.items()}
 
 
 def corrupted_joint_violation(p1: float, p2: float, bump: float = 1e-3) -> float:
@@ -264,13 +258,12 @@ def codebook_iid_zscores(
 
 def _worst_identities(grid) -> list[float]:
     """Largest residual of each identity over the (p1, p2) grid, in
-    IDENTITY_CHECKS order."""
+    IDENTITY_CHECKS order, from IDENTITY_CHUNK points at a time."""
+    p1, p2 = (g.ravel() for g in np.meshgrid(grid, grid, indexing="ij"))
     worst = np.zeros(len(IDENTITY_CHECKS))
-    for p1 in grid:
-        for p2 in grid:
-            residuals = identity_residuals(p1, p2)
-            # np.maximum keeps a NaN, where max(0.0, nan) would drop it
-            worst = np.maximum(worst, [residuals[name] for name in IDENTITY_CHECKS])
+    for i in range(0, p1.size, IDENTITY_CHUNK):
+        res = identity_residuals(p1[i:i + IDENTITY_CHUNK], p2[i:i + IDENTITY_CHUNK])
+        worst = np.maximum(worst, [np.max(res[name]) for name in IDENTITY_CHECKS])  # keep NaN
     return worst.tolist()
 
 

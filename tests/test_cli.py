@@ -11,6 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -597,9 +598,10 @@ class TestVerify:
         real = asymcap.verify.identity_residuals
 
         def nan_at_quarter(p1, p2):
+            # the grid arrives as arrays: NaN goes into the (0.25, 0.25) row
             res = real(p1, p2)
-            if (p1, p2) == (0.25, 0.25):
-                res["markov_u_x_y"] = float("nan")
+            at = (np.asarray(p1) == 0.25) & (np.asarray(p2) == 0.25)
+            res["markov_u_x_y"] = np.where(at, float("nan"), res["markov_u_x_y"])
             return res
 
         monkeypatch.setattr(asymcap.verify, "identity_residuals", nan_at_quarter)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from asymcap.info import (
     DimensionMismatch,
@@ -11,6 +11,12 @@ from asymcap.info import (
     MatrixFileError,
     Pmf,
     TransitionMatrix,
+    _clean_mass,
+    _conditional_entropy,
+    _entropy_bits,
+    _marginal_sum,
+    _markov_deviation,
+    _mutual_information,
     binary_entropy,
     bsc,
     build_joint_uy,
@@ -321,6 +327,59 @@ class TestCheckMarkov:
     def test_needs_three_axes(self):
         with pytest.raises(DimensionMismatch):
             check_markov(JointPmf([[0.5, 0.5], [0.0, 0.0]]))
+
+
+@st.composite
+def _stacks(draw):
+    """Joints of one random 2- to 4-axis shape, renormalized on construction,
+    with zero cells planted in one of two patterns per table (so a stack has
+    groups of rows that share their positive cells), and a random axis order."""
+    shape = tuple(draw(st.lists(st.integers(1, 4), min_size=2, max_size=4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    patterns = rng.random((2, *shape)) < draw(st.sampled_from([0.0, 0.3, 0.7]))
+    joints = []
+    for _ in range(draw(st.integers(1, 6))):
+        t = rng.random(shape) * 10.0 ** rng.uniform(-3.0, 0.0, shape)
+        t[patterns[rng.integers(2)]] = 0.0
+        t.flat[rng.integers(t.size)] = 0.5 + rng.random()  # at least one positive cell
+        joints.append(JointPmf(t / t.sum()))
+    order = tuple(draw(st.permutations(range(len(shape)))))
+    return joints, np.stack([j.table for j in joints]), order, draw(st.integers(1, len(shape)))
+
+
+class TestStackedKernels:
+    """Every table of a stack gets the bits of the single-table function."""
+
+    @staticmethod
+    def same(got, want):
+        assert [float(g).hex() for g in got] == [float(w).hex() for w in want]
+
+    @staticmethod
+    def marginal(stack, axes):
+        return _clean_mass(_marginal_sum(stack, axes, 1), "joint table", 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_stacks())
+    def test_rows_match_single_tables(self, case):
+        joints, stack, order, split = case
+        target, cond = order[:split], order[split:]  # cond may be empty
+        self.same(_entropy_bits(stack, 1), [conditional_entropy(j, order, ()) for j in joints])
+        self.same(_conditional_entropy(stack, target, cond, 1),
+                  [conditional_entropy(j, target, cond) for j in joints])
+        self.same(_entropy_bits(self.marginal(stack, order[:1]), 1),
+                  [entropy(j.marginal(order[:1])) for j in joints])
+        pair = self.marginal(stack, order[-2:])
+        for m, j in zip(pair, joints):
+            assert m.tobytes() == j.marginal(order[-2:]).table.tobytes()
+        self.same(_mutual_information(pair), [mutual_information(j.marginal(order[-2:]))
+                                              for j in joints])
+        if len(order) == 2:
+            self.same(_mutual_information(stack), [mutual_information(j) for j in joints])
+        if len(order) >= 3:
+            self.same(_markov_deviation(self.marginal(stack, order[:3])),
+                      [check_markov(j.marginal(order[:3])) for j in joints])
+        if len(order) == 3:
+            self.same(_markov_deviation(stack), [check_markov(j) for j in joints])
 
 
 class TestBuildJoints:

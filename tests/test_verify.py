@@ -8,7 +8,10 @@ import numpy as np
 import pytest
 
 import asymcap.verify
-from asymcap.info import DomainError, Pmf, bsc, build_joint_uy, build_joint_xuyv, check_markov
+from asymcap.info import (
+    DomainError, Pmf, binary_entropy, bsc, build_joint_uy, build_joint_xuyv,
+    check_markov, composite_crossover, conditional_entropy, entropy, mutual_information,
+)
 from asymcap.rng import (
     TAG_CHANNEL, TAG_CODEBOOK, TAG_PERTURB, derive_seed, sample_pmf, sample_rows, stream,
 )
@@ -62,6 +65,75 @@ class TestIdentityResiduals:
     def test_domain(self):
         with pytest.raises(DomainError):
             identity_residuals(-0.1, 0.2)
+
+
+def _one_point_residuals(p1, p2):
+    """identity_residuals at one point, composed from info's public
+    single-table functions: the oracle for the stacked grid."""
+    j4 = build_joint_xuyv(Pmf.uniform(2), p1, p2)  # axes (x, u, y, v)
+    hq = binary_entropy(composite_crossover(p1, p2))
+    h1, h2 = binary_entropy(p1), binary_entropy(p2)
+    defect = h1 + h2 - hq
+
+    def h(target, given):
+        return conditional_entropy(j4, target, given)
+
+    i_uy = mutual_information(j4.marginal((1, 2)))
+    i_xy = mutual_information(j4.marginal((0, 2)))
+    i_xy_given_u = h((0,), (1,)) + h((2,), (1,)) - h((0, 2), (1,))
+    h_v = entropy(j4.marginal((3,)))
+    h_v_uy = h((3,), (1, 2))
+    return {
+        "markov_u_x_y": check_markov(j4.marginal((1, 0, 2))),
+        "markov_u_v_y": check_markov(j4.marginal((1, 3, 2))),
+        "markov_x_u_v": check_markov(j4.marginal((0, 1, 3))),
+        "markov_x_y_v": check_markov(j4.marginal((0, 2, 3))),
+        "rate_loss_decomposition": abs(i_uy - (i_xy - i_xy_given_u)),
+        "mutual_info_balance": abs(i_uy - (h_v + h_v_uy - h1 - h2)),
+        "entropy_v_given_x": abs(h((3,), (0,)) - hq),
+        "entropy_u_given_xv": abs(h((1,), (0, 3)) - defect),
+        "entropy_y_given_xv": abs(h((2,), (0, 3)) - defect),
+        "entropy_v_given_uy": abs(h_v_uy - defect),
+    }
+
+
+class TestStackedGrid:
+    def test_matches_one_point_oracle_bit_for_bit(self):
+        # the rows with p1 = 0 or p2 = 0 hold zero cells, where a sum that
+        # kept the zeros would group the entropy terms differently
+        grid = default_grid(0.02)
+        assert grid[0] == 0.0
+        p1, p2 = np.meshgrid(grid, grid, indexing="ij")
+        got = identity_residuals(p1, p2)
+        assert all(got[name].shape == p1.shape for name in IDENTITY_CHECKS)
+        moved = [(a, b, name) for i, a in enumerate(grid) for k, b in enumerate(grid)
+                 for name, want in _one_point_residuals(a, b).items()
+                 if got[name][i, k].hex() != want.hex()]
+        assert moved == []
+
+    def test_scalars_and_broadcasting(self):
+        row = identity_residuals(0.1, np.array([0.0, 0.2, 0.5]))
+        for k, p2 in enumerate((0.0, 0.2, 0.5)):
+            want = _one_point_residuals(0.1, p2)
+            assert {n: r[k].hex() for n, r in row.items()} == {
+                n: w.hex() for n, w in want.items()}
+            assert {n: r.hex() for n, r in identity_residuals(0.1, p2).items()} == {
+                n: w.hex() for n, w in want.items()}
+
+    def test_empty_arrays_give_empty_residuals(self):
+        res = identity_residuals(np.array([]), 0.1)
+        assert all(res[name].shape == (0,) for name in IDENTITY_CHECKS)
+
+    def test_domain_checked_for_arrays(self):
+        with pytest.raises(DomainError, match="p2=1.5 outside"):
+            identity_residuals(0.1, np.array([0.2, 1.5]))
+
+    def test_chunks_fold_to_the_same_bits(self, monkeypatch):
+        grid = default_grid(0.05)  # one chunk by default, as is the 1/16 grid
+        assert grid.size ** 2 <= asymcap.verify.IDENTITY_CHUNK
+        whole = [r.hex() for r in asymcap.verify._worst_identities(grid)]
+        monkeypatch.setattr(asymcap.verify, "IDENTITY_CHUNK", 7)  # 121 points: 17 full chunks and 2
+        assert [r.hex() for r in asymcap.verify._worst_identities(grid)] == whole
 
 
 class TestUniformInputScoping:
@@ -342,9 +414,10 @@ def test_raising_family_fails_every_check_in_it(monkeypatch, family):
 
 def _nan_markov_at_quarter(real):
     def patched(p1, p2):
+        # the grid arrives as arrays: NaN goes into the (0.25, 0.25) row
         res = real(p1, p2)
-        if (p1, p2) == (0.25, 0.25):
-            res["markov_u_x_y"] = math.nan
+        at = (np.asarray(p1) == 0.25) & (np.asarray(p2) == 0.25)
+        res["markov_u_x_y"] = np.where(at, math.nan, res["markov_u_x_y"])
         return res
     return patched
 
