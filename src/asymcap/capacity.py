@@ -149,7 +149,7 @@ def capacity_closed_form_bsc(p1: float, p2: float) -> CapacityResult:
     q = p1 + p2 - 2 p1 p2, so the value is 1 - H(q), attained by the
     uniform input.
     """
-    p1, p2 = _probability("p1", p1), _probability("p2", p2)
+    p1, p2 = float(_probability("p1", p1)), float(_probability("p2", p2))
     cap = 1.0 - binary_entropy(composite_crossover(p1, p2))
     return CapacityResult(cap, np.array([0.5, 0.5]), SOLVER_CLOSED_FORM, 0, 0.0)
 

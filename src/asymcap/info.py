@@ -51,16 +51,16 @@ class MatrixFileError(ValueError):
     """A plain-text matrix file failed to parse."""
 
 
-def _clean_mass(arr: np.ndarray, what: str, lead: int = 0) -> np.ndarray:
-    """Check that each table in arr (axes after the first `lead`) is finite,
-    nonnegative and sums to 1 within NORM_TOL; renormalize it in place."""
+def _clean_mass(arr: np.ndarray, what: str, stacked: bool = False) -> np.ndarray:
+    """Check that arr, or with stacked each table along its first axis, is
+    finite, nonnegative and sums to 1 within NORM_TOL; renormalize it in place."""
     if not np.all(np.isfinite(arr)):
         raise DomainError(f"{what}: non-finite entry")
     if np.any(arr < 0.0):
         raise DomainError(f"{what}: negative entry")
-    total = arr.sum(axis=tuple(range(lead, arr.ndim)), keepdims=True) if lead else float(arr.sum())
+    total = arr.sum(axis=tuple(range(stacked, arr.ndim)), keepdims=True)
     off = abs(total - 1.0) > NORM_TOL
-    if off.any() if lead else off:  # a plain bool for one table: cheaper than .any()
+    if off.any():
         raise DomainError(f"{what}: entries sum to {np.extract(off, total)[0]:.9g}, "
                           f"expected 1 within {NORM_TOL:g}")
     arr /= total
@@ -93,7 +93,8 @@ def _table(obj, field: str, axes: tuple[int, int], what: str, per_row: bool = Fa
 
 def _probability(name: str, p):
     """p as a float (a float array for an array), or DomainError naming it
-    unless every entry lies in [0, 1] (NaN does not)."""
+    unless every entry lies in [0, 1] (NaN does not).  Callers that take
+    one number apply float() to the result, which rejects arrays."""
     p = np.asarray(p, dtype=float)[()]  # a numpy scalar for a float
     inside = (p >= 0.0) & (p <= 1.0)
     if not inside.all():
@@ -187,12 +188,13 @@ class JointPmf:
         return (Pmf if len(axes) == 1 else JointPmf)(_marginal_sum(self.table, axes))
 
 
-def _marginal_sum(t: np.ndarray, axes: tuple[int, ...], lead: int = 0) -> np.ndarray:
-    """Sum of each table in t (axes after the first `lead`) onto `axes`, in order."""
-    drop = tuple(lead + a for a in range(t.ndim - lead) if a not in axes)
+def _marginal_sum(t: np.ndarray, axes: tuple[int, ...], stacked: bool = False) -> np.ndarray:
+    """Sum of t, or with stacked of each table along its first axis, onto
+    `axes`, in order."""
+    drop = tuple(stacked + a for a in range(t.ndim - stacked) if a not in axes)
     kept = sorted(axes)
     return np.transpose(t.sum(axis=drop) if drop else np.array(t),
-                        [*range(lead), *(lead + kept.index(a) for a in axes)])
+                        [*range(stacked), *(stacked + kept.index(a) for a in axes)])
 
 
 def _check_axes(ndim: int, axes: tuple[int, ...], what: str) -> None:
@@ -208,13 +210,13 @@ def _entropy_terms(pos: np.ndarray):
     return -(pos * np.log2(pos)).sum(axis=-1)
 
 
-def _entropy_bits(arr: np.ndarray, lead: int = 0):
-    """Entropy in bits of a table, or with lead=1 of each table along arr's
+def _entropy_bits(arr: np.ndarray, stacked: bool = False):
+    """Entropy in bits of a table, or with stacked of each table along arr's
     first axis.  Zero cells are dropped before the sum, so a stack's rows
     are summed in groups that share their positive cells, C-ordered (numpy
     sums pairwise only along the fast axis): each row then adds the same
     terms in the same order as its table alone."""
-    if not lead:
+    if not stacked:
         return float(_entropy_terms(arr[arr > 0]))
     rows = arr.reshape(len(arr), arr[:1].size)  # an empty stack has rows of 0 cells
     pos, h, todo = rows > 0, np.empty(len(rows)), np.ones(len(rows), dtype=bool)
@@ -281,11 +283,11 @@ def conditional_entropy(
     return _conditional_entropy(j.table, target, given)
 
 
-def _conditional_entropy(t: np.ndarray, target: tuple, given: tuple, lead: int = 0):
-    """H(target | given) of each table in t (axes after the first `lead`)."""
+def _conditional_entropy(t: np.ndarray, target: tuple, given: tuple, stacked: bool = False):
+    """H(target | given) of t, or with stacked of each table along its first axis."""
     def h(axes):
-        drop = tuple(lead + a for a in range(t.ndim - lead) if a not in axes)
-        return _entropy_bits(t.sum(axis=drop) if drop else t, lead)
+        drop = tuple(stacked + a for a in range(t.ndim - stacked) if a not in axes)
+        return _entropy_bits(t.sum(axis=drop) if drop else t, stacked)
     return h(target + given) - h(given) if given else h(target)
 
 
@@ -351,7 +353,8 @@ def build_joint_xuyv(px: Pmf, p1: float, p2: float) -> JointPmf:
     """
     if px.size != 2:
         raise DimensionMismatch("px must be binary")
-    return JointPmf(_xuyv_table(px.probs, _probability("p1", p1), _probability("p2", p2)))
+    p1, p2 = float(_probability("p1", p1)), float(_probability("p2", p2))
+    return JointPmf(_xuyv_table(px.probs, p1, p2))
 
 
 def _xuyv_table(px: np.ndarray, p1, p2) -> np.ndarray:
@@ -376,7 +379,7 @@ def bsc_capacity_gap(p1, p2):
 
 def bsc(p: float) -> TransitionMatrix:
     """Binary symmetric channel with crossover probability p."""
-    p = _probability("crossover", p)
+    p = float(_probability("crossover", p))
     return TransitionMatrix(np.array([[1.0 - p, p], [p, 1.0 - p]]))
 
 

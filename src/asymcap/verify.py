@@ -139,11 +139,11 @@ def identity_residuals(p1, p2) -> dict:
     has crossover composite_crossover(p1, p2) given X."""
     p1, p2 = np.broadcast_arrays(_probability("p1", p1), _probability("p2", p2))
     shape, p1, p2 = p1.shape, p1.ravel(), p2.ravel()
-    j4 = _clean_mass(_xuyv_table(Pmf.uniform(2).probs, p1, p2), "joint table", 1)  # x, u, y, v
-    h = partial(_conditional_entropy, j4, lead=1)  # h(target, given): H(target | given)
+    j4 = _clean_mass(_xuyv_table(Pmf.uniform(2).probs, p1, p2), "joint table", True)  # x, u, y, v
+    h = partial(_conditional_entropy, j4, stacked=True)  # h(target, given): H(target | given)
 
     def marginal(axes):
-        return _clean_mass(_marginal_sum(j4, axes, 1), "joint table", 1)
+        return _clean_mass(_marginal_sum(j4, axes, True), "joint table", True)
 
     hq = binary_entropy(composite_crossover(p1, p2))
     h1, h2 = binary_entropy(p1), binary_entropy(p2)
@@ -152,7 +152,7 @@ def identity_residuals(p1, p2) -> dict:
     i_uy = _mutual_information(marginal((1, 2)))
     i_xy = _mutual_information(marginal((0, 2)))
     i_xy_given_u = h((0,), (1,)) + h((2,), (1,)) - h((0, 2), (1,))
-    h_v = _entropy_bits(marginal((3,)), 1)
+    h_v = _entropy_bits(marginal((3,)), True)
     h_v_uy = h((3,), (1, 2))
 
     residuals = {

@@ -445,6 +445,20 @@ class TestSimConfig:
                 build()
             assert str(info.value) == message
 
+    @pytest.mark.parametrize("p", [[0.1, 0.2], np.array([0.1, 0.2]), np.array([0.1])])
+    def test_one_number_callers_reject_arrays(self, p):
+        # binary_entropy and identity_residuals take arrays; these take one number
+        builds = [lambda: bsc(p),
+                  lambda: SimConfig.binary_symmetric(n=4, M=2, p1=p, p2=0.2),
+                  lambda: SimConfig.binary_symmetric(n=4, M=2, p1=0.1, p2=p),
+                  lambda: capacity_closed_form_bsc(p, 0.2),
+                  lambda: capacity_closed_form_bsc(0.1, p),
+                  lambda: build_joint_xuyv(UNIF2, p, 0.2),
+                  lambda: build_joint_xuyv(UNIF2, 0.1, p)]
+        for build in builds:
+            with pytest.raises(TypeError):
+                build()
+
     def test_binary_symmetric_echo_carries_the_dataclass_defaults(self):
         echo = SimConfig.binary_symmetric(n=4, M=2, p1=0.1, p2=0.2).echo()
         assert list(echo.items()) == [

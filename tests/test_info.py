@@ -356,17 +356,17 @@ class TestStackedKernels:
 
     @staticmethod
     def marginal(stack, axes):
-        return _clean_mass(_marginal_sum(stack, axes, 1), "joint table", 1)
+        return _clean_mass(_marginal_sum(stack, axes, True), "joint table", True)
 
     @settings(max_examples=200, deadline=None)
     @given(_stacks())
     def test_rows_match_single_tables(self, case):
         joints, stack, order, split = case
         target, cond = order[:split], order[split:]  # cond may be empty
-        self.same(_entropy_bits(stack, 1), [conditional_entropy(j, order, ()) for j in joints])
-        self.same(_conditional_entropy(stack, target, cond, 1),
+        self.same(_entropy_bits(stack, True), [conditional_entropy(j, order, ()) for j in joints])
+        self.same(_conditional_entropy(stack, target, cond, True),
                   [conditional_entropy(j, target, cond) for j in joints])
-        self.same(_entropy_bits(self.marginal(stack, order[:1]), 1),
+        self.same(_entropy_bits(self.marginal(stack, order[:1]), True),
                   [entropy(j.marginal(order[:1])) for j in joints])
         pair = self.marginal(stack, order[-2:])
         for m, j in zip(pair, joints):
