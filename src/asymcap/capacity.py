@@ -24,7 +24,7 @@ from .info import (
     DomainError,
     Pmf,
     TransitionMatrix,
-    _entropy_bits,
+    _conditional_mutual_information,
     _freeze,
     _kernel,
     _log_ratios,
@@ -481,19 +481,17 @@ def capacity_optimize(
 def capacity_gap(px: Pmf, pyx: TransitionMatrix, pux: TransitionMatrix) -> float:
     """Rate lost to the perturbation: I(X;Y) - I(U;Y) = I(X;Y|U), in bits.
 
-    Computed exactly from the triple joint p(x, u, y) = p(x) p(y|x) p(u|x);
+    Computed exactly from the triple joint p(x, u, y) = p(x) p(y|x) p(u|x)
+    as H(X|U) + H(Y|U) - H(X,Y|U), the expression whose identity
+    I(U;Y) = I(X;Y) - I(X;Y|U) verify checks (rate_loss_decomposition);
     nonnegative because U depends on (X, Y) only through X.
     """
     a, nu, ny = _kernel(pyx, pux, px)
-    triple = (px.probs[:, None] * a).reshape(px.size, nu, ny)
-    h_xu = _entropy_bits(triple.sum(axis=2))
-    h_uy = _entropy_bits(triple.sum(axis=0))
-    h_u = _entropy_bits(triple.sum(axis=(0, 2)))
-    h_xuy = _entropy_bits(triple)
-    gap = h_xu + h_uy - h_u - h_xuy
+    triple = (px.probs[:, None] * a).reshape(1, px.size, nu, ny)  # one table: x, u, y
+    gap = float(_conditional_mutual_information(triple, (0,), (2,), (1,))[0])
     if -1e-9 < gap < 0.0:  # roundoff below zero
         return 0.0
-    return float(gap)
+    return gap
 
 
 def sweep_capacity_surface(p1_grid, p2_grid) -> list[tuple[float, float, float, float]]:

@@ -245,7 +245,7 @@ def _typicality_rule(joint: JointPmf, epsilon: float, n: int):
     pu, py = t.sum(axis=1), t.sum(axis=0)
     with np.errstate(divide="ignore"):
         lu, ly, luy = np.log2(pu), np.log2(py), np.log2(t).ravel()
-    hu, hy, huy = _entropy_bits(pu), _entropy_bits(py), _entropy_bits(t)
+    hu, hy, huy = (_entropy_bits(p[None])[0] for p in (pu, py, t))
 
     def typical(columns, logvals, entropy):
         rate = _count_scores(columns, logvals)

@@ -4,11 +4,21 @@ All entropies are in bits (base-2 logarithms) with the convention
 0 * log(0) = 0.  Probability tables are dense numpy arrays, validated and
 renormalized on construction, and frozen afterwards; every operation here
 is a pure function of its inputs.
+
+The private table kernels take a stack of tables along axis 0, always,
+and give one result per table: _clean_mass, _marginal_sum, _entropy_bits,
+_conditional_entropy and _conditional_mutual_information.  A single table
+is passed as the one-table stack t[None] and its result read off as [0];
+the public functions are validating wrappers that do exactly that, so one
+table and a grid of them get the same bits from the same code.
+_log_ratios, _mutual_information and _markov_deviation work on the
+trailing axes, so a table or a stack passes through them alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -51,14 +61,14 @@ class MatrixFileError(ValueError):
     """A plain-text matrix file failed to parse."""
 
 
-def _clean_mass(arr: np.ndarray, what: str, stacked: bool = False) -> np.ndarray:
-    """Check that arr, or with stacked each table along its first axis, is
-    finite, nonnegative and sums to 1 within NORM_TOL; renormalize it in place."""
+def _clean_mass(arr: np.ndarray, what: str) -> np.ndarray:
+    """Check that each table of the stack arr is finite, nonnegative and sums
+    to 1 within NORM_TOL; renormalize it in place."""
     if not np.all(np.isfinite(arr)):
         raise DomainError(f"{what}: non-finite entry")
     if np.any(arr < 0.0):
         raise DomainError(f"{what}: negative entry")
-    total = arr.sum(axis=tuple(range(stacked, arr.ndim)), keepdims=True)
+    total = arr.sum(axis=tuple(range(1, arr.ndim)), keepdims=True)
     off = abs(total - 1.0) > NORM_TOL
     if off.any():
         raise DomainError(f"{what}: entries sum to {np.extract(off, total)[0]:.9g}, "
@@ -86,7 +96,7 @@ def _table(obj, field: str, axes: tuple[int, int], what: str, per_row: bool = Fa
         span = f"{lo}" if lo == hi else f"{lo} to {hi}"
         raise DimensionMismatch(f"{what}: expected {span} {'axis' if hi == 1 else 'axes'} of "
                                 f"1 to {MAX_SYMBOLS} symbols, got shape {arr.shape}")
-    for i, part in enumerate(arr if per_row else [arr]):
+    for i, part in enumerate(arr[:, None] if per_row else [arr[None]]):
         _clean_mass(part, f"row {i + 1}" if per_row else what)
     _freeze(obj, field, arr)
 
@@ -185,16 +195,15 @@ class JointPmf:
         _check_axes(self.ndim, axes, "marginal axes")
         if len(axes) == 0:
             raise DimensionMismatch("marginal needs at least one axis")
-        return (Pmf if len(axes) == 1 else JointPmf)(_marginal_sum(self.table, axes))
+        return (Pmf if len(axes) == 1 else JointPmf)(_marginal_sum(self.table[None], axes)[0])
 
 
-def _marginal_sum(t: np.ndarray, axes: tuple[int, ...], stacked: bool = False) -> np.ndarray:
-    """Sum of t, or with stacked of each table along its first axis, onto
-    `axes`, in order."""
-    drop = tuple(stacked + a for a in range(t.ndim - stacked) if a not in axes)
+def _marginal_sum(t: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """Sum of each table of the stack t onto its `axes`, in order."""
+    drop = tuple(1 + a for a in range(t.ndim - 1) if a not in axes)
     kept = sorted(axes)
     return np.transpose(t.sum(axis=drop) if drop else np.array(t),
-                        [*range(stacked), *(stacked + kept.index(a) for a in axes)])
+                        [0, *(1 + kept.index(a) for a in axes)])
 
 
 def _check_axes(ndim: int, axes: tuple[int, ...], what: str) -> None:
@@ -205,24 +214,18 @@ def _check_axes(ndim: int, axes: tuple[int, ...], what: str) -> None:
         raise DimensionMismatch(f"{what}: repeated axis")
 
 
-def _entropy_terms(pos: np.ndarray):
-    """-sum p log2 p over the last axis of pos, positive cells in C order."""
-    return -(pos * np.log2(pos)).sum(axis=-1)
-
-
-def _entropy_bits(arr: np.ndarray, stacked: bool = False):
-    """Entropy in bits of a table, or with stacked of each table along arr's
-    first axis.  Zero cells are dropped before the sum, so a stack's rows
-    are summed in groups that share their positive cells, C-ordered (numpy
-    sums pairwise only along the fast axis): each row then adds the same
-    terms in the same order as its table alone."""
-    if not stacked:
-        return float(_entropy_terms(arr[arr > 0]))
+def _entropy_bits(arr: np.ndarray) -> np.ndarray:
+    """Entropy in bits of each table of the stack arr.  Zero cells are
+    dropped before the sum, so the rows are summed in groups that share
+    their positive cells, C-ordered (numpy sums pairwise only along the fast
+    axis): each row adds the same terms in the same order as the compacted
+    table alone, -sum p log2 p over arr[arr > 0]."""
     rows = arr.reshape(len(arr), arr[:1].size)  # an empty stack has rows of 0 cells
     pos, h, todo = rows > 0, np.empty(len(rows)), np.ones(len(rows), dtype=bool)
     while todo.any():  # the first row left, with every row that shares its positive cells
         same = (pos == pos[todo.argmax()]).all(axis=1)
-        h[same] = _entropy_terms(rows[np.ix_(same, pos[same.argmax()])])
+        group = rows[np.ix_(same, pos[same.argmax()])]  # positive cells, C-ordered
+        h[same] = -(group * np.log2(group)).sum(axis=-1)
         todo &= ~same
     return h
 
@@ -238,7 +241,7 @@ def binary_entropy(p):
 
 def entropy(pmf: Pmf) -> float:
     """Shannon entropy of a pmf in bits."""
-    return _entropy_bits(pmf.probs)
+    return float(_entropy_bits(pmf.probs[None])[0])
 
 
 def _log_ratios(t: np.ndarray) -> np.ndarray:
@@ -280,15 +283,22 @@ def conditional_entropy(
     _check_axes(j.ndim, given, "given_axes")
     if set(target) & set(given):
         raise DimensionMismatch("target_axes and given_axes overlap")
-    return _conditional_entropy(j.table, target, given)
+    return float(_conditional_entropy(j.table[None], target, given)[0])
 
 
-def _conditional_entropy(t: np.ndarray, target: tuple, given: tuple, stacked: bool = False):
-    """H(target | given) of t, or with stacked of each table along its first axis."""
+def _conditional_entropy(t: np.ndarray, target: tuple, given: tuple) -> np.ndarray:
+    """H(target | given) of each table of the stack t."""
     def h(axes):
-        drop = tuple(stacked + a for a in range(t.ndim - stacked) if a not in axes)
-        return _entropy_bits(t.sum(axis=drop) if drop else t, stacked)
+        drop = tuple(1 + a for a in range(t.ndim - 1) if a not in axes)
+        return _entropy_bits(t.sum(axis=drop) if drop else t)
     return h(target + given) - h(given) if given else h(target)
+
+
+def _conditional_mutual_information(t: np.ndarray, a: tuple, b: tuple, given: tuple):
+    """I(a; b | given) of each table of the stack t, in bits, as
+    H(a | given) + H(b | given) - H(a, b | given)."""
+    h = partial(_conditional_entropy, t)
+    return h(a, given) + h(b, given) - h(a + b, given)
 
 
 def check_markov(j: JointPmf) -> float:

@@ -17,8 +17,9 @@ from functools import partial
 import numpy as np
 
 from .codec import generate_codebooks
-from .info import (DomainError, JointPmf, Pmf, _clean_mass, _conditional_entropy, _entropy_bits,
-                   _marginal_sum, _markov_deviation, _mutual_information, _probability,
+from .info import (DomainError, JointPmf, Pmf, _clean_mass, _conditional_entropy,
+                   _conditional_mutual_information, _entropy_bits, _marginal_sum,
+                   _markov_deviation, _mutual_information, _probability,
                    _xuyv_table, binary_entropy, bsc, build_joint_uy, build_joint_xuyv,
                    check_markov, composite_crossover)
 from .rng import (TAG_CHANNEL, TAG_CODEBOOK, TAG_PERTURB, capped_cdf, derive_seed,
@@ -139,11 +140,11 @@ def identity_residuals(p1, p2) -> dict:
     has crossover composite_crossover(p1, p2) given X."""
     p1, p2 = np.broadcast_arrays(_probability("p1", p1), _probability("p2", p2))
     shape, p1, p2 = p1.shape, p1.ravel(), p2.ravel()
-    j4 = _clean_mass(_xuyv_table(Pmf.uniform(2).probs, p1, p2), "joint table", True)  # x, u, y, v
-    h = partial(_conditional_entropy, j4, stacked=True)  # h(target, given): H(target | given)
+    j4 = _clean_mass(_xuyv_table(Pmf.uniform(2).probs, p1, p2), "joint table")  # x, u, y, v
+    h = partial(_conditional_entropy, j4)  # h(target, given): H(target | given)
 
     def marginal(axes):
-        return _clean_mass(_marginal_sum(j4, axes, True), "joint table", True)
+        return _clean_mass(_marginal_sum(j4, axes), "joint table")
 
     hq = binary_entropy(composite_crossover(p1, p2))
     h1, h2 = binary_entropy(p1), binary_entropy(p2)
@@ -151,8 +152,8 @@ def identity_residuals(p1, p2) -> dict:
 
     i_uy = _mutual_information(marginal((1, 2)))
     i_xy = _mutual_information(marginal((0, 2)))
-    i_xy_given_u = h((0,), (1,)) + h((2,), (1,)) - h((0, 2), (1,))
-    h_v = _entropy_bits(marginal((3,)), True)
+    i_xy_given_u = _conditional_mutual_information(j4, (0,), (2,), (1,))
+    h_v = _entropy_bits(marginal((3,)))
     h_v_uy = h((3,), (1, 2))
 
     residuals = {

@@ -6,6 +6,7 @@ use fixed seeds, so every run reproduces the same numbers.
 
 import json
 import math
+import sys
 import time
 
 import numpy as np
@@ -115,12 +116,16 @@ def test_criterion_3_gradient_check(acceptance):
     )
 
 
+def _worst_identity_residual() -> float:
+    """Largest residual of every identity over the meshed default grid, in
+    one call; np.max keeps a NaN, which then fails the threshold."""
+    p1, p2 = np.meshgrid(default_grid(), default_grid(), indexing="ij")
+    return float(np.max(list(identity_residuals(p1, p2).values())))
+
+
 def test_criterion_4_entropy_identity_suite(acceptance):
     t0 = time.perf_counter()
-    worst = 0.0
-    for p1 in default_grid():
-        for p2 in default_grid():
-            worst = max(worst, max(identity_residuals(p1, p2).values()))
+    worst = _worst_identity_residual()
     control = corrupted_joint_violation(0.1, 0.2)
     elapsed = time.perf_counter() - t0
     ok = worst < IDENTITY_THRESHOLD and control > CONTROL_THRESHOLD and elapsed < 10.0
@@ -131,6 +136,20 @@ def test_criterion_4_entropy_identity_suite(acceptance):
         f"corrupted control fails (worst residual {worst:.2e}, control "
         f"violation {control:.2e}, {elapsed:.1f}s)",
     )
+
+
+def test_criterion_4_fold_keeps_a_nan_residual(monkeypatch):
+    real, grid = identity_residuals, default_grid()
+
+    def nan_at_one_point(p1, p2):
+        res = real(p1, p2)
+        res["entropy_v_given_x"] = np.where((p1 == grid[2]) & (p2 == grid[3]), np.nan,
+                                            res["entropy_v_given_x"])
+        return res
+
+    monkeypatch.setattr(sys.modules[__name__], "identity_residuals", nan_at_one_point)
+    worst = _worst_identity_residual()
+    assert math.isnan(worst) and not worst < IDENTITY_THRESHOLD
 
 
 def test_criterion_5_empirical_factorization(acceptance):

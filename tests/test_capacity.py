@@ -35,6 +35,7 @@ from asymcap.info import (
     composite_crossover,
     mutual_information,
 )
+from asymcap.verify import default_grid
 
 # Frozen reference values (high-precision evaluations rounded to float64).
 CAP_01_01 = 0.3199229542717202      # 1 - H(0.18)
@@ -733,6 +734,14 @@ class TestGap:
     def test_alphabet_mismatch(self):
         with pytest.raises(DimensionMismatch):
             capacity_gap(Pmf.uniform(3), bsc(0.1), bsc(0.1))
+
+    def test_matches_binary_symmetric_gap_on_grid(self):
+        # the p = 0 and p = 0.5 rows included: H(q) - H(p1) with q the composite crossover
+        grid = default_grid(0.05)
+        assert grid[0] == 0.0 and grid[-1] == 0.5
+        err = np.array([capacity_gap(Pmf.uniform(2), bsc(a), bsc(b)) - bsc_capacity_gap(a, b)
+                        for a in grid for b in grid])
+        assert np.max(np.abs(err)) < 1e-12
 
 
 def _model_instance(seed):

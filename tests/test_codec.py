@@ -44,6 +44,8 @@ from asymcap.rng import (
 )
 from asymcap.verify import codebook_iid_zscores, sampled_pair_tv
 
+import single_table
+
 UNIF2 = Pmf.uniform(2)
 
 
@@ -963,7 +965,7 @@ def _typicality_oracle(cu, y, joint, epsilon):
     n = y.shape[-1]
     with np.errstate(divide="ignore"):
         lu, ly, luy = np.log2(t.sum(axis=1)), np.log2(t.sum(axis=0)), np.log2(t).ravel()
-    hu, hy, huy = (codec._entropy_bits(p) for p in (t.sum(axis=1), t.sum(axis=0), t))
+    hu, hy, huy = (single_table.entropy(p) for p in (t.sum(axis=1), t.sum(axis=0), t))
     rate_u = -_scores(codec._cell_counts(cu, nu), lu) / n
     rate_y = -_scores(codec._cell_counts(y, ny), ly) / n
     rate_uy = -_scores(codec._fresh_counts(cu, y, nu, ny), luy) / n

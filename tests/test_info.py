@@ -28,6 +28,8 @@ from asymcap.info import (
     mutual_information,
 )
 
+import single_table
+
 # Frozen reference values (high-precision entropy evaluations rounded to
 # float64).  Computed once with an arbitrary-precision library and pinned.
 H_QUARTER = 0.8112781244591328          # H(0.25)
@@ -146,7 +148,7 @@ class TestTransitionMatrix:
         np.testing.assert_array_equal(t.matrix, np.eye(3))
 
     def test_bad_row_named(self):
-        with pytest.raises(DomainError, match="row 2"):
+        with pytest.raises(DomainError, match=r"^row 2: entries sum to 1.4, expected 1 within 1e-06$"):
             TransitionMatrix([[0.5, 0.5], [0.7, 0.7]])
 
     def test_rectangular_allowed(self):
@@ -331,55 +333,85 @@ class TestCheckMarkov:
 
 @st.composite
 def _stacks(draw):
-    """Joints of one random 2- to 4-axis shape, renormalized on construction,
-    with zero cells planted in one of two patterns per table (so a stack has
-    groups of rows that share their positive cells), and a random axis order."""
+    """Tables of one random 2- to 4-axis shape, each scaled to total 1 but
+    not yet renormalized, with zero cells planted in one of two patterns per
+    table (so a stack has groups of rows that share their positive cells),
+    and a random axis order with a split point into target and condition."""
     shape = tuple(draw(st.lists(st.integers(1, 4), min_size=2, max_size=4)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     patterns = rng.random((2, *shape)) < draw(st.sampled_from([0.0, 0.3, 0.7]))
-    joints = []
+    raw = []
     for _ in range(draw(st.integers(1, 6))):
         t = rng.random(shape) * 10.0 ** rng.uniform(-3.0, 0.0, shape)
         t[patterns[rng.integers(2)]] = 0.0
         t.flat[rng.integers(t.size)] = 0.5 + rng.random()  # at least one positive cell
-        joints.append(JointPmf(t / t.sum()))
+        raw.append(t / t.sum())
     order = tuple(draw(st.permutations(range(len(shape)))))
-    return joints, np.stack([j.table for j in joints]), order, draw(st.integers(1, len(shape)))
+    return raw, order, draw(st.integers(1, len(shape)))
+
+
+def _same(got, want):
+    assert [float(g).hex() for g in got] == [float(w).hex() for w in want]
 
 
 class TestStackedKernels:
-    """Every table of a stack gets the bits of the single-table function."""
-
-    @staticmethod
-    def same(got, want):
-        assert [float(g).hex() for g in got] == [float(w).hex() for w in want]
-
-    @staticmethod
-    def marginal(stack, axes):
-        return _clean_mass(_marginal_sum(stack, axes, True), "joint table", True)
+    """Every table of a stack gets the bits of the single-table reference,
+    and so does each public function, which runs the kernels on a one-table
+    stack."""
 
     @settings(max_examples=200, deadline=None)
     @given(_stacks())
     def test_rows_match_single_tables(self, case):
-        joints, stack, order, split = case
+        raw, order, split = case
+        tables = [single_table.clean_mass(t.copy()) for t in raw]
+        stack = _clean_mass(np.stack(raw), "joint table")
+        assert stack.tobytes() == np.stack(tables).tobytes()
         target, cond = order[:split], order[split:]  # cond may be empty
-        self.same(_entropy_bits(stack, True), [conditional_entropy(j, order, ()) for j in joints])
-        self.same(_conditional_entropy(stack, target, cond, True),
-                  [conditional_entropy(j, target, cond) for j in joints])
-        self.same(_entropy_bits(self.marginal(stack, order[:1]), True),
-                  [entropy(j.marginal(order[:1])) for j in joints])
-        pair = self.marginal(stack, order[-2:])
-        for m, j in zip(pair, joints):
-            assert m.tobytes() == j.marginal(order[-2:]).table.tobytes()
-        self.same(_mutual_information(pair), [mutual_information(j.marginal(order[-2:]))
-                                              for j in joints])
+        _same(_entropy_bits(stack), [single_table.entropy(t) for t in tables])
+        _same(_conditional_entropy(stack, target, cond),
+              [single_table.conditional_entropy(t, target, cond) for t in tables])
+
+        def marginal(axes):
+            got = _clean_mass(_marginal_sum(stack, axes), "joint table")
+            want = [single_table.marginal(t, axes) for t in tables]
+            assert [m.tobytes() for m in got] == [m.tobytes() for m in want]
+            return got, want
+
+        one, one_want = marginal(order[:1])
+        _same(_entropy_bits(one), [single_table.entropy(m) for m in one_want])
+        pair, pair_want = marginal(order[-2:])
+        _same(_mutual_information(pair), [_mutual_information(m) for m in pair_want])
         if len(order) == 2:
-            self.same(_mutual_information(stack), [mutual_information(j) for j in joints])
+            _same(_mutual_information(stack), [_mutual_information(t) for t in tables])
         if len(order) >= 3:
-            self.same(_markov_deviation(self.marginal(stack, order[:3])),
-                      [check_markov(j.marginal(order[:3])) for j in joints])
+            triple, triple_want = marginal(order[:3])
+            _same(_markov_deviation(triple), [_markov_deviation(m) for m in triple_want])
         if len(order) == 3:
-            self.same(_markov_deviation(stack), [check_markov(j) for j in joints])
+            _same(_markov_deviation(stack), [_markov_deviation(t) for t in tables])
+
+    @settings(max_examples=100, deadline=None)
+    @given(_stacks())
+    def test_public_functions_match_single_tables(self, case):
+        raw, order, split = case
+        target, cond = order[:split], order[split:]
+        for t in raw:
+            j, want = JointPmf(t), single_table.clean_mass(t.copy())
+            assert j.table.tobytes() == want.tobytes()
+            _same([conditional_entropy(j, target, cond), conditional_entropy(j, order, ())],
+                  [single_table.conditional_entropy(want, target, cond),
+                   single_table.entropy(want)])
+            one = single_table.marginal(want, order[:1])
+            assert j.marginal(order[:1]).probs.tobytes() == one.tobytes()
+            _same([entropy(j.marginal(order[:1]))], [single_table.entropy(one)])
+            pair = j.marginal(order[-2:]).table
+            assert pair.tobytes() == single_table.marginal(want, order[-2:]).tobytes()
+
+    def test_rows_of_a_transition_matrix_are_renormalized_alone(self):
+        rows = np.random.default_rng(5).random((7, 5)) * (1.0 + 1e-7)
+        rows[2, 1:] = 0.0
+        rows /= rows.sum(axis=1, keepdims=True) * (1.0 - 3e-7)
+        got = TransitionMatrix(rows).matrix
+        assert got.tobytes() == np.stack([single_table.clean_mass(r.copy()) for r in rows]).tobytes()
 
 
 class TestBuildJoints:

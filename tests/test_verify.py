@@ -9,8 +9,8 @@ import pytest
 
 import asymcap.verify
 from asymcap.info import (
-    DomainError, Pmf, binary_entropy, bsc, build_joint_uy, build_joint_xuyv,
-    check_markov, composite_crossover, conditional_entropy, entropy, mutual_information,
+    DomainError, Pmf, _markov_deviation, _mutual_information, _xuyv_table, binary_entropy, bsc,
+    build_joint_uy, build_joint_xuyv, check_markov, composite_crossover,
 )
 from asymcap.rng import (
     TAG_CHANNEL, TAG_CODEBOOK, TAG_PERTURB, derive_seed, sample_pmf, sample_rows, stream,
@@ -31,6 +31,8 @@ from asymcap.verify import (
     run_verification,
     sampled_pair_tv,
 )
+
+import single_table
 
 
 class TestIdentityResiduals:
@@ -68,26 +70,29 @@ class TestIdentityResiduals:
 
 
 def _one_point_residuals(p1, p2):
-    """identity_residuals at one point, composed from info's public
-    single-table functions: the oracle for the stacked grid."""
-    j4 = build_joint_xuyv(Pmf.uniform(2), p1, p2)  # axes (x, u, y, v)
+    """identity_residuals at one point, composed from the single-table
+    reference kernels: the oracle for the stacked grid."""
+    j4 = single_table.clean_mass(_xuyv_table(np.array([0.5, 0.5]), p1, p2))  # axes (x, u, y, v)
     hq = binary_entropy(composite_crossover(p1, p2))
     h1, h2 = binary_entropy(p1), binary_entropy(p2)
     defect = h1 + h2 - hq
 
     def h(target, given):
-        return conditional_entropy(j4, target, given)
+        return single_table.conditional_entropy(j4, target, given)
 
-    i_uy = mutual_information(j4.marginal((1, 2)))
-    i_xy = mutual_information(j4.marginal((0, 2)))
+    def m(axes):
+        return single_table.marginal(j4, axes)
+
+    i_uy = float(_mutual_information(m((1, 2))))
+    i_xy = float(_mutual_information(m((0, 2))))
     i_xy_given_u = h((0,), (1,)) + h((2,), (1,)) - h((0, 2), (1,))
-    h_v = entropy(j4.marginal((3,)))
+    h_v = single_table.entropy(m((3,)))
     h_v_uy = h((3,), (1, 2))
     return {
-        "markov_u_x_y": check_markov(j4.marginal((1, 0, 2))),
-        "markov_u_v_y": check_markov(j4.marginal((1, 3, 2))),
-        "markov_x_u_v": check_markov(j4.marginal((0, 1, 3))),
-        "markov_x_y_v": check_markov(j4.marginal((0, 2, 3))),
+        "markov_u_x_y": float(_markov_deviation(m((1, 0, 2)))),
+        "markov_u_v_y": float(_markov_deviation(m((1, 3, 2)))),
+        "markov_x_u_v": float(_markov_deviation(m((0, 1, 3)))),
+        "markov_x_y_v": float(_markov_deviation(m((0, 2, 3)))),
         "rate_loss_decomposition": abs(i_uy - (i_xy - i_xy_given_u)),
         "mutual_info_balance": abs(i_uy - (h_v + h_v_uy - h1 - h2)),
         "entropy_v_given_x": abs(h((3,), (0,)) - hq),
