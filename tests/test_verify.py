@@ -13,12 +13,14 @@ from asymcap.info import (
     build_joint_uy, build_joint_xuyv, check_markov, composite_crossover,
 )
 from asymcap.rng import (
-    TAG_CHANNEL, TAG_CODEBOOK, TAG_PERTURB, derive_seed, sample_pmf, sample_rows, stream,
+    TAG_CHANNEL, TAG_CODEBOOK, TAG_PERTURB, capped_cdf, derive_seed, sample_pmf, sample_rows,
+    stream,
 )
 from asymcap.verify import (
     CONTROL_THRESHOLD,
     IDENTITY_CHECKS,
     IDENTITY_THRESHOLD,
+    MAX_SAMPLES,
     PAIR_CHUNK,
     TV_THRESHOLD,
     Z_LIMIT,
@@ -170,8 +172,9 @@ class TestCorruptedControl:
 
 
 def one_shot_pair_tv(p1, p2, samples, seed):
-    """sampled_pair_tv as one draw of every sample: the reference the chunked
-    version must match bit for bit."""
+    """sampled_pair_tv as one draw of every sample through sample_pmf and
+    sample_rows: the reference the chunked mask counting must match bit for
+    bit."""
     px, pyx, pux = Pmf.uniform(2), bsc(p1), bsc(p2)
     x = sample_pmf(stream(derive_seed(seed, 0, TAG_CODEBOOK)), px.probs, (samples, 2))
     u = sample_rows(stream(derive_seed(seed, 0, TAG_PERTURB)), pux.matrix, x)
@@ -232,6 +235,31 @@ class TestSampledPairTv:
     def test_sample_count_validated(self):
         with pytest.raises(DomainError):
             sampled_pair_tv(0.1, 0.2, 0, 0)
+
+    def test_sample_count_capped_before_any_draw(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("a stream was opened")
+
+        monkeypatch.setattr(asymcap.verify, "stream", never)
+        with pytest.raises(DomainError, match=f"at most {MAX_SAMPLES}, got {MAX_SAMPLES + 1}"):
+            sampled_pair_tv(0.1, 0.2, MAX_SAMPLES + 1, 0)
+
+    # 5e-324 and 1 - 2^-53 sit one ulp inside [0, 1]; with 0, 0.5 and 1 they
+    # give thresholds that never hit (+inf), always hit (0) or hit almost
+    # never or almost always
+    EDGES = [0.0, 0.5, 1.0, 5e-324, 1 - 2**-53, 0.1, 0.3]
+
+    def test_edges_reach_the_capped_thresholds(self):
+        assert capped_cdf(bsc(5e-324).matrix)[0].tolist() == [math.inf, math.inf]
+        assert capped_cdf(bsc(1.0).matrix)[0].tolist() == [0.0, math.inf]
+
+    @pytest.mark.parametrize("seed", [4, 13])
+    @pytest.mark.parametrize("samples", [1, PAIR_CHUNK + 1])
+    @pytest.mark.parametrize("p2", EDGES)
+    @pytest.mark.parametrize("p1", EDGES)
+    def test_edge_crossovers_match_one_shot_draw(self, p1, p2, samples, seed):
+        got = sampled_pair_tv(p1, p2, samples, seed)
+        assert got.hex() == one_shot_pair_tv(p1, p2, samples, seed).hex()
 
 
 class TestCodebookIidZscores:
