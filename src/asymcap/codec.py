@@ -5,7 +5,8 @@ entrywise perturbation of cx, plus the channel output.  All experiment
 randomness flows through per-trial Philox streams derived from the master
 seed (see rng.derive_seed), so reports are bit-identical for a given
 configuration no matter how trials are scheduled.  Both decoding rules read
-only each decoder row's table of (u, y) cell counts against the output.
+only each decoder row's (u, y) cell counts against the output, from
+cell-major tables: one contiguous (trials, messages) slab per cell.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .info import (
     build_joint_uy,
 )
 from .rng import (
-    MASK64,
     TAG_CHANNEL,
     TAG_CODEBOOK,
     TAG_MESSAGE,
@@ -132,9 +132,9 @@ def generate_codebooks(
     """
     _check_codebook_size(M, n)
     _check_inputs(px, pux=pux)
-    seeds = np.array([seed & MASK64], dtype=np.uint64)
+    keys = derive_seeds(seed, [0], (TAG_CODEBOOK, TAG_PERTURB))
     cdf_x, cdfs_u = capped_cdf(px.probs), capped_cdf(pux.matrix)
-    cx, cu = _codebooks(StreamSeries(), seeds, M, n, cdf_x, cdfs_u)
+    cx, cu = _codebooks(StreamSeries(), *keys, np.empty((1, M, n)), cdf_x, cdfs_u)
     return CodebookPair(cx[0], cu[0], seed)
 
 
@@ -165,18 +165,9 @@ def induced_channel(
     return TransitionMatrix(rows)
 
 
-def _cell_counts(idx: np.ndarray, k: int) -> np.ndarray:
-    """Histogram of cell indices along the last axis: idx (..., n) with
-    values in [0, k) gives counts (..., k), all rows in one bincount."""
-    lead = idx.shape[:-1]
-    rows = math.prod(lead)
-    offs = (np.arange(rows, dtype=np.int64) * k).reshape(lead + (1,))
-    return np.bincount((idx + offs).ravel(), minlength=rows * k).reshape(lead + (k,))
-
-
 def _count_scores(columns, logvals: np.ndarray) -> np.ndarray:
     """Sum columns[c] * logvals[c] over cells c in ascending order; columns
-    yields one count array per cell, as np.moveaxis(counts, -1, 0) does.
+    yields one count array per cell, as a cell-major table does.
 
     Zero counts contribute exactly zero even against -inf log entries, and
     the fixed accumulation order makes scores reproducible down to the bit
@@ -196,19 +187,23 @@ def _indicator_dtype(n: int):
 
 
 def _fresh_counts(cu: np.ndarray, y: np.ndarray, nu: int, ny: int) -> np.ndarray:
-    """(T, M, nu * ny) counts of the (u, y) cells of outputs y (T, n)
-    against their own decoder codebooks cu (T, M, n): one offset bincount
-    over all rows of the block."""
-    return _cell_counts(cu * ny + y[:, None, :], nu * ny)
+    """Cell-major (nu * ny, T, M) counts of the (u, y) cells, u * ny + y, of
+    outputs y (T, n) against their own decoder codebooks cu (T, M, n): one
+    bincount over all rows of the block, indexed cell * T * M + row."""
+    T, M, _ = cu.shape
+    rows = np.arange(T * M).reshape(T, M, 1)
+    idx = (cu * ny + y[:, None, :]) * (T * M) + rows
+    return np.bincount(idx.ravel(), minlength=nu * ny * T * M).reshape(nu * ny, T, M)
 
 
 def _shared_counts(cu: np.ndarray, nu: int, ny: int):
     """The counting function y (T, n) -> _fresh_counts for one decoder
     codebook cu (M, n) that every trial shares.  The indicators (cu == u)
     are built once, as one (nu * M, n) matrix; a block's counts are then one
-    product with its one-hot outputs (n, T * ny).  Every entry is an integer
-    of at most n, exact in _indicator_dtype(n) whatever the summation order,
-    so the counts equal _fresh_counts' to the bit.
+    product with its one-hot outputs (n, T * ny), read in (u, y, T, M) order
+    by one cast to int64.  Every entry is an integer of at most n, exact in
+    _indicator_dtype(n) whatever the summation order, so the counts equal
+    _fresh_counts' to the bit, in its dtype.
     """
     M, n = cu.shape
     dtype = _indicator_dtype(n)
@@ -217,20 +212,19 @@ def _shared_counts(cu: np.ndarray, nu: int, ny: int):
     def counts(y):
         T = y.shape[0]
         onehot = (y.T[:, :, None] == np.arange(ny)).astype(dtype).reshape(n, T * ny)
-        table = (indicators @ onehot).reshape(nu, M, T, ny).transpose(2, 1, 0, 3)
-        # int64 as from the bincount: a float32 count times a float64 log
-        # value would round to float32 under numpy 1.x's scalar casting
-        return np.ascontiguousarray(table, dtype=np.int64).reshape(T, M, nu * ny)
+        table = (indicators @ onehot).reshape(nu, M, T, ny).transpose(0, 3, 2, 1)
+        return table.astype(np.int64, order="C").reshape(nu * ny, T, M)
 
     return counts
 
 
 def _map_rule(pyu: TransitionMatrix):
-    """Maximum likelihood under the induced channel p(y|u): count tables
-    (T, M, nu * ny) to 1-based decisions (T,), the lowest index of equal scores."""
+    """Maximum likelihood under the induced channel p(y|u): cell-major count
+    tables (nu * ny, T, M) to 1-based decisions (T,), the lowest index of
+    equal scores."""
     with np.errstate(divide="ignore"):
         logp = np.log(pyu.matrix).ravel()
-    return lambda counts: np.argmax(_count_scores(np.moveaxis(counts, -1, 0), logp), axis=-1) + 1
+    return lambda counts: np.argmax(_count_scores(counts, logp), axis=-1) + 1
 
 
 def _typicality_rule(joint: JointPmf, epsilon: float, n: int):
@@ -253,14 +247,13 @@ def _typicality_rule(joint: JointPmf, epsilon: float, n: int):
         return np.abs(np.subtract(rate, entropy, out=rate), out=rate) < epsilon
 
     def decide(counts):
-        cells = counts.reshape(counts.shape[:-1] + (nu, ny))
-        counts_y = (sum(cells[:, 0, a, b] for a in range(nu)) for b in range(ny))
-        ok = typical(counts_y, ly, hy)[:, None] & typical(np.moveaxis(counts, -1, 0), luy, huy)
+        counts_y = (sum(counts[a * ny + b, :, 0] for a in range(nu)) for b in range(ny))
+        ok = typical(counts_y, ly, hy)[:, None] & typical(counts, luy, huy)
         # the u test only on the rows that pass the other two, which most rows
         # fail: a block's whole u margin would cost as much as its joint test
         rows = np.flatnonzero(ok)
-        hits = cells.reshape(-1, nu, ny)[rows]
-        counts_u = (sum(hits[:, a, b] for b in range(ny)) for a in range(nu))
+        hits = counts.reshape(nu, ny, -1)[:, :, rows]
+        counts_u = (sum(hits[a, b] for b in range(ny)) for a in range(nu))
         ok.ravel()[rows] = typical(counts_u, lu, hu)
         return np.where(ok.sum(axis=-1) == 1, np.argmax(ok, axis=-1) + 1, 0)
 
@@ -268,7 +261,7 @@ def _typicality_rule(joint: JointPmf, epsilon: float, n: int):
 
 
 def _checked_counts(y, pair: CodebookPair, nu: int, ny: int) -> np.ndarray:
-    """The (1, M, nu * ny) count table of one output y against pair's
+    """The (nu * ny, 1, M) count table of one output y against pair's
     decoder codebook, once both hold only symbols of their alphabets."""
     yv = np.asarray(y, dtype=np.int64)
     if yv.ndim != 1 or yv.size != pair.n:
@@ -406,11 +399,10 @@ class TrialReport:
         }
 
 
-def _codebooks(series: StreamSeries, seeds: np.ndarray, M: int, n: int, cdf_x, cdfs_u):
-    """Codebook pairs (T, M, n), one per pair seed (uint64), drawn exactly
-    as generate_codebooks draws the pair of that seed."""
-    keys_x, keys_u = derive_seeds(seeds, 0, (TAG_CODEBOOK, TAG_PERTURB))
-    buf = np.empty((seeds.size, M, n))
+def _codebooks(series: StreamSeries, keys_x, keys_u, buf: np.ndarray, cdf_x, cdfs_u):
+    """Codebook pairs (T, M, n), one per pair of encoder and perturbation
+    stream keys (uint64, T each), drawn exactly as generate_codebooks draws
+    the pair of a seed.  buf (T, M, n) takes both draws' uniforms in turn."""
     series.fill_random(keys_x, buf)
     cx = rows_from_uniforms(cdf_x, None, buf)
     series.fill_random(keys_u, buf)
@@ -419,44 +411,58 @@ def _codebooks(series: StreamSeries, seeds: np.ndarray, M: int, n: int, cdf_x, c
 
 def _trial_errors(cfg: SimConfig, decide, shared=None, collide=0):
     """The trial kernel: per-message error and sent counts over trials
-    [0, cfg.trials), run in blocks.  decide maps a block's (T, M, nu * ny)
-    count tables to 1-based decisions.  shared is the (cx, cu) pair (M, n) every trial uses, or
-    None to draw each trial's pair from its seed.  A block holds
-    TRIAL_BLOCK_CELLS codebook cells of per-trial pairs, or of a shared pair
-    TRIAL_BLOCK_CELLS // max(M, n) trials, as its counts grow with trials x M
-    and its uniforms, outputs and one-hot outputs with trials x n.  Messages
+    [0, cfg.trials), run in spans of blocks.  decide maps a block's
+    cell-major (nu * ny, T, M) int64 count tables to 1-based decisions.
+    shared is the (cx, cu) pair (M, n) every trial uses, or None to draw
+    each trial's pair from its seed.  A block holds TRIAL_BLOCK_CELLS
+    codebook cells of per-trial pairs, or of a shared pair
+    TRIAL_BLOCK_CELLS // max(M, n) trials, as its counts grow with
+    trials x M and its uniforms, outputs and one-hot outputs with
+    trials x n; every block draws its codebook and channel uniforms into
+    the same two buffers.  A span is TRIAL_BLOCK_CELLS trials rounded down
+    to whole blocks: its trials' stream keys and messages are derived at
+    once, so key memory stays bounded whatever the trial count.  Messages
     are uniform draws, or with collide > 0 sent round robin over the first
     collide indices.  Every trial's streams are keyed by its index, so the
-    counts do not depend on the block size.
+    counts depend on neither the block nor the span size.
     """
     M, n = cfg.M, cfg.n
     nu, ny = cfg.pux.output_size, cfg.pyx.output_size
     series = StreamSeries()
     cdfs_y = capped_cdf(cfg.pyx.matrix)
+    block = max(1, TRIAL_BLOCK_CELLS // (M * n if shared is None else max(M, n)))
     if shared is None:
         cdf_x, cdfs_u = capped_cdf(cfg.px.probs), capped_cdf(cfg.pux.matrix)
+        buf = np.empty((block, M, n))
     else:
         cx, counts = shared[0][None], _shared_counts(shared[1], nu, ny)
-    block = max(1, TRIAL_BLOCK_CELLS // (M * n if shared is None else max(M, n)))
+    span = TRIAL_BLOCK_CELLS // block * block
+    u = np.empty((block, n))
     tags = (TAG_CODEBOOK, TAG_MESSAGE, TAG_CHANNEL)
     errs, sent = np.zeros((2, M), dtype=np.int64)
-    for lo in range(0, cfg.trials, block):
-        ts = np.arange(lo, min(lo + block, cfg.trials))
+    for start in range(0, cfg.trials, span):
+        ts = np.arange(start, min(start + span, cfg.trials))
         pair_seeds, msg_keys, chan_keys = derive_seeds(cfg.master_seed, ts, tags)
         if shared is None:
-            cx, cu = _codebooks(series, pair_seeds, M, n, cdf_x, cdfs_u)
+            keys_x, keys_u = derive_seeds(pair_seeds, 0, (TAG_CODEBOOK, TAG_PERTURB))
         if collide:
-            w = ts % collide
+            msgs = ts % collide
         else:
-            w = np.array([series.open(k).integers(M) for k in msg_keys.tolist()], dtype=np.int64)
-        u = np.empty((ts.size, n))
-        series.fill_random(chan_keys, u)
-        sent_rows = cx[np.arange(ts.size) % cx.shape[0], w]  # a shared pair has one row
-        y = rows_from_uniforms(cdfs_y, sent_rows, u)
-        # null (0) and wrong indices both count; no count table outlives its block
-        wrong = decide(_fresh_counts(cu, y, nu, ny) if shared is None else counts(y)) != w + 1
-        sent += np.bincount(w, minlength=M)
-        errs += np.bincount(w[wrong], minlength=M)
+            msgs = np.array([series.open(k).integers(M) for k in msg_keys.tolist()],
+                            dtype=np.int64)
+        for lo in range(0, ts.size, block):
+            b = slice(lo, lo + block)
+            w = msgs[b]
+            T = w.size
+            if shared is None:
+                cx, cu = _codebooks(series, keys_x[b], keys_u[b], buf[:T], cdf_x, cdfs_u)
+            series.fill_random(chan_keys[b], u[:T])
+            sent_rows = cx[np.arange(T) % cx.shape[0], w]  # a shared pair has one row
+            y = rows_from_uniforms(cdfs_y, sent_rows, u[:T])
+            # null (0) and wrong indices both count; no count table outlives its block
+            wrong = decide(_fresh_counts(cu, y, nu, ny) if shared is None else counts(y)) != w + 1
+            errs += np.bincount(w[wrong], minlength=M)
+        sent += np.bincount(msgs, minlength=M)
     return errs, sent
 
 

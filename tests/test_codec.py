@@ -705,6 +705,12 @@ _GOLDEN_CASES = {
     "general_fresh_map": _ternary_case(37, 5, 173, 9),
     "general_fixed_map": _ternary_case(24, 7, 120, 10, codebook_mode="fixed"),
     "general_fresh_typ": _ternary_case(40, 3, 90, 11, decoder=_TYP, epsilon=0.4),
+    # mc_wide's fixed shape: four trials a block, many blocks a span
+    "fixed_map_n32_M4096": _bsc_case(
+        32, 4096, 100, 12, p1=0.05, p2=0.05, codebook_mode="fixed"
+    ),
+    # a trial count that is a multiple of neither the block nor the span
+    "fresh_typ_n6_M3": _bsc_case(6, 3, 1500, 13, p1=0.05, p2=0.05, decoder=_TYP, epsilon=0.5),
 }
 
 # Wire report without elapsed_seconds, then {message index: (errors, sent)}
@@ -805,6 +811,36 @@ _GOLDEN_REPORTS = {
          "p2": None, "seed": 11},
         {0: (6, 30), 1: (3, 31), 2: (3, 29)},
     ),
+    "fixed_map_n32_M4096": (
+        {"trials": 100, "errors": 7, "pe_hat": 0.07, "ci95": 0.05000881522291845,
+         "lambda_max_hat": 1.0, "rate": 0.375, "n": 32, "M": 4096, "decoder": "map",
+         "epsilon": None, "p1": 0.05, "p2": 0.05, "seed": 12},
+        {9: (0, 1), 21: (0, 1), 72: (0, 1), 93: (0, 1), 155: (0, 1), 264: (0, 1),
+         308: (0, 1), 357: (0, 1), 396: (0, 2), 430: (0, 1), 474: (0, 1), 516: (0, 1),
+         521: (0, 1), 538: (0, 1), 662: (0, 1), 722: (0, 1), 746: (0, 1), 913: (0, 1),
+         914: (0, 1), 942: (0, 1), 945: (1, 1), 1082: (0, 1), 1090: (0, 1), 1210: (0, 1),
+         1258: (0, 1), 1340: (0, 1), 1463: (0, 1), 1495: (0, 1), 1497: (0, 1),
+         1515: (0, 1), 1611: (1, 1), 1621: (0, 1), 1658: (0, 1), 1698: (0, 1),
+         1744: (0, 1), 1795: (0, 1), 1831: (0, 1), 1851: (1, 1), 1889: (0, 1),
+         1930: (0, 1), 1954: (0, 1), 2043: (0, 1), 2120: (0, 1), 2154: (0, 1),
+         2206: (0, 1), 2233: (0, 1), 2266: (0, 1), 2362: (0, 1), 2413: (0, 1),
+         2416: (0, 1), 2418: (0, 1), 2480: (0, 1), 2572: (0, 1), 2576: (0, 1),
+         2639: (1, 1), 2647: (0, 1), 2665: (0, 1), 2667: (0, 1), 2672: (0, 1),
+         2703: (0, 1), 2704: (0, 1), 2722: (0, 1), 2762: (0, 1), 2795: (0, 1),
+         2856: (0, 1), 2911: (1, 1), 2941: (0, 1), 2998: (0, 1), 3023: (0, 1),
+         3055: (0, 1), 3061: (0, 1), 3072: (0, 1), 3358: (0, 1), 3368: (0, 1),
+         3378: (0, 1), 3454: (0, 1), 3483: (0, 1), 3508: (0, 1), 3572: (0, 1),
+         3593: (0, 1), 3634: (0, 1), 3653: (1, 1), 3669: (0, 1), 3675: (0, 1),
+         3681: (0, 1), 3727: (0, 1), 3762: (0, 1), 3774: (0, 1), 3799: (0, 1),
+         3847: (1, 1), 3867: (0, 1), 3872: (0, 1), 3893: (0, 1), 3896: (0, 1),
+         3930: (0, 1), 3959: (0, 1), 4029: (0, 1), 4042: (0, 1), 4067: (0, 1)},
+    ),
+    "fresh_typ_n6_M3": (
+        {"trials": 1500, "errors": 432, "pe_hat": 0.288, "ci95": 0.022916415217044746,
+         "lambda_max_hat": 0.3127413127413127, "rate": 0.26416041678685936, "n": 6, "M": 3,
+         "decoder": "typicality", "epsilon": 0.5, "p1": 0.05, "p2": 0.05, "seed": 13},
+        {0: (149, 502), 1: (121, 480), 2: (162, 518)},
+    ),
 }
 
 
@@ -832,7 +868,7 @@ class TestGoldenReports:
     @pytest.mark.parametrize(
         "name",
         ["fresh_map_n16_M16", "fixed_typ_n64_M8", "general_fresh_map", "fixed_map_n12_M1024",
-         "general_fixed_map"],
+         "general_fixed_map", "fixed_map_n32_M4096", "fresh_typ_n6_M3"],
     )
     def test_block_size_does_not_matter(self, monkeypatch, name, cells):
         # one trial per block up to every trial in one block
@@ -853,7 +889,7 @@ class TestGoldenReports:
         self.test_collision_unchanged(M, n, p1, p2, trials, seed, want)
 
 
-class _FirstBlock(Exception):
+class _Stopped(Exception):
     pass
 
 
@@ -862,32 +898,47 @@ class TestSharedBlockSize:
     trials x M (the counts) and trials x n (uniforms, outputs, one-hot)."""
 
     @staticmethod
-    def _block(monkeypatch, M, n, shared=True):
-        # broadcast views: no codebook of M x n cells is allocated, and the
-        # kernel stops at its first block, reporting that block's trials
+    def _block(M, n, shared=True):
+        # a shared pair is a broadcast view, so no codebook of M x n cells is
+        # allocated; the kernel stops at its first decision, reporting the
+        # trials of that block's cell-major count table
         book = np.broadcast_to(np.zeros((1, 1), dtype=np.int64), (M, n))
         cfg = _bsc_case(n, M, 1 << 20, 0, codebook_mode="fixed")
 
-        def stop(seed, ts, tags):
-            raise _FirstBlock(ts.size)
+        def stop(counts):
+            raise _Stopped(counts.shape[1])
 
-        monkeypatch.setattr(codec, "derive_seeds", stop)
-        with pytest.raises(_FirstBlock) as first:
-            codec._trial_errors(cfg, None, (book, book) if shared else None)
+        with pytest.raises(_Stopped) as first:
+            codec._trial_errors(cfg, stop, (book, book) if shared else None)
         return first.value.args[0]
 
     @pytest.mark.parametrize(
         ("M", "n", "want"),
         [(4096, 32, 4), (8, 16, 1024), (2, 4096, 4), (2, 1 << 16, 1), (1 << 15, 1, 1)],
     )
-    def test_block_bounded_by_messages_and_length(self, monkeypatch, M, n, want):
+    def test_block_bounded_by_messages_and_length(self, M, n, want):
         # (2, 2^16) is a two-message fixed run of long codewords: one trial
         # a block, not TRIAL_BLOCK_CELLS // 2 trials of 2^16 uniforms each
-        assert self._block(monkeypatch, M, n) == want
+        assert self._block(M, n) == want
 
     @pytest.mark.parametrize(("M", "n", "want"), [(16, 16, 64), (8, 16, 128), (4096, 32, 1)])
-    def test_fresh_block_holds_trial_block_cells(self, monkeypatch, M, n, want):
-        assert self._block(monkeypatch, M, n, shared=False) == want
+    def test_fresh_block_holds_trial_block_cells(self, M, n, want):
+        assert self._block(M, n, shared=False) == want
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_keys_derived_a_span_at_a_time(self, monkeypatch, shared):
+        # 10^7 trials of a tiny code: the first key derivation covers at most
+        # TRIAL_BLOCK_CELLS trials, and the run stops there
+        book = np.zeros((2, 4), dtype=np.int64)
+        cfg = _bsc_case(4, 2, 10**7, 0)
+
+        def stop(seed, indices, tags):
+            raise _Stopped(np.broadcast(np.asarray(seed), np.asarray(indices)).size)
+
+        monkeypatch.setattr(codec, "derive_seeds", stop)
+        with pytest.raises(_Stopped) as first:
+            codec._trial_errors(cfg, None, (book, book) if shared else None)
+        assert 1 <= first.value.args[0] <= codec.TRIAL_BLOCK_CELLS
 
 
 class TestSharedCounts:
@@ -910,11 +961,11 @@ class TestSharedCounts:
         shared = codec._shared_counts(cu, nu, ny)
         want = self._fresh(cu, y, nu, ny)
         got = shared(y)
-        assert got.dtype == want.dtype and got.shape == (T, M, nu * ny)
+        assert got.dtype == want.dtype == np.int64 and got.shape == (nu * ny, T, M)
         np.testing.assert_array_equal(got, want)
         # a block size that does not divide T: the blocks' counts concatenate
         parts = [shared(y[lo:lo + 3]) for lo in range(0, T, 3)]
-        np.testing.assert_array_equal(np.concatenate(parts), want)
+        np.testing.assert_array_equal(np.concatenate(parts, axis=1), want)
 
     def test_zero_probability_cells_score_alike(self):
         # cells of zero probability: -inf where they are hit, 0 where not
@@ -923,8 +974,8 @@ class TestSharedCounts:
             logp = np.log(np.array([0.7, 0.0, 0.3, 0.7, 0.0, 1.0]))
         cu = rnd.integers(0, 3, size=(40, 4))
         y = rnd.integers(0, 2, size=(6, 4))
-        got = codec._count_scores(np.moveaxis(codec._shared_counts(cu, 3, 2)(y), -1, 0), logp)
-        want = codec._count_scores(np.moveaxis(self._fresh(cu, y, 3, 2), -1, 0), logp)
+        got = codec._count_scores(codec._shared_counts(cu, 3, 2)(y), logp)
+        want = codec._count_scores(self._fresh(cu, y, 3, 2), logp)
         assert np.isneginf(want).any() and np.isfinite(want).any()
         np.testing.assert_array_equal(got, want)
 
@@ -948,12 +999,19 @@ class TestSharedCounts:
 
 
 def _scores(counts, logvals):
-    """Cell-ordered count scores of counts (..., k), one array term at a time."""
-    total = np.zeros(counts.shape[:-1])
+    """Cell-ordered count scores of cell-major counts (k, ...), one array
+    term at a time."""
+    total = np.zeros(counts.shape[1:])
     for c, lv in enumerate(logvals):
-        column = counts[..., c]
+        column = counts[c]
         total = total + (np.where(column > 0, -np.inf, 0.0) if np.isneginf(lv) else column * lv)
     return total
+
+
+def _cell_counts(idx, k):
+    """Cell-major histogram (k, ...) of cell indices in [0, k) along the
+    last axis of idx (..., n), one comparison per cell."""
+    return np.stack([(idx == c).sum(axis=-1) for c in range(k)])
 
 
 def _typicality_oracle(cu, y, joint, epsilon):
@@ -966,8 +1024,8 @@ def _typicality_oracle(cu, y, joint, epsilon):
     with np.errstate(divide="ignore"):
         lu, ly, luy = np.log2(t.sum(axis=1)), np.log2(t.sum(axis=0)), np.log2(t).ravel()
     hu, hy, huy = (single_table.entropy(p) for p in (t.sum(axis=1), t.sum(axis=0), t))
-    rate_u = -_scores(codec._cell_counts(cu, nu), lu) / n
-    rate_y = -_scores(codec._cell_counts(y, ny), ly) / n
+    rate_u = -_scores(_cell_counts(cu, nu), lu) / n
+    rate_y = -_scores(_cell_counts(y, ny), ly) / n
     rate_uy = -_scores(codec._fresh_counts(cu, y, nu, ny), luy) / n
     ok = ((np.abs(rate_u - hu) < epsilon) & (np.abs(rate_y - hy) < epsilon)[:, None]
           & (np.abs(rate_uy - huy) < epsilon))
@@ -981,10 +1039,10 @@ class TestTypicalityFromCounts:
     def test_column_scores_keep_their_bits(self):
         # zero counts against negative and -inf log values, signs of zero included
         rnd = np.random.default_rng(3)
-        counts = rnd.integers(0, 3, size=(5, 7, 6))
+        counts = rnd.integers(0, 3, size=(6, 5, 7))
         with np.errstate(divide="ignore"):
             logvals = np.log(np.array([0.2, 0.0, 0.3, 0.1, 0.0, 0.4]))
-        got = codec._count_scores(np.moveaxis(counts, -1, 0), logvals)
+        got = codec._count_scores(counts, logvals)
         assert got.tobytes() == _scores(counts, logvals).tobytes()
 
     @pytest.mark.parametrize("case", range(30))
