@@ -2,9 +2,11 @@
 
 Two families of checks.  Exact identity checks evaluate entropy and Markov
 relations of the four-variable binary joint (X, U, Y, V) on a (p1, p2)
-grid and must hold to near machine precision.  Sampling checks draw large
-Monte Carlo samples and gate on coarse statistical thresholds.  A check
-that raises is reported as failed, never skipped.
+grid and must hold to near machine precision.  Sampled checks compare the
+empirical law of i.i.d. draws on k cells with the exact law in total
+variation, gated by _tv_threshold so that correct code fails each with
+probability at most FALSE_ALARM.  A check that raises is reported as
+failed, never skipped.
 """
 
 from __future__ import annotations
@@ -26,8 +28,7 @@ from .rng import TAG_CHANNEL, TAG_CODEBOOK, TAG_PERTURB, capped_cdf, derive_seed
 
 __all__ = [
     "IDENTITY_THRESHOLD",
-    "TV_THRESHOLD",
-    "Z_LIMIT",
+    "FALSE_ALARM",
     "CONTROL_THRESHOLD",
     "CheckResult",
     "VerificationReport",
@@ -41,8 +42,7 @@ __all__ = [
 ]
 
 IDENTITY_THRESHOLD = 1e-10   # exact identities, residual is numerical noise
-TV_THRESHOLD = 5e-3          # empirical factorization at DEFAULT_SAMPLES
-Z_LIMIT = 3.0                # binomial / correlation z-score gate
+FALSE_ALARM = 1e-6           # bound on each sampled gate's false-alarm probability
 # The corrupted joint passes the negative control iff it violates the exact
 # Markov gate, i.e. its deviation lands above the identity threshold.
 CONTROL_THRESHOLD = IDENTITY_THRESHOLD
@@ -102,8 +102,8 @@ class VerificationReport:
     """All check outcomes, each with the threshold it was judged against.
 
     The run's inputs (grid step, samples, seed) are its caller's to echo:
-    the grid follows from the step, and the sampling point and thresholds
-    are module constants.
+    the grid follows from the step, the sampling point is a module
+    constant, and each threshold follows from the checks' draws.
     """
 
     checks: tuple[CheckResult, ...]
@@ -230,47 +230,44 @@ def sampled_pair_tv(p1: float, p2: float, samples: int, seed: int) -> float:
         gy.random(out=b)
         cell |= ((b >= ty[1]) & x | (b >= ty[0]) & nx).view(np.uint8)
         counts += np.bincount(cell[:, 0] << 2 | cell[:, 1], minlength=counts.size)
-    return float(0.5 * np.abs(counts / samples - product).sum())
+    return _tv(counts, product)
 
 
-def _pearson(a: np.ndarray, b: np.ndarray) -> float:
-    sa = a.std()
-    sb = b.std()
-    if sa == 0.0 or sb == 0.0:
-        return 0.0
-    return float(((a - a.mean()) * (b - b.mean())).mean() / (sa * sb))
+def _tv(counts: np.ndarray, law: np.ndarray) -> float:
+    """TV distance between the empirical law of integer cell counts and law."""
+    return float(0.5 * np.abs(counts / counts.sum() - law).sum())
 
 
-def codebook_iid_zscores(
-    p2: float, M: int, n: int, seed: int
-) -> tuple[float, float]:
-    """(frequency z, adjacency correlation z) for one generated codebook.
+def _tv_threshold(cells: int, draws: int) -> float:
+    """The TV gate eps / 2 for `draws` i.i.d. draws on `cells` = k cells.  By
+    P(|p_hat - p|_1 >= eps) <= (2^k - 2) e^(-n eps^2 / 2) (Weissman, Ordentlich,
+    Seroussi, Verdu & Weinberger, HPL-2003-97), correct draws exceed it with
+    probability at most FALSE_ALARM, whatever the law."""
+    log_terms = math.log(2.0**cells - 2.0) + math.log(1.0 / FALSE_ALARM)
+    return 0.5 * math.sqrt(2.0 * log_terms / draws)
 
-    The symbol-frequency z-score is the worst deviation of empirical cu
-    frequencies from p(u) in binomial sigmas; the correlation z-score is
-    the worst |Pearson r| * sqrt(pairs) over horizontally and vertically
-    adjacent cell pairs, which is a standard normal under independence.
+
+def codebook_iid_zscores(p2: float, M: int, n: int, seed: int) -> tuple[float, float]:
+    """(symbol-frequency TV, cell-correlation TV) of one generated codebook:
+    TVs despite the name, each of i.i.d. draws when the cells are i.i.d.
+
+    The frequency TV is that of the M n cu symbols from p(u).  The
+    correlation TV is the larger of two, of disjoint neighbour pairs from
+    p(u) x p(u): horizontal (cu[:, 0::2] with cu[:, 1::2]) and vertical
+    (cu[0::2] with cu[1::2]), leaving out an odd last column or row.  M and
+    n must be at least 2.
     """
     px = Pmf.uniform(2)
     pux = bsc(_probability("p2", p2))
-    pair = generate_codebooks(M, n, px, pux, derive_seed(seed, 1))
+    if M < 2 or n < 2:
+        raise DomainError("M and n must be at least 2")
+    cu = generate_codebooks(M, n, px, pux, derive_seed(seed, 1)).cu
     pu = px.probs @ pux.matrix
-    total = M * n
-    freq = np.bincount(pair.cu.ravel(), minlength=pu.size) / total
-
-    z = []
-    for k in range(pu.size):
-        sigma = math.sqrt(pu[k] * (1.0 - pu[k]) / total)
-        if sigma == 0.0:
-            z.append(0.0 if freq[k] == pu[k] else math.inf)
-        else:
-            z.append(float(abs(freq[k] - pu[k])) / sigma)
-
-    cu = pair.cu.astype(float)
-    r = [abs(_pearson(a.ravel(), b.ravel())) * math.sqrt(a.size)
-         for a, b in ((cu[:, :-1], cu[:, 1:]), (cu[:-1, :], cu[1:, :]))]
+    law = np.outer(pu, pu).ravel()
+    corr = [_tv(np.bincount((2 * a + b).ravel(), minlength=law.size), law)
+            for a, b in ((cu[:, :n - 1:2], cu[:, 1::2]), (cu[:M - 1:2], cu[1::2]))]
     # np.max keeps a NaN, where the builtin max may drop it
-    return float(np.max(z)), float(np.max(r))
+    return _tv(np.bincount(cu.ravel(), minlength=pu.size), pu), float(np.max(corr))
 
 
 def _worst_identities(grid) -> list[float]:
@@ -284,18 +281,18 @@ def _worst_identities(grid) -> list[float]:
     return worst.tolist()
 
 
-def _family(names, threshold, passes, failed_residual, residuals) -> list[CheckResult]:
-    """The checks of one family: residuals() gives their residuals in the
-    order of names, each passing when passes(residual, threshold).  A family
-    that raises fails every check in it with failed_residual, and a NaN
-    residual fails its own check the same way."""
+def _family(thresholds, passes, failed_residual, residuals) -> list[CheckResult]:
+    """The checks of one family, named by the keys of thresholds: residuals()
+    gives their residuals in that order, each passing when passes(residual,
+    its threshold).  A family that raises fails every check in it with
+    failed_residual, and a NaN residual fails its own check the same way."""
     try:
         values = residuals()
     except Exception:
-        values = [math.nan] * len(names)
-    return [CheckResult(name, failed_residual, threshold, False) if math.isnan(v)
-            else CheckResult(name, v, threshold, passes(v, threshold))
-            for name, v in zip(names, values)]
+        values = [math.nan] * len(thresholds)
+    return [CheckResult(name, failed_residual, t, False) if math.isnan(v)
+            else CheckResult(name, v, t, passes(v, t))
+            for (name, t), v in zip(thresholds.items(), values)]
 
 
 def verification_grid(grid_step: float, samples: int) -> np.ndarray:
@@ -311,19 +308,22 @@ def run_verification(
     samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
 ) -> VerificationReport:
-    """Run every check; a raising check is recorded as failed, not skipped."""
+    """Run every check; a raising check is recorded as failed, not skipped.
+    Correct code fails a report with probability at most 4 FALSE_ALARM."""
     grid = verification_grid(grid_step, samples)
     s1, s2 = SAMPLING_POINT
     m, n = FREQ_CODEBOOK_SHAPE
     checks = [
-        *_family(IDENTITY_CHECKS, IDENTITY_THRESHOLD, operator.lt, math.inf,
+        *_family(dict.fromkeys(IDENTITY_CHECKS, IDENTITY_THRESHOLD), operator.lt, math.inf,
                  lambda: _worst_identities(grid)),
         # the negative control passes when the corrupted joint is caught
-        *_family(("corrupted_joint_control",), CONTROL_THRESHOLD, operator.gt, 0.0,
+        *_family({"corrupted_joint_control": CONTROL_THRESHOLD}, operator.gt, 0.0,
                  lambda: [corrupted_joint_violation(s1, s2)]),
-        *_family(("pairwise_factorization_tv",), TV_THRESHOLD, operator.lt, math.inf,
-                 lambda: [sampled_pair_tv(s1, s2, samples, seed)]),
-        *_family(("codebook_symbol_frequency", "codebook_cell_correlation"), Z_LIMIT,
-                 operator.le, math.inf, lambda: codebook_iid_zscores(s2, m, n, seed)),
+        # k: 16 (u1, y1, u2, y2) cells, 2 symbols, 4 pair cells; m n / 2 pairs (even shape)
+        *_family({"pairwise_factorization_tv": _tv_threshold(16, samples)}, operator.le,
+                 math.inf, lambda: [sampled_pair_tv(s1, s2, samples, seed)]),
+        *_family({"codebook_symbol_frequency": _tv_threshold(2, m * n),
+                  "codebook_cell_correlation": _tv_threshold(4, m * n // 2)}, operator.le,
+                 math.inf, lambda: codebook_iid_zscores(s2, m, n, seed)),
     ]
     return VerificationReport(tuple(checks))

@@ -25,8 +25,7 @@ from asymcap.rng import TAG_SWEEP, derive_seed
 from asymcap.verify import (
     CONTROL_THRESHOLD,
     IDENTITY_THRESHOLD,
-    TV_THRESHOLD,
-    Z_LIMIT,
+    _tv_threshold,
     codebook_iid_zscores,
     corrupted_joint_violation,
     default_grid,
@@ -155,15 +154,16 @@ def test_criterion_4_fold_keeps_a_nan_residual(monkeypatch):
 def test_criterion_5_empirical_factorization(acceptance):
     t0 = time.perf_counter()
     tv = sampled_pair_tv(0.1, 0.2, 1_000_000, 0)
-    z_freq, z_corr = codebook_iid_zscores(0.2, 200, 500, 0)
+    freq, corr = codebook_iid_zscores(0.2, 200, 500, 0)
     elapsed = time.perf_counter() - t0
-    ok = tv < TV_THRESHOLD and z_freq <= Z_LIMIT and z_corr <= Z_LIMIT and elapsed < 60.0
+    gates = _tv_threshold(16, 1_000_000), _tv_threshold(2, 100_000), _tv_threshold(4, 50_000)
+    ok = all(r <= g for r, g in zip((tv, freq, corr), gates)) and elapsed < 60.0
     acceptance(
         5,
         ok,
         f"pairwise factorization TV {tv:.2e} at 1e6 samples; codebook "
-        f"frequency z {z_freq:.2f} and correlation z {z_corr:.2f} within "
-        f"3 sigma ({elapsed:.1f}s)",
+        f"frequency TV {freq:.2e} and correlation TV {corr:.2e}; gates "
+        f"{gates[0]:.2e}, {gates[1]:.2e}, {gates[2]:.2e} ({elapsed:.1f}s)",
     )
 
 
