@@ -1,7 +1,8 @@
 """Finite-alphabet probability types and entropy functionals.
 
 All entropies are in bits (base-2 logarithms) with the convention
-0 * log(0) = 0.  Probability tables are dense numpy arrays, validated and
+0 * log(0) = 0, summed over every cell of a table in C order, zero cells
+included.  Probability tables are dense numpy arrays, validated and
 renormalized on construction, and frozen afterwards; every operation here
 is a pure function of its inputs.
 
@@ -215,24 +216,19 @@ def _check_axes(ndim: int, axes: tuple[int, ...], what: str) -> None:
 
 
 def _entropy_bits(arr: np.ndarray) -> np.ndarray:
-    """Entropy in bits of each table of the stack arr.  Zero cells are
-    dropped before the sum, so the rows are summed in groups that share
-    their positive cells, C-ordered (numpy sums pairwise only along the fast
-    axis): each row adds the same terms in the same order as the compacted
-    table alone, -sum p log2 p over arr[arr > 0]."""
+    """Entropy in bits of each table of the stack arr: -sum p log2 p over
+    all its cells in C order, 0 log2 0 = 0.  No cell is dropped, so a table
+    adds the same terms in the same order alone and in any stack."""
     rows = arr.reshape(len(arr), arr[:1].size)  # an empty stack has rows of 0 cells
-    pos, h, todo = rows > 0, np.empty(len(rows)), np.ones(len(rows), dtype=bool)
-    while todo.any():  # the first row left, with every row that shares its positive cells
-        same = (pos == pos[todo.argmax()]).all(axis=1)
-        group = rows[np.ix_(same, pos[same.argmax()])]  # positive cells, C-ordered
-        h[same] = -(group * np.log2(group)).sum(axis=-1)
-        todo &= ~same
-    return h
+    # log2(1) = 0 stands in for log2(0); 0.0 - x keeps H = +0.0
+    return 0.0 - (rows * np.log2(np.where(rows > 0, rows, 1.0))).sum(axis=-1)
 
 
 def binary_entropy(p):
     """Entropy in bits of a Bernoulli(p) symbol, elementwise for an array (a
-    float for a float).  Raises DomainError for any p outside [0, 1] or NaN."""
+    float for a float).  Raises DomainError for any p outside [0, 1] or NaN.
+    It keeps its own closed form, not _entropy_bits, because verify checks
+    the kernel's entropies against it: a shared defect would cancel."""
     p = _probability("probability", p)
     q = 1.0 - p  # below, log2(1) = 0 stands in for log2(0); 0.0 - x keeps H(0) = +0.0
     h = 0.0 - (p * np.log2(p + (p == 0.0)) + q * np.log2(q + (q == 0.0)))
@@ -288,9 +284,8 @@ def conditional_entropy(
 
 def _conditional_entropy(t: np.ndarray, target: tuple, given: tuple) -> np.ndarray:
     """H(target | given) of each table of the stack t."""
-    def h(axes):
-        drop = tuple(1 + a for a in range(t.ndim - 1) if a not in axes)
-        return _entropy_bits(t.sum(axis=drop) if drop else t)
+    def h(axes):  # sorted: no transpose reorders the sum
+        return _entropy_bits(_marginal_sum(t, tuple(sorted(axes))))
     return h(target + given) - h(given) if given else h(target)
 
 

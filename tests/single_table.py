@@ -1,10 +1,10 @@
 """Single-table entropy functionals, written out independently of info's
 stacked kernels: the reference the kernel tests compare against by bits.
 
-Each function takes one table, not a stack, and spells out the expression
-of the one-table code info used before every kernel took a stack: the
-compacted sum -sum p log2 p over arr[arr > 0], the marginal as a sum and a
-transpose, and the renormalization by the total over all axes.
+Each function takes one table, not a stack, and spells out its expression
+on that table alone: the full-row sum -sum p log2 p over every cell in C
+order, zero cells adding 0, the marginal as a sum and a transpose, and the
+renormalization by the total over all axes.
 """
 
 import numpy as np
@@ -18,9 +18,10 @@ def clean_mass(arr):
 
 
 def entropy(arr):
-    """Entropy in bits of one table, over its positive cells in C order."""
-    pos = arr[arr > 0]
-    return float(-(pos * np.log2(pos)).sum(axis=-1))
+    """Entropy in bits of one table, over all its cells in C order: a zero
+    cell adds 0 * log2(1) = 0."""
+    cells = arr.ravel()
+    return float(0.0 - (cells * np.log2(cells + (cells == 0.0))).sum())
 
 
 def marginal(t, axes):

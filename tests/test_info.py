@@ -231,6 +231,13 @@ class TestEntropy:
     def test_frozen_ternary(self):
         assert entropy(Pmf([0.7, 0.2, 0.1])) == pytest.approx(H_TERNARY, abs=TOL)
 
+    def test_deterministic_tables_give_positive_zero(self):
+        # +0.0, as binary_entropy(0.0) gives, not -0.0
+        j = JointPmf([[0.0, 1.0], [0.0, 0.0]])
+        got = [entropy(Pmf([1.0])), entropy(Pmf([0.0, 1.0])), binary_entropy(0.0),
+               conditional_entropy(j, (0, 1), ()), conditional_entropy(j, (0,), (1,))]
+        assert [h.hex() for h in got] == ["0x0.0p+0"] * 5
+
 
 class TestMutualInformation:
     def test_independent_is_zero(self):
@@ -335,8 +342,8 @@ class TestCheckMarkov:
 def _stacks(draw):
     """Tables of one random 2- to 4-axis shape, each scaled to total 1 but
     not yet renormalized, with zero cells planted in one of two patterns per
-    table (so a stack has groups of rows that share their positive cells),
-    and a random axis order with a split point into target and condition."""
+    table (so rows of a stack differ in where their zeros lie), and a random
+    axis order with a split point into target and condition."""
     shape = tuple(draw(st.lists(st.integers(1, 4), min_size=2, max_size=4)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     patterns = rng.random((2, *shape)) < draw(st.sampled_from([0.0, 0.3, 0.7]))

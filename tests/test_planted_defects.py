@@ -9,9 +9,12 @@ correlation |r| of 0.0257 between neighbours.  Each is caught about half
 the time at its gate and almost always 3 sigma beyond it: a p(u) bias of
 1.3e-2.  A bias of 0.006 in p(u), as p(x) = (0.49, 0.51) gives, passes."""
 
+import math
+
 import numpy as np
 import pytest
 
+import asymcap.info
 import asymcap.verify
 from asymcap.codec import CodebookPair
 from asymcap.info import Pmf, TransitionMatrix
@@ -75,3 +78,21 @@ def test_frequency_fails_when_the_codebook_law_is_biased(monkeypatch, biased):
     check, _ = _check("codebook_symbol_frequency")
     assert not check.passed
     assert check.max_residual > 2 * check.threshold
+
+
+@pytest.mark.parametrize("factor", [math.log(2.0), 1.0 + 1e-9], ids=["nats", "scaled"])
+def test_identities_fail_when_the_entropy_kernel_is_off(monkeypatch, factor):
+    # every kernel entropy is off by one factor; binary_entropy keeps its own
+    # closed form, so the identities that compare against it, such as
+    # entropy_v_given_x and mutual_info_balance, see the defect
+    real = asymcap.info._entropy_bits
+
+    def patched(arr):
+        return real(arr) * factor
+
+    for module in (asymcap.info, asymcap.verify):
+        monkeypatch.setattr(module, "_entropy_bits", patched)
+    rep = run_verification(grid_step=0.5, samples=10**4)
+    failed = {c.name for c in rep.checks if not c.passed}
+    assert failed == {"rate_loss_decomposition", "mutual_info_balance", "entropy_v_given_x",
+                      "entropy_u_given_xv", "entropy_y_given_xv", "entropy_v_given_uy"}

@@ -108,8 +108,8 @@ def _one_point_residuals(p1, p2):
 
 class TestStackedGrid:
     def test_matches_one_point_oracle_bit_for_bit(self):
-        # the rows with p1 = 0 or p2 = 0 hold zero cells, where a sum that
-        # kept the zeros would group the entropy terms differently
+        # the rows with p1 = 0 or p2 = 0 hold zero cells, which the entropy
+        # sums add as 0 in place, in the stack as in the one-point oracle
         grid = default_grid(0.02)
         assert grid[0] == 0.0
         p1, p2 = np.meshgrid(grid, grid, indexing="ij")
