@@ -130,12 +130,18 @@ def generate_codebooks(
     derive_seed(seed, 0, TAG_CODEBOOK) and the perturbation the one keyed
     by derive_seed(seed, 0, TAG_PERTURB).
     """
+    return CodebookPair(*_drawn_pair(M, n, px, pux, seed), seed)
+
+
+def _drawn_pair(M: int, n: int, px: Pmf, pux: TransitionMatrix, seed: int):
+    """The (cx, cu) int64 arrays (M, n) of generate_codebooks' pair for seed,
+    drawn into fresh arrays that the caller owns."""
     _check_codebook_size(M, n)
     _check_inputs(px, pux=pux)
     keys = derive_seeds(seed, [0], (TAG_CODEBOOK, TAG_PERTURB))
     cdf_x, cdfs_u = capped_cdf(px.probs), capped_cdf(pux.matrix)
     cx, cu = _codebooks(StreamSeries(), *keys, np.empty((1, M, n)), cdf_x, cdfs_u)
-    return CodebookPair(cx[0], cu[0], seed)
+    return cx[0], cu[0]
 
 
 def transmit(codeword, pyx: TransitionMatrix, seed: int) -> np.ndarray:
@@ -171,11 +177,15 @@ def _count_scores(columns, logvals: np.ndarray) -> np.ndarray:
 
     Zero counts contribute exactly zero even against -inf log entries, and
     the fixed accumulation order makes scores reproducible down to the bit
-    by any implementation that sums the same way.
+    by any implementation that sums the same way.  Integer counts, int64 or
+    float32, give the same float64 scores, as both convert exactly; that
+    needs logvals to be a float64 array, whose items are numpy float64
+    scalars.  Python floats would be weak scalars (NEP 50) and leave the
+    products of float32 counts in float32.
     """
     total = 0.0
     for counts, lv in zip(columns, logvals):
-        term = np.where(counts > 0, -np.inf, 0.0) if np.isneginf(lv) else counts * lv
+        term = np.where(counts > 0, -np.inf, 0.0) if lv == -np.inf else counts * lv
         total = np.add(total, term, out=term)  # into the fresh term: one array less
     return total
 
@@ -191,29 +201,43 @@ def _fresh_counts(cu: np.ndarray, y: np.ndarray, nu: int, ny: int) -> np.ndarray
     outputs y (T, n) against their own decoder codebooks cu (T, M, n): one
     bincount over all rows of the block, indexed cell * T * M + row."""
     T, M, _ = cu.shape
-    rows = np.arange(T * M).reshape(T, M, 1)
-    idx = (cu * ny + y[:, None, :]) * (T * M) + rows
+    idx = np.multiply(cu, ny * T * M)
+    idx += y[:, None, :] * (T * M)
+    idx += np.arange(T * M).reshape(T, M, 1)
     return np.bincount(idx.ravel(), minlength=nu * ny * T * M).reshape(nu * ny, T, M)
 
 
 def _shared_counts(cu: np.ndarray, nu: int, ny: int):
     """The counting function y (T, n) -> _fresh_counts for one decoder
-    codebook cu (M, n) that every trial shares.  The indicators (cu == u)
-    are built once, as one (nu * M, n) matrix; a block's counts are then one
-    product with its one-hot outputs (n, T * ny), read in (u, y, T, M) order
-    by one cast to int64.  Every entry is an integer of at most n, exact in
-    _indicator_dtype(n) whatever the summation order, so the counts equal
-    _fresh_counts' to the bit, in its dtype.
+    codebook cu (M, n) that every trial shares, in _indicator_dtype(n).
+
+    Only the cells with u < nu - 1 and y < ny - 1 are counted, by one
+    product of the indicators (cu == u), built once as a ((nu - 1) * M, n)
+    matrix, with a block's one-hot outputs (n, T * (ny - 1)).  Every other
+    cell is an integer difference: a cell (u, ny - 1) is the row's count of
+    u, taken once, less its counted cells; a cell (nu - 1, y) is the
+    output's count of y, taken per block, less the cells (u < nu - 1, y).
+    Every value is an integer of at most n, exact in _indicator_dtype(n)
+    whatever the order of the sums, so the counts equal _fresh_counts' to
+    the bit, and _count_scores scores them alike.
     """
     M, n = cu.shape
     dtype = _indicator_dtype(n)
-    indicators = (cu == np.arange(nu)[:, None, None]).astype(dtype).reshape(nu * M, n)
+    indicators = (cu == np.arange(nu - 1)[:, None, None]).astype(dtype)
+    row_counts = indicators.sum(axis=2)[:, None, :]  # (nu - 1, 1, M)
+    indicators = indicators.reshape((nu - 1) * M, n)
 
     def counts(y):
         T = y.shape[0]
-        onehot = (y.T[:, :, None] == np.arange(ny)).astype(dtype).reshape(n, T * ny)
-        table = (indicators @ onehot).reshape(nu, M, T, ny).transpose(0, 3, 2, 1)
-        return table.astype(np.int64, order="C").reshape(nu * ny, T, M)
+        onehot = (y.T[:, :, None] == np.arange(ny - 1)).astype(dtype).reshape(n, T * (ny - 1))
+        table = np.empty((nu, ny, T, M), dtype)
+        product = (indicators @ onehot).reshape(nu - 1, M, T, ny - 1)
+        table[:-1, :-1] = product.transpose(0, 3, 2, 1)
+        last, bottom = table[:-1, -1], table[-1]  # the derived cells, each summed in place
+        np.subtract(row_counts, table[:-1, :-1].sum(axis=1, out=last), out=last)
+        y_counts = (y == np.arange(ny)[:, None, None]).sum(axis=2, dtype=dtype)
+        np.subtract(y_counts[:, :, None], table[:-1].sum(axis=0, out=bottom), out=bottom)
+        return table.reshape(nu * ny, T, M)
 
     return counts
 
@@ -412,9 +436,11 @@ def _codebooks(series: StreamSeries, keys_x, keys_u, buf: np.ndarray, cdf_x, cdf
 def _trial_errors(cfg: SimConfig, decide, shared=None, collide=0):
     """The trial kernel: per-message error and sent counts over trials
     [0, cfg.trials), run in spans of blocks.  decide maps a block's
-    cell-major (nu * ny, T, M) int64 count tables to 1-based decisions.
-    shared is the (cx, cu) pair (M, n) every trial uses, or None to draw
-    each trial's pair from its seed.  A block holds TRIAL_BLOCK_CELLS
+    cell-major (nu * ny, T, M) count tables to 1-based decisions: int64
+    tables of per-trial pairs, or _shared_counts' exact float tables of a
+    shared pair, which _count_scores scores to the same bits.  shared is
+    the (cx, cu) pair (M, n) every trial uses, or None to draw each
+    trial's pair from its seed.  A block holds TRIAL_BLOCK_CELLS
     codebook cells of per-trial pairs, or of a shared pair
     TRIAL_BLOCK_CELLS // max(M, n) trials, as its counts grow with
     trials x M and its uniforms, outputs and one-hot outputs with
@@ -488,8 +514,7 @@ def run_experiment(cfg: SimConfig) -> TrialReport:
         decide = _typicality_rule(build_joint_uy(cfg.px, cfg.pyx, cfg.pux), cfg.epsilon, cfg.n)
     shared = None
     if cfg.codebook_mode == MODE_FIXED:
-        pair = generate_codebooks(cfg.M, cfg.n, cfg.px, cfg.pux, cfg.master_seed)
-        shared = (pair.cx, pair.cu)
+        shared = _drawn_pair(cfg.M, cfg.n, cfg.px, cfg.pux, cfg.master_seed)
     errs, sent = _trial_errors(cfg, decide, shared)
 
     error_count = int(errs.sum())
@@ -524,9 +549,8 @@ def collision_experiment(
         raise DomainError(f"m_collide must lie in [1, M], got {m_collide}")
     cfg = SimConfig.binary_symmetric(n, M, p1, p2, trials=trials, codebook_mode=MODE_FIXED,
                                      master_seed=seed)
-    base = generate_codebooks(M, n, cfg.px, cfg.pux, seed)
-    cu = np.array(base.cu)
-    cu[:m_collide] = base.cu[0]
+    cx, cu = _drawn_pair(M, n, cfg.px, cfg.pux, seed)
+    cu[:m_collide] = cu[0]
     decide = _map_rule(induced_channel(cfg.px, cfg.pyx, cfg.pux))
-    errs, sent = _trial_errors(cfg, decide, (base.cx, cu), collide=m_collide)
+    errs, sent = _trial_errors(cfg, decide, (cx, cu), collide=m_collide)
     return _lambda_max(errs, sent)

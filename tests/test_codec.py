@@ -889,6 +889,30 @@ class TestGoldenReports:
         self.test_collision_unchanged(M, n, p1, p2, trials, seed, want)
 
 
+class TestCollisionGate:
+    """collision_experiment's lambda_max is 1 under any rule that decodes the
+    colliders alike; its per-message counts show which collider wins."""
+
+    @pytest.mark.parametrize(
+        ("M", "m", "n", "p1", "p2", "trials", "seed"),
+        [(8, 4, 16, 0.1, 0.1, 400, 1), (8, 8, 16, 0.1, 0.1, 400, 2),
+         (24, 4, 16, 0.05, 0.05, 200, 3), (16, 2, 32, 0.1, 0.05, 100, 4)],
+    )
+    def test_only_the_first_collider_is_decoded(self, monkeypatch, M, m, n, p1, p2, trials,
+                                                seed):
+        runs = []
+        real = codec._trial_errors
+        monkeypatch.setattr(codec, "_trial_errors",
+                            lambda *args, **kw: runs.append(real(*args, **kw)) or runs[-1])
+        collision_experiment(M, m, n, p1, p2, trials, seed)
+        [(errs, sent)] = runs
+        assert sent[:m].all() and not sent[m:].any()
+        # rows 1..m score alike, so the lowest index wins every tie among them:
+        # messages 2..m are never decoded, and message 1 is whenever it wins
+        np.testing.assert_array_equal(errs[1:m], sent[1:m])
+        assert errs[0] < sent[0]
+
+
 class _Stopped(Exception):
     pass
 
@@ -949,19 +973,23 @@ class TestSharedCounts:
     def _fresh(cu, y, nu, ny):
         return codec._fresh_counts(np.broadcast_to(cu, (y.shape[0],) + cu.shape), y, nu, ny)
 
-    @pytest.mark.parametrize("case", range(40))
+    @pytest.mark.parametrize("case", range(43))
     def test_equals_bincount_count(self, case):
         rnd = np.random.default_rng(case)
         T, M, n = (int(v) for v in rnd.integers(1, (9, 40, 70)))
         if case < 3:  # the edges: one message, one symbol, both
             M, n = (1, 5, 1)[case], (7, 1, 1)[case]
         nu, ny = (int(v) for v in rnd.integers(1, 6, size=2))
+        if case >= 40:  # one alphabet of one symbol: a product with no rows or columns
+            nu, ny = ((1, 4), (3, 1), (1, 1))[case - 40]
         cu = rnd.integers(0, nu, size=(M, n))
         y = rnd.integers(0, ny, size=(T, n))
         shared = codec._shared_counts(cu, nu, ny)
         want = self._fresh(cu, y, nu, ny)
         got = shared(y)
-        assert got.dtype == want.dtype == np.int64 and got.shape == (nu * ny, T, M)
+        # the shared table stays in the indicators' dtype: its integers are exact there
+        assert got.dtype == codec._indicator_dtype(n) and want.dtype == np.int64
+        assert got.shape == (nu * ny, T, M)
         np.testing.assert_array_equal(got, want)
         # a block size that does not divide T: the blocks' counts concatenate
         parts = [shared(y[lo:lo + 3]) for lo in range(0, T, 3)]

@@ -9,13 +9,16 @@ correlation |r| of 0.0257 between neighbours.  Each is caught about half
 the time at its gate and almost always 3 sigma beyond it: a p(u) bias of
 1.3e-2.  A bias of 0.006 in p(u), as p(x) = (0.49, 0.51) gives, passes."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
 
+import asymcap.codec
 import asymcap.info
 import asymcap.verify
+import test_codec
 from asymcap.codec import CodebookPair
 from asymcap.info import Pmf, TransitionMatrix
 from asymcap.rng import TAG_PERTURB
@@ -96,3 +99,69 @@ def test_identities_fail_when_the_entropy_kernel_is_off(monkeypatch, factor):
     failed = {c.name for c in rep.checks if not c.passed}
     assert failed == {"rate_loss_decomposition", "mutual_info_balance", "entropy_v_given_x",
                       "entropy_u_given_xv", "entropy_y_given_xv", "entropy_v_given_uy"}
+
+
+def _failing(gate, cases):
+    """The cases on which a test method fails its assertions."""
+    failed = []
+    for case in cases:
+        try:
+            gate(*case)
+        except AssertionError:
+            failed.append(case)
+    return failed
+
+
+def test_shared_counts_fail_when_a_derived_column_reads_the_output(monkeypatch):
+    # the cells (u, ny - 1) derived from the output's count of ny - 1 where
+    # the row's count of u belongs
+    real = asymcap.codec._shared_counts
+
+    def patched(cu, nu, ny):
+        counts = real(cu, nu, ny)
+
+        def wrong(y):
+            table = counts(y).reshape(nu, ny, y.shape[0], -1)
+            output_last = (y == ny - 1).sum(axis=1)[:, None]
+            table[:-1, -1] = output_last - table[:-1, :-1].sum(axis=1)
+            return table.reshape(nu * ny, y.shape[0], -1)
+
+        return wrong
+
+    monkeypatch.setattr(asymcap.codec, "_shared_counts", patched)
+    gate = test_codec.TestSharedCounts().test_equals_bincount_count
+    failed = _failing(gate, [(case,) for case in range(43)])
+    assert (41,) in failed  # (nu, ny) = (3, 1): every row would count n of u
+    assert len(failed) > 20
+
+
+def test_fixed_goldens_fail_when_scores_take_python_floats(monkeypatch):
+    # Python floats are weak scalars (NEP 50): float32 counts then score in float32
+    real = asymcap.codec._count_scores
+    monkeypatch.setattr(asymcap.codec, "_count_scores",
+                        lambda columns, logvals: real(columns, logvals.tolist()))
+    gate = test_codec.TestGoldenReports().test_report_unchanged
+    fixed = [(name,) for name, cfg in test_codec._GOLDEN_CASES.items()
+             if cfg.codebook_mode == "fixed"]
+    # three of the five flip a decision; mc_wide's fixed op is one of them
+    assert ("fixed_map_n32_M4096",) in _failing(gate, fixed)
+
+
+def test_collision_gate_fails_when_ties_go_to_the_highest_index(monkeypatch):
+    def highest_index_rule(pyu):
+        with np.errstate(divide="ignore"):
+            logp = np.log(pyu.matrix).ravel()
+
+        def decide(counts):
+            scores = asymcap.codec._count_scores(counts, logp)[..., ::-1]
+            return scores.shape[-1] - np.argmax(scores, axis=-1)
+
+        return decide
+
+    monkeypatch.setattr(asymcap.codec, "_map_rule", highest_index_rule)
+    gate = functools.partial(test_codec.TestCollisionGate().test_only_the_first_collider_is_decoded,
+                             monkeypatch)
+    cases = [(8, 4, 16, 0.1, 0.1, 400, 1), (8, 8, 16, 0.1, 0.1, 400, 2)]
+    assert _failing(gate, cases) == cases
+    # collision's printed lambda_max does not see it
+    assert asymcap.codec.collision_experiment(*cases[0]) == 1.0
