@@ -177,15 +177,15 @@ def _count_scores(columns, logvals: np.ndarray) -> np.ndarray:
 
     Zero counts contribute exactly zero even against -inf log entries, and
     the fixed accumulation order makes scores reproducible down to the bit
-    by any implementation that sums the same way.  Integer counts, int64 or
-    float32, give the same float64 scores, as both convert exactly; that
-    needs logvals to be a float64 array, whose items are numpy float64
-    scalars.  Python floats would be weak scalars (NEP 50) and leave the
-    products of float32 counts in float32.
+    by any implementation that sums the same way.  Every product is taken
+    in float64, whatever the dtypes of the counts and the log values, and
+    integer counts, int64 or float32, convert to it exactly: both give the
+    same scores.
     """
     total = 0.0
     for counts, lv in zip(columns, logvals):
-        term = np.where(counts > 0, -np.inf, 0.0) if lv == -np.inf else counts * lv
+        term = (np.where(counts > 0, -np.inf, 0.0) if lv == -np.inf
+                else np.multiply(counts, lv, dtype=np.float64))
         total = np.add(total, term, out=term)  # into the fresh term: one array less
     return total
 

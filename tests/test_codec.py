@@ -851,18 +851,23 @@ _GOLDEN_COLLISIONS = [
 ]
 
 
+def check_golden_report(name):
+    """Run _GOLDEN_CASES[name] and compare its report with the golden."""
+    cfg = _GOLDEN_CASES[name]
+    report = run_experiment(cfg)
+    wire = report.to_json_dict()
+    del wire["elapsed_seconds"]
+    want_wire, want_sent = _GOLDEN_REPORTS[name]
+    assert wire == want_wire
+    assert len(report.per_message_errors) == cfg.M
+    got_sent = {i: es for i, es in enumerate(report.per_message_errors) if es[1]}
+    assert got_sent == want_sent
+
+
 class TestGoldenReports:
     @pytest.mark.parametrize("name", list(_GOLDEN_CASES))
     def test_report_unchanged(self, name):
-        cfg = _GOLDEN_CASES[name]
-        report = run_experiment(cfg)
-        wire = report.to_json_dict()
-        del wire["elapsed_seconds"]
-        want_wire, want_sent = _GOLDEN_REPORTS[name]
-        assert wire == want_wire
-        assert len(report.per_message_errors) == cfg.M
-        got_sent = {i: es for i, es in enumerate(report.per_message_errors) if es[1]}
-        assert got_sent == want_sent
+        check_golden_report(name)
 
     @pytest.mark.parametrize("cells", [1, 1 << 9, 1 << 20])
     @pytest.mark.parametrize(
@@ -873,7 +878,7 @@ class TestGoldenReports:
     def test_block_size_does_not_matter(self, monkeypatch, name, cells):
         # one trial per block up to every trial in one block
         monkeypatch.setattr(codec, "TRIAL_BLOCK_CELLS", cells)
-        self.test_report_unchanged(name)
+        check_golden_report(name)
 
     @pytest.mark.parametrize(_COLLISION_ARGS, _GOLDEN_COLLISIONS)
     def test_collision_unchanged(self, M, n, p1, p2, trials, seed, want):
@@ -889,28 +894,38 @@ class TestGoldenReports:
         self.test_collision_unchanged(M, n, p1, p2, trials, seed, want)
 
 
+def check_collision_counts(monkeypatch, M, m, n, p1, p2, trials, seed):
+    """Run collision_experiment, capture its kernel's per-message counts and
+    check which collider wins.  Rows 1..m score alike, so the lowest index
+    wins every tie among them: messages 2..m are never decoded, and message
+    1 is whenever it wins.  It patches _trial_errors through monkeypatch, so
+    call it once per monkeypatch."""
+    real, runs = codec._trial_errors, []
+
+    def capture(*args, **kw):
+        runs.append(real(*args, **kw))
+        return runs[-1]
+
+    monkeypatch.setattr(codec, "_trial_errors", capture)
+    collision_experiment(M, m, n, p1, p2, trials, seed)
+    [(errs, sent)] = runs
+    assert sent[:m].all() and not sent[m:].any()
+    np.testing.assert_array_equal(errs[1:m], sent[1:m])
+    assert errs[0] < sent[0]
+
+
+COLLISION_GATE_CASES = [(8, 4, 16, 0.1, 0.1, 400, 1), (8, 8, 16, 0.1, 0.1, 400, 2),
+                        (24, 4, 16, 0.05, 0.05, 200, 3), (16, 2, 32, 0.1, 0.05, 100, 4)]
+
+
 class TestCollisionGate:
     """collision_experiment's lambda_max is 1 under any rule that decodes the
     colliders alike; its per-message counts show which collider wins."""
 
-    @pytest.mark.parametrize(
-        ("M", "m", "n", "p1", "p2", "trials", "seed"),
-        [(8, 4, 16, 0.1, 0.1, 400, 1), (8, 8, 16, 0.1, 0.1, 400, 2),
-         (24, 4, 16, 0.05, 0.05, 200, 3), (16, 2, 32, 0.1, 0.05, 100, 4)],
-    )
+    @pytest.mark.parametrize(("M", "m", "n", "p1", "p2", "trials", "seed"), COLLISION_GATE_CASES)
     def test_only_the_first_collider_is_decoded(self, monkeypatch, M, m, n, p1, p2, trials,
                                                 seed):
-        runs = []
-        real = codec._trial_errors
-        monkeypatch.setattr(codec, "_trial_errors",
-                            lambda *args, **kw: runs.append(real(*args, **kw)) or runs[-1])
-        collision_experiment(M, m, n, p1, p2, trials, seed)
-        [(errs, sent)] = runs
-        assert sent[:m].all() and not sent[m:].any()
-        # rows 1..m score alike, so the lowest index wins every tie among them:
-        # messages 2..m are never decoded, and message 1 is whenever it wins
-        np.testing.assert_array_equal(errs[1:m], sent[1:m])
-        assert errs[0] < sent[0]
+        check_collision_counts(monkeypatch, M, m, n, p1, p2, trials, seed)
 
 
 class _Stopped(Exception):
@@ -965,35 +980,62 @@ class TestSharedBlockSize:
         assert 1 <= first.value.args[0] <= codec.TRIAL_BLOCK_CELLS
 
 
+def _fresh_of_shared(cu, y, nu, ny):
+    return codec._fresh_counts(np.broadcast_to(cu, (y.shape[0],) + cu.shape), y, nu, ny)
+
+
+SHARED_COUNT_CASES = range(43)
+
+
+def check_shared_counts(case):
+    """Compare _shared_counts with the bincount count of per-trial codebooks
+    on one random shape: cases 0-2 are the edges of one message, one symbol
+    and both; cases 40-42 an alphabet of one symbol, whose product has no
+    rows or no columns."""
+    rnd = np.random.default_rng(case)
+    T, M, n = (int(v) for v in rnd.integers(1, (9, 40, 70)))
+    if case < 3:
+        M, n = (1, 5, 1)[case], (7, 1, 1)[case]
+    nu, ny = (int(v) for v in rnd.integers(1, 6, size=2))
+    if case >= 40:
+        nu, ny = ((1, 4), (3, 1), (1, 1))[case - 40]
+    cu = rnd.integers(0, nu, size=(M, n))
+    y = rnd.integers(0, ny, size=(T, n))
+    shared = codec._shared_counts(cu, nu, ny)
+    want = _fresh_of_shared(cu, y, nu, ny)
+    got = shared(y)
+    # the shared table stays in the indicators' dtype: its integers are exact there
+    assert got.dtype == codec._indicator_dtype(n) and want.dtype == np.int64
+    assert got.shape == (nu * ny, T, M)
+    np.testing.assert_array_equal(got, want)
+    # a block size that does not divide T: the blocks' counts concatenate
+    parts = [shared(y[lo:lo + 3]) for lo in range(0, T, 3)]
+    np.testing.assert_array_equal(np.concatenate(parts, axis=1), want)
+
+
 class TestSharedCounts:
     """The matrix-product count of a shared codebook against the offset
     bincount that per-trial codebooks use."""
 
-    @staticmethod
-    def _fresh(cu, y, nu, ny):
-        return codec._fresh_counts(np.broadcast_to(cu, (y.shape[0],) + cu.shape), y, nu, ny)
-
-    @pytest.mark.parametrize("case", range(43))
+    @pytest.mark.parametrize("case", SHARED_COUNT_CASES)
     def test_equals_bincount_count(self, case):
-        rnd = np.random.default_rng(case)
-        T, M, n = (int(v) for v in rnd.integers(1, (9, 40, 70)))
-        if case < 3:  # the edges: one message, one symbol, both
-            M, n = (1, 5, 1)[case], (7, 1, 1)[case]
-        nu, ny = (int(v) for v in rnd.integers(1, 6, size=2))
-        if case >= 40:  # one alphabet of one symbol: a product with no rows or columns
-            nu, ny = ((1, 4), (3, 1), (1, 1))[case - 40]
-        cu = rnd.integers(0, nu, size=(M, n))
-        y = rnd.integers(0, ny, size=(T, n))
-        shared = codec._shared_counts(cu, nu, ny)
-        want = self._fresh(cu, y, nu, ny)
-        got = shared(y)
-        # the shared table stays in the indicators' dtype: its integers are exact there
-        assert got.dtype == codec._indicator_dtype(n) and want.dtype == np.int64
-        assert got.shape == (nu * ny, T, M)
-        np.testing.assert_array_equal(got, want)
-        # a block size that does not divide T: the blocks' counts concatenate
-        parts = [shared(y[lo:lo + 3]) for lo in range(0, T, 3)]
-        np.testing.assert_array_equal(np.concatenate(parts, axis=1), want)
+        check_shared_counts(case)
+
+    def test_float32_tables_score_in_float64(self):
+        # every product is taken in float64, so the float32 table scores to
+        # the int64 table's bits also against Python floats, which numpy 2
+        # would multiply into float32 (NEP 50), as numpy 1 does numpy scalars
+        rnd = np.random.default_rng(11)
+        cu = rnd.integers(0, 3, size=(50, 40))
+        y = rnd.integers(0, 2, size=(5, 40))
+        logp = np.log(rnd.dirichlet(np.ones(6)))
+        table = codec._shared_counts(cu, 3, 2)(y)
+        assert table.dtype == np.float32
+        want = codec._count_scores(_fresh_of_shared(cu, y, 3, 2), logp)
+        for logvals in (logp, logp.tolist()):
+            got = codec._count_scores(table, logvals)
+            assert got.dtype == np.float64
+            np.testing.assert_array_equal(got, want)
 
     def test_zero_probability_cells_score_alike(self):
         # cells of zero probability: -inf where they are hit, 0 where not
@@ -1003,7 +1045,7 @@ class TestSharedCounts:
         cu = rnd.integers(0, 3, size=(40, 4))
         y = rnd.integers(0, 2, size=(6, 4))
         got = codec._count_scores(codec._shared_counts(cu, 3, 2)(y), logp)
-        want = codec._count_scores(self._fresh(cu, y, 3, 2), logp)
+        want = codec._count_scores(_fresh_of_shared(cu, y, 3, 2), logp)
         assert np.isneginf(want).any() and np.isfinite(want).any()
         np.testing.assert_array_equal(got, want)
 
@@ -1015,7 +1057,7 @@ class TestSharedCounts:
         y = rnd.integers(0, 3, size=(4, 21))
         shared = codec._shared_counts(cu, 2, 3)
         assert asked == [21]
-        np.testing.assert_array_equal(shared(y), self._fresh(cu, y, 2, 3))
+        np.testing.assert_array_equal(shared(y), _fresh_of_shared(cu, y, 2, 3))
 
     def test_indicator_dtype_exact_up_to_its_bound(self):
         # checked through the helper alone: no codebook of 2^24 symbols is built

@@ -9,7 +9,6 @@ correlation |r| of 0.0257 between neighbours.  Each is caught about half
 the time at its gate and almost always 3 sigma beyond it: a p(u) bias of
 1.3e-2.  A bias of 0.006 in p(u), as p(x) = (0.49, 0.51) gives, passes."""
 
-import functools
 import math
 
 import numpy as np
@@ -18,11 +17,12 @@ import pytest
 import asymcap.codec
 import asymcap.info
 import asymcap.verify
-import test_codec
 from asymcap.codec import CodebookPair
 from asymcap.info import Pmf, TransitionMatrix
 from asymcap.rng import TAG_PERTURB
 from asymcap.verify import run_verification
+from test_codec import (COLLISION_GATE_CASES, SHARED_COUNT_CASES, check_collision_counts,
+                        check_golden_report, check_shared_counts)
 
 
 def _check(name, samples=10**5):
@@ -101,15 +101,12 @@ def test_identities_fail_when_the_entropy_kernel_is_off(monkeypatch, factor):
                       "entropy_u_given_xv", "entropy_y_given_xv", "entropy_v_given_uy"}
 
 
-def _failing(gate, cases):
-    """The cases on which a test method fails its assertions."""
-    failed = []
-    for case in cases:
-        try:
-            gate(*case)
-        except AssertionError:
-            failed.append(case)
-    return failed
+def _fails(check, *args):
+    try:
+        check(*args)
+    except AssertionError:
+        return True
+    return False
 
 
 def test_shared_counts_fail_when_a_derived_column_reads_the_output(monkeypatch):
@@ -129,39 +126,49 @@ def test_shared_counts_fail_when_a_derived_column_reads_the_output(monkeypatch):
         return wrong
 
     monkeypatch.setattr(asymcap.codec, "_shared_counts", patched)
-    gate = test_codec.TestSharedCounts().test_equals_bincount_count
-    failed = _failing(gate, [(case,) for case in range(43)])
-    assert (41,) in failed  # (nu, ny) = (3, 1): every row would count n of u
+    failed = [case for case in SHARED_COUNT_CASES if _fails(check_shared_counts, case)]
+    assert 41 in failed  # (nu, ny) = (3, 1): every row would count n of u
     assert len(failed) > 20
 
 
-def test_fixed_goldens_fail_when_scores_take_python_floats(monkeypatch):
-    # Python floats are weak scalars (NEP 50): float32 counts then score in float32
-    real = asymcap.codec._count_scores
-    monkeypatch.setattr(asymcap.codec, "_count_scores",
-                        lambda columns, logvals: real(columns, logvals.tolist()))
-    gate = test_codec.TestGoldenReports().test_report_unchanged
-    fixed = [(name,) for name, cfg in test_codec._GOLDEN_CASES.items()
-             if cfg.codebook_mode == "fixed"]
-    # three of the five flip a decision; mc_wide's fixed op is one of them
-    assert ("fixed_map_n32_M4096",) in _failing(gate, fixed)
+_FIXED_GOLDENS = ["fixed_map_n37_M3", "fixed_map_n12_M1024", "fixed_map_n32_M4096",
+                  "fixed_typ_n64_M8", "general_fixed_map"]
 
 
-def test_collision_gate_fails_when_ties_go_to_the_highest_index(monkeypatch):
-    def highest_index_rule(pyu):
-        with np.errstate(divide="ignore"):
-            logp = np.log(pyu.matrix).ravel()
+def test_fixed_goldens_fail_when_float32_tables_score_in_float32(monkeypatch):
+    # counts * lv without a dtype, under numpy 1's value-based casting: the
+    # products of a float32 table, and so its scores, stay in float32
+    def float32_scores(columns, logvals):
+        total = 0.0
+        for counts, lv in zip(columns, logvals):
+            dtype = np.result_type(counts.dtype, np.float32)
+            term = (np.where(counts > 0, -np.inf, 0.0) if lv == -np.inf
+                    else np.multiply(counts, lv, dtype=dtype))
+            total = np.add(total, term, out=term)
+        return total
 
-        def decide(counts):
-            scores = asymcap.codec._count_scores(counts, logp)[..., ::-1]
-            return scores.shape[-1] - np.argmax(scores, axis=-1)
+    monkeypatch.setattr(asymcap.codec, "_count_scores", float32_scores)
+    failed = [name for name in _FIXED_GOLDENS if _fails(check_golden_report, name)]
+    # the three fixed BSC MAP goldens, mc_wide's fixed op among them; the
+    # typicality and ternary goldens happen to keep their decisions
+    assert failed == ["fixed_map_n37_M3", "fixed_map_n12_M1024", "fixed_map_n32_M4096"]
 
-        return decide
 
-    monkeypatch.setattr(asymcap.codec, "_map_rule", highest_index_rule)
-    gate = functools.partial(test_codec.TestCollisionGate().test_only_the_first_collider_is_decoded,
-                             monkeypatch)
-    cases = [(8, 4, 16, 0.1, 0.1, 400, 1), (8, 8, 16, 0.1, 0.1, 400, 2)]
-    assert _failing(gate, cases) == cases
+def _highest_index_rule(pyu):
+    with np.errstate(divide="ignore"):
+        logp = np.log(pyu.matrix).ravel()
+
+    def decide(counts):
+        scores = asymcap.codec._count_scores(counts, logp)[..., ::-1]
+        return scores.shape[-1] - np.argmax(scores, axis=-1)
+
+    return decide
+
+
+@pytest.mark.parametrize("case", COLLISION_GATE_CASES[:2], ids=["m4", "m8"])
+def test_collision_gate_fails_when_ties_go_to_the_highest_index(monkeypatch, case):
+    monkeypatch.setattr(asymcap.codec, "_map_rule", _highest_index_rule)
     # collision's printed lambda_max does not see it
-    assert asymcap.codec.collision_experiment(*cases[0]) == 1.0
+    assert asymcap.codec.collision_experiment(*case) == 1.0
+    with pytest.raises(AssertionError):
+        check_collision_counts(monkeypatch, *case)
