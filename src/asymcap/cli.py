@@ -224,18 +224,15 @@ def cmd_capacity(eff: dict) -> int:
 def cmd_capacity_general(eff: dict) -> int:
     pyx = TransitionMatrix.from_file(eff["channel"])
     pux = TransitionMatrix.from_file(eff["perturb"])
-    opts = SolverOptions(grid_resolution=eff["grid_res"], restarts=eff["restarts"],
-                         convergence_tol=eff["tol"])
-    ref = None  # the cross-check runs first, so a lattice it refuses prints nothing
-    if pyx.input_size <= GRID_CROSSCHECK_LIMIT:
-        ref = capacity_grid(pyx, pux, eff["grid_res"])
-    res = capacity_optimize(pyx, pux, opts)
+    res = capacity_optimize(pyx, pux, SolverOptions(restarts=eff["restarts"],
+                                                    convergence_tol=eff["tol"]))
     print("config: " + _config_json(eff))
     print("optimize " + _fmt(res.capacity))
     print("iterations " + str(res.iterations))
     print("residual " + _fmt(res.residual))
     print("argmax_px " + " ".join(_fmt(v) for v in res.argmax_px))
-    if ref is not None:
+    if pyx.input_size <= GRID_CROSSCHECK_LIMIT:
+        ref = capacity_grid(pyx, pux)
         print("grid " + _fmt(ref.capacity))
         print("difference " + _fmt(abs(res.capacity - ref.capacity)))
     return 0
@@ -330,14 +327,12 @@ def cmd_collision(eff: dict) -> int:
 
 # subcommand -> (handler, help, parameters); every subcommand also takes --config.
 COMMANDS = {
-    "capacity": (cmd_capacity, "closed-form binary symmetric capacity and gap", (P1, P2, SEED)),
+    "capacity": (cmd_capacity, "closed-form binary symmetric capacity and gap", (P1, P2)),
     "capacity-general": (cmd_capacity_general, "numeric capacity for arbitrary matrices", (
         Param("channel", str, "channel matrix file", required=True),
         Param("perturb", str, "perturbation matrix file", required=True),
         Param("restarts", int, "gradient solver restarts", 8),
         Param("tol", float, "convergence tolerance", 1e-9),
-        Param("grid_res", float, "lattice spacing for the grid cross-check", 1e-3),
-        SEED,
     )),
     "simulate": (cmd_simulate, "Monte Carlo block-error estimate", (
         N, MESSAGES, P1, P2, DECODER, EPSILON, TRIALS,

@@ -79,7 +79,7 @@ def test_capacity_general_replay_matches_cli(ac, capsys, tmp_path):
 # the OpenBLAS SkylakeX kernel only, as TestOptimizeGolden's goldens do:
 # another kernel sums the solver's products in another order.
 WORKLOAD_DIGESTS = {
-    "capacity": "3b830e930243d8f4e45d5e70988f9e75d64818e72b5ff15f49afcec133e6c947",
+    "capacity": "8c4500f7df057b778f7fc643eb5d282ca55225620a91b7f09610645927b31a13",
     "mc_short": "445bc406e3d3e93135c87cf95ea065440154221cc5f9e81e18714bdd728cc2e1",
     "mc_wide": "ece1a75120ce77705284cc00cda5485a919a88240e1718ff6bcf3916597f88e4",
     "verify": "5c65ca942a62b7e9b53e4b146f8303adf3b5f721706d794ecf70bf4cd209d6b7",

@@ -37,6 +37,8 @@ from asymcap.info import (
 )
 from asymcap.verify import default_grid
 
+from gates import check_default_restarts_reach_the_maximum
+
 # Frozen reference values (high-precision evaluations rounded to float64).
 CAP_01_01 = 0.3199229542717202      # 1 - H(0.18)
 CAP_01_02 = 0.1732536275073821      # 1 - H(0.26)
@@ -371,6 +373,10 @@ class TestOptimize:
             alone = capacity._ascend(starts[i:i + 1], a, nu, ny, opts)
             for got, want in zip(batch, alone):
                 np.testing.assert_array_equal(got[i], want[0])
+
+    def test_default_restarts_reach_the_maximum(self):
+        # only the last of the eight default starts reaches it
+        check_default_restarts_reach_the_maximum()
 
     def test_input_size_mismatch(self):
         # the solvers take no px, so the message names only the two matrices
@@ -742,6 +748,53 @@ class TestGap:
         err = np.array([capacity_gap(Pmf.uniform(2), bsc(a), bsc(b)) - bsc_capacity_gap(a, b)
                         for a in grid for b in grid])
         assert np.max(np.abs(err)) < 1e-12
+
+
+def _erasure(k, e):
+    """U = X with probability 1 - e, else the extra symbol k: a (k, k + 1) table."""
+    return TransitionMatrix(np.hstack([(1.0 - e) * np.eye(k), np.full((k, 1), e)]))
+
+
+def _shannon_capacity(w):
+    """max_p I(X;Y) in bits of the channel rows w, by Blahut-Arimoto run
+    until its upper bound max_x D(w_x || q) is within 1e-13 of its lower
+    bound sum_x p_x D(w_x || q)."""
+    p = np.full(len(w), 1.0 / len(w))
+    for _ in range(10**6):
+        q = p @ w
+        d = np.where(w > 0, w * np.log2(np.where(w > 0, w, 1.0) / q), 0.0).sum(axis=1)
+        lower, upper = p @ d, d.max()
+        if upper - lower <= 1e-13:
+            return lower
+        p = p * np.exp2(d)
+        p /= p.sum()
+    raise AssertionError("Blahut-Arimoto did not converge")
+
+
+class TestErasureOracle:
+    """An erasure perturbation scales I(U;Y) by 1 - e at every p(x), and an
+    erasure channel does the same to the codebook's own channel, so
+    C = (1 - e) C_Shannon of the other table in both orientations, at a
+    non-uniform maximizer; and the gap at the argmax is e I(X;Y)."""
+
+    @staticmethod
+    def _instance(seed):
+        rng = np.random.default_rng(seed)
+        nx = (2, 3, 4, 8)[seed % 4]
+        w = rng.dirichlet(np.full(int(rng.integers(2, 6)), 0.5), size=nx)
+        return TransitionMatrix(w), rng.uniform(0.05, 0.95)
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_capacity_is_the_erased_shannon_capacity(self, seed):
+        w, e = self._instance(seed)
+        want = (1.0 - e) * _shannon_capacity(w.matrix)
+        erasure = _erasure(w.input_size, e)
+        res = capacity_optimize(w, erasure)
+        assert res.capacity == pytest.approx(want, abs=1e-9)
+        assert capacity_optimize(erasure, w).capacity == pytest.approx(want, abs=1e-9)
+        p = res.argmax_px
+        i_xy = mutual_information(JointPmf(p[:, None] * w.matrix))
+        assert capacity_gap(Pmf(p), w, erasure) == pytest.approx(e * i_xy, abs=1e-12)
 
 
 def _model_instance(seed):

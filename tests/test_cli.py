@@ -11,7 +11,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -19,6 +18,8 @@ import asymcap
 import asymcap.cli
 import asymcap.verify
 from asymcap.cli import CAP_SWEEP_HEADER, SIM_SWEEP_HEADER, main
+
+from gates import check_nan_residual_fails_verify
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 # The directory holding the imported `asymcap` package (src/ in a checkout).
@@ -28,6 +29,8 @@ CAP_01_01 = "0.3199229543"
 GAP_01_01 = "0.2110814521"
 SIM_ARGS = ("simulate", "--n", "8", "--messages", "2", "--p1", "0.1", "--p2", "0.1",
             "--trials", "10")
+COLLISION_ARGS = ("collision", "--messages", "4", "--collide", "2", "--n", "8",
+                  "--p1", "0.1", "--p2", "0.1", "--trials", "20")
 
 
 def run_cli(capsys, *argv):
@@ -71,8 +74,7 @@ class TestCapacity:
     CROSSOVER_ARGS = {
         "capacity": ("capacity", "--p1", "0.1", "--p2", "0.1"),
         "simulate": SIM_ARGS,
-        "collision": ("collision", "--messages", "4", "--collide", "2", "--n", "8",
-                      "--p1", "0.1", "--p2", "0.1", "--trials", "20"),
+        "collision": COLLISION_ARGS,
         "sweep": ("sweep", "--mode", "simulation", "--n-list", "8", "--m-list", "2",
                   "--p1", "0.1", "--p2", "0.1", "--trials", "10", "--out", "s.csv"),
     }
@@ -148,7 +150,7 @@ class TestConfigPrecedence:
         [
             (SIM_ARGS[:1] + SIM_ARGS[3:], {"n": [1]}, "--n"),
             (SIM_ARGS[:1] + SIM_ARGS[3:], {"n": float("inf")}, "--n"),
-            (("capacity", "--p2", "0.1"), {"p1": "0.1", "seed": "abc"}, "--seed"),
+            (COLLISION_ARGS[:7] + COLLISION_ARGS[9:], {"p1": "0.1", "seed": "abc"}, "--seed"),
             (SIM_ARGS, {"seed": 1.5}, "--seed"),
             (SIM_ARGS, {"fixed_codebook": "no"}, "--fixed-codebook"),
             (SIM_ARGS, {"decoder": "typicality"}, "--decoder"),
@@ -184,23 +186,23 @@ class TestConfigPrecedence:
         path.write_text(json.dumps({"seed": seed}))
         for argv, given in ((("--seed", str(seed)), str(seed)),
                             (("--config", str(path)), seed)):
-            rc, out, err = run_cli(capsys, "capacity", "--p1", "0.1", "--p2", "0.1", *argv)
+            rc, out, err = run_cli(capsys, *COLLISION_ARGS, *argv)
             assert rc == 2 and out == ""
             assert err.splitlines() == [
                 f"error: --seed: expected integer in [0, 2^64), got {given!r}"]
 
     def test_largest_seed_accepted(self, capsys):
-        rc, out, _ = run_cli(capsys, "capacity", "--p1", "0.1", "--p2", "0.1",
-                             "--seed", str(2**64 - 1))
+        rc, out, _ = run_cli(capsys, *COLLISION_ARGS, "--seed", str(2**64 - 1))
         assert rc == 0
         assert json.loads(out.splitlines()[0][len("config: "):])["seed"] == 2**64 - 1
 
     def test_config_value_parsed_like_the_flag(self, capsys, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"p1": 0, "p2": "0.1", "seed": 2.0}))
-        rc, out, _ = run_cli(capsys, "capacity", "--config", str(cfg))
+        rc, out, _ = run_cli(capsys, *COLLISION_ARGS[:7], "--trials", "20", "--config", str(cfg))
         assert rc == 0
-        assert out.splitlines()[0] == 'config: {"p1": 0.0, "p2": 0.1, "seed": 2}'
+        assert out.splitlines()[0] == ('config: {"collide": 2, "messages": 4, "n": 8, '
+                                       '"p1": 0.0, "p2": 0.1, "seed": 2, "trials": 20}')
 
     def test_null_means_not_given(self, capsys, tmp_path):
         cfg = tmp_path / "c.json"
@@ -220,9 +222,9 @@ def _mask_elapsed(text: str) -> str:
 # `config:` line, the `# config:` line of the CSV it writes, or the
 # "config" key of verify's JSON report.
 REPLAYS = {
-    "capacity": ("capacity", "--p1", "0.1", "--p2", "0.2", "--seed", "3"),
+    "capacity": ("capacity", "--p1", "0.1", "--p2", "0.2"),
     "capacity-general": ("capacity-general", "--channel", "ch.txt", "--perturb", "ch.txt",
-                         "--restarts", "2", "--grid-res", "0.05"),
+                         "--restarts", "2"),
     "simulate-map": SIM_ARGS + ("--seed", "4"),
     "simulate-typ": SIM_ARGS + ("--decoder", "typ", "--fixed-codebook"),
     "simulate-typ-epsilon": SIM_ARGS + ("--decoder", "typ", "--epsilon", "0.2"),
@@ -232,8 +234,7 @@ REPLAYS = {
     "sweep-typ": ("sweep", "--mode", "simulation", "--n-list", "8", "--m-list", "2,4",
                   "--p1", "0.1", "--p2", "0.05", "--trials", "10", "--decoder", "typ",
                   "--out", "run.out"),
-    "collision": ("collision", "--messages", "4", "--collide", "2", "--n", "8",
-                  "--p1", "0.1", "--p2", "0.1", "--trials", "20"),
+    "collision": COLLISION_ARGS,
     "verify": ("verify", "--grid-step", "0.5", "--seed", "3", "--out", "run.out"),
 }
 
@@ -335,14 +336,43 @@ class TestCapacityGeneral:
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("error:") and "restarts" in err
 
-    def test_refused_lattice_prints_nothing(self, capsys, tmp_path):
-        ch = write_matrix(tmp_path / "ch.txt", [[0.9, 0.1], [0.1, 0.9]])
-        rc, out, err = run_cli(
-            capsys, "capacity-general", "--channel", ch, "--perturb", ch, "--grid-res", "1e-9",
-        )
-        assert rc == 2
-        assert out == ""
-        assert err.count("\n") == 1 and err.startswith("error:") and "lattice" in err
+
+class TestCapacityInputs:
+    """capacity and capacity-general compute from their inputs alone: a seed
+    or a lattice spacing would be echoed but never read, so neither command
+    takes one, and each echoes only the parameters its run reads."""
+
+    CAPACITY = ("capacity", "--p1", "0.1", "--p2", "0.1")
+    GENERAL = ("capacity-general", "--channel", "ch.txt", "--perturb", "ch.txt")
+
+    @pytest.fixture(autouse=True)
+    def _matrix(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write_matrix(tmp_path / "ch.txt", [[0.9, 0.1], [0.2, 0.8]])
+
+    @pytest.mark.parametrize("argv", [CAPACITY + ("--seed", "1"), GENERAL + ("--seed", "1"),
+                                      GENERAL + ("--grid-res", "0.01")],
+                             ids=["capacity-seed", "general-seed", "general-grid-res"])
+    def test_flag_refused(self, capsys, argv):
+        rc, out, err = run_cli(capsys, *argv)
+        assert rc == 2 and out == ""
+        assert err.splitlines() == [f"error: unrecognized arguments: {argv[-2]} {argv[-1]}"]
+
+    @pytest.mark.parametrize("argv, key", [(CAPACITY, "seed"), (GENERAL, "grid_res")],
+                             ids=["capacity-seed", "general-grid-res"])
+    def test_config_key_refused(self, capsys, tmp_path, argv, key):
+        (tmp_path / "c.json").write_text(json.dumps({key: 1}))
+        rc, out, err = run_cli(capsys, *argv, "--config", "c.json")
+        assert rc == 2 and out == ""
+        assert err.splitlines() == [f"error: unknown config keys: {key}"]
+
+    @pytest.mark.parametrize("argv, keys", [
+        (CAPACITY, ["p1", "p2"]), (GENERAL, ["channel", "perturb", "restarts", "tol"])],
+        ids=["capacity", "general"])
+    def test_echo_holds_only_what_runs(self, capsys, argv, keys):
+        rc, out, _ = run_cli(capsys, *argv)
+        assert rc == 0
+        assert list(json.loads(out.splitlines()[0][len("config: "):])) == keys
 
 
 class TestSimulate:
@@ -597,24 +627,8 @@ class TestVerify:
         data = json.loads(out_path.read_text())
         assert data["pass"] is True
 
-    def test_nan_residual_fails_the_run(self, capsys, tmp_path, monkeypatch):
-        real = asymcap.verify.identity_residuals
-
-        def nan_at_quarter(p1, p2):
-            # the grid arrives as arrays: NaN goes into the (0.25, 0.25) row
-            res = real(p1, p2)
-            at = (np.asarray(p1) == 0.25) & (np.asarray(p2) == 0.25)
-            res["markov_u_x_y"] = np.where(at, float("nan"), res["markov_u_x_y"])
-            return res
-
-        monkeypatch.setattr(asymcap.verify, "identity_residuals", nan_at_quarter)
-        rc, out, _ = run_cli(
-            capsys, "verify", "--grid-step", "0.25", "--out", str(tmp_path / "rep.json"),
-        )
-        assert rc == 1
-        lines = out.splitlines()
-        assert "FAIL markov_u_x_y residual=inf threshold=1e-10" in lines
-        assert lines[-1] == "overall FAIL"
+    def test_nan_residual_fails_the_run(self, tmp_path):
+        check_nan_residual_fails_verify(tmp_path / "rep.json")
 
     def test_out_required(self, capsys):
         rc, _, err = run_cli(capsys, "verify")
@@ -682,15 +696,15 @@ class TestVerify:
 
 
 class TestGridCaps:
-    """Grid steps and resolutions past the grid caps exit 2 by validation
-    alone: no grid is built and no file is written."""
+    """Grid steps past the grid caps exit 2 by validation alone: no grid is
+    built and no file is written."""
 
     @pytest.fixture(autouse=True)
     def _no_work(self, monkeypatch):
         def never(*args, **kwargs):
             raise AssertionError("work ran")
 
-        for name in ("run_verification", "sweep_capacity_surface", "capacity_optimize"):
+        for name in ("run_verification", "sweep_capacity_surface"):
             monkeypatch.setattr(asymcap.cli, name, never)
 
     @pytest.mark.parametrize("command", [("sweep", "--mode", "capacity"), ("verify",)])
@@ -704,14 +718,6 @@ class TestGridCaps:
             f"error: grid step {float(step)!r} gives more than 251 points per axis"
         ]
         assert not out_path.exists()
-
-    def test_subnormal_grid_resolution_refused(self, capsys, tmp_path):
-        ch = write_matrix(tmp_path / "ch.txt", [[0.9, 0.1], [0.1, 0.9]])
-        rc, out, err = run_cli(
-            capsys, "capacity-general", "--channel", ch, "--perturb", ch, "--grid-res", "1e-320",
-        )
-        assert rc == 2 and out == ""
-        assert err.count("\n") == 1 and err.startswith("error:") and "lattice" in err
 
 
 class TestCollision:
@@ -769,7 +775,6 @@ PARAM_VALUES = {
     "perturb": [GOOD_MATRIX, RAGGED_MATRIX],
     "restarts": [1, 3, 0, -1],
     "tol": [1e-9, 1e-3, 0.0, -1.0],
-    "grid_res": [0.01, 0.5, 1.0, 0.0, 1.5],
     "mode": ["capacity", "simulation", "surface"],
     "grid_step": [0.5, 0.3, 0.0, -0.5, 1.0],
     "samples": [1, 1000, 0, -5],
@@ -780,8 +785,8 @@ PARAM_VALUES = {
 }
 WRONG_KIND = [None, True, "x", [1], {"a": 1}, 1.5, float("nan"), float("inf")]
 SUBCOMMAND_PARAMS = {
-    "capacity": ("p1", "p2", "seed"),
-    "capacity-general": ("channel", "perturb", "restarts", "tol", "grid_res", "seed"),
+    "capacity": ("p1", "p2"),
+    "capacity-general": ("channel", "perturb", "restarts", "tol"),
     "simulate": ("n", "messages", "p1", "p2", "decoder", "epsilon", "trials",
                  "fixed_codebook", "seed"),
     "sweep": ("mode", "grid_step", "p1", "p2", "n_list", "m_list", "decoder", "epsilon",
@@ -854,6 +859,45 @@ def test_cli_contract(fuzz_dir, monkeypatch, invocation):
     for line in out.getvalue().splitlines():
         if line.startswith("config: "):
             json.loads(line[len("config: "):], parse_constant=_strict_constant)
+
+
+def _readme_examples():
+    """Each indented `asymcap ...` command line of README.md as an argv, its
+    `\\` continuations joined and the brackets of optional flags dropped,
+    with the indented `# ...` lines under it."""
+    lines = (REPO_ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+    examples, i = [], 0
+    while i < len(lines):
+        if lines[i].startswith("    asymcap "):
+            command = lines[i]
+            while command.endswith("\\"):
+                i += 1
+                command = command[:-1] + lines[i]
+            shown = []
+            while i + 1 < len(lines) and lines[i + 1].startswith("    # "):
+                i += 1
+                shown.append(lines[i][len("    # "):])
+            examples.append((command.replace("[", "").replace("]", "").split()[1:], shown))
+        i += 1
+    return examples
+
+
+README_EXAMPLES = _readme_examples()
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in README_EXAMPLES],
+                         ids=[argv[0] for argv, _ in README_EXAMPLES])
+def test_readme_example_parses(argv):
+    # parsed and merged as main would, but not run
+    args = asymcap.cli.build_parser().parse_args(argv)
+    asymcap.cli._merge(args, args.params)
+
+
+def test_readme_capacity_example_prints_what_it_shows(capsys):
+    [(argv, shown)] = [ex for ex in README_EXAMPLES if ex[0][0] == "capacity"]
+    rc, out, _ = run_cli(capsys, *argv)
+    assert rc == 0
+    assert out.splitlines()[1:] == shown
 
 
 class TestConsoleScript:

@@ -45,6 +45,7 @@ from asymcap.rng import (
 from asymcap.verify import codebook_iid_zscores, sampled_pair_tv
 
 import single_table
+from gates import COLLISION_GATE_CASES, check_collision_counts
 
 UNIF2 = Pmf.uniform(2)
 
@@ -894,38 +895,13 @@ class TestGoldenReports:
         self.test_collision_unchanged(M, n, p1, p2, trials, seed, want)
 
 
-def check_collision_counts(monkeypatch, M, m, n, p1, p2, trials, seed):
-    """Run collision_experiment, capture its kernel's per-message counts and
-    check which collider wins.  Rows 1..m score alike, so the lowest index
-    wins every tie among them: messages 2..m are never decoded, and message
-    1 is whenever it wins.  It patches _trial_errors through monkeypatch, so
-    call it once per monkeypatch."""
-    real, runs = codec._trial_errors, []
-
-    def capture(*args, **kw):
-        runs.append(real(*args, **kw))
-        return runs[-1]
-
-    monkeypatch.setattr(codec, "_trial_errors", capture)
-    collision_experiment(M, m, n, p1, p2, trials, seed)
-    [(errs, sent)] = runs
-    assert sent[:m].all() and not sent[m:].any()
-    np.testing.assert_array_equal(errs[1:m], sent[1:m])
-    assert errs[0] < sent[0]
-
-
-COLLISION_GATE_CASES = [(8, 4, 16, 0.1, 0.1, 400, 1), (8, 8, 16, 0.1, 0.1, 400, 2),
-                        (24, 4, 16, 0.05, 0.05, 200, 3), (16, 2, 32, 0.1, 0.05, 100, 4)]
-
-
 class TestCollisionGate:
     """collision_experiment's lambda_max is 1 under any rule that decodes the
     colliders alike; its per-message counts show which collider wins."""
 
     @pytest.mark.parametrize(("M", "m", "n", "p1", "p2", "trials", "seed"), COLLISION_GATE_CASES)
-    def test_only_the_first_collider_is_decoded(self, monkeypatch, M, m, n, p1, p2, trials,
-                                                seed):
-        check_collision_counts(monkeypatch, M, m, n, p1, p2, trials, seed)
+    def test_only_the_first_collider_is_decoded(self, M, m, n, p1, p2, trials, seed):
+        check_collision_counts(M, m, n, p1, p2, trials, seed)
 
 
 class _Stopped(Exception):

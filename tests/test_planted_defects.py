@@ -14,15 +14,20 @@ import math
 import numpy as np
 import pytest
 
+import asymcap.capacity
 import asymcap.codec
 import asymcap.info
+import asymcap.rng
 import asymcap.verify
+from asymcap.capacity import SolverOptions
 from asymcap.codec import CodebookPair
 from asymcap.info import Pmf, TransitionMatrix
 from asymcap.rng import TAG_PERTURB
-from asymcap.verify import run_verification
-from test_codec import (COLLISION_GATE_CASES, SHARED_COUNT_CASES, check_collision_counts,
-                        check_golden_report, check_shared_counts)
+from asymcap.verify import IDENTITY_CHECKS, IDENTITY_CHUNK, run_verification
+from gates import (COLLISION_GATE_CASES, check_collision_counts,
+                   check_default_restarts_reach_the_maximum, check_nan_residual_fails_verify,
+                   check_top_draw_skips_zero_mass, criterion_8)
+from test_codec import SHARED_COUNT_CASES, check_golden_report, check_shared_counts
 
 
 def _check(name, samples=10**5):
@@ -171,4 +176,47 @@ def test_collision_gate_fails_when_ties_go_to_the_highest_index(monkeypatch, cas
     # collision's printed lambda_max does not see it
     assert asymcap.codec.collision_experiment(*case) == 1.0
     with pytest.raises(AssertionError):
-        check_collision_counts(monkeypatch, *case)
+        check_collision_counts(*case)
+
+
+def test_criterion_8_fails_when_ties_go_to_the_highest_index(monkeypatch):
+    monkeypatch.setattr(asymcap.codec, "_map_rule", _highest_index_rule)
+    ok, observed = criterion_8()
+    assert not ok
+    # message 1 is never decoded: every one of its sends is an error
+    assert all(errors == sends for _, errors, sends in observed.values())
+
+
+def test_lost_restart_fails_the_restart_gate(monkeypatch):
+    with pytest.raises(AssertionError):
+        check_default_restarts_reach_the_maximum(SolverOptions(restarts=7))
+    # the ascent runs every start but the last: starts[:-1]
+    real = asymcap.capacity._ascend
+    monkeypatch.setattr(asymcap.capacity, "_ascend", lambda p, *args: real(p[:-1], *args))
+    with pytest.raises(AssertionError):
+        check_default_restarts_reach_the_maximum()
+
+
+def test_top_draw_gate_fails_when_the_cdf_is_uncapped(monkeypatch):
+    # test_rng's TestTopDrawNeverHitsZeroMass::test_sample_pmf
+    monkeypatch.setattr(asymcap.rng, "capped_cdf",
+                        lambda probs: np.cumsum(np.asarray(probs, dtype=float), axis=-1))
+    with pytest.raises(AssertionError):
+        check_top_draw_skips_zero_mass()
+
+
+def test_nan_gate_fails_when_the_worst_residual_drops_nan(monkeypatch, tmp_path):
+    # test_cli's TestVerify::test_nan_residual_fails_the_run: the builtin
+    # max(w, nan) keeps w, so a NaN residual reads as 0 and passes
+    def max_fold(grid):
+        p1, p2 = (g.ravel() for g in np.meshgrid(grid, grid, indexing="ij"))
+        worst = [0.0] * len(IDENTITY_CHECKS)
+        for i in range(0, p1.size, IDENTITY_CHUNK):
+            res = asymcap.verify.identity_residuals(p1[i:i + IDENTITY_CHUNK],
+                                                    p2[i:i + IDENTITY_CHUNK])
+            worst = [max(w, float(np.max(res[name]))) for w, name in zip(worst, IDENTITY_CHECKS)]
+        return worst
+
+    monkeypatch.setattr(asymcap.verify, "_worst_identities", max_fold)
+    with pytest.raises(AssertionError):
+        check_nan_residual_fails_verify(tmp_path / "rep.json")

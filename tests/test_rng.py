@@ -27,6 +27,8 @@ from asymcap.rng import (
     stream,
 )
 
+from gates import TRAILING_ZERO_PMF, TopDraws, check_top_draw_skips_zero_mass
+
 
 def _scalar_mix(z: int) -> int:
     """Independent restatement of the 64-bit finalizer used by derive_seed."""
@@ -273,28 +275,14 @@ class TestSampleRows:
         assert abs(frac - p) < 3 * sigma
 
 
-class _TopDraws:
-    """Generator stub whose every uniform draw is 1 - 2**-53, the largest
-    double below 1."""
-
-    def random(self, shape):
-        return np.full(shape, 1.0 - 2.0**-53)
-
-
-# Its cumulative sum ends at 1 - 2**-53, so the top draw passes every
-# entry and an unclipped count lands on the zero-mass last symbol.
-TRAILING_ZERO_PMF = np.array([0.23198402839841684, 0.554702073152752, 0.2133138984488311, 0.0])
-
-
 class TestTopDrawNeverHitsZeroMass:
     def test_cumulative_sum_ends_below_one(self):
         assert np.cumsum(TRAILING_ZERO_PMF)[-1] <= 1.0 - 2.0**-53
 
     def test_sample_pmf(self):
-        vals = sample_pmf(_TopDraws(), TRAILING_ZERO_PMF, (2, 3))
-        np.testing.assert_array_equal(vals, np.full((2, 3), 2))
+        check_top_draw_skips_zero_mass()
 
     def test_sample_rows(self):
         matrix = np.array([TRAILING_ZERO_PMF, [0.0, 0.0, 0.0, 1.0], [0.5, 0.0, 0.5, 0.0]])
-        vals = sample_rows(_TopDraws(), matrix, np.array([0, 1, 2, 0]))
+        vals = sample_rows(TopDraws(), matrix, np.array([0, 1, 2, 0]))
         np.testing.assert_array_equal(vals, [2, 3, 2, 2])
