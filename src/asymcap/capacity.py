@@ -170,11 +170,16 @@ def _mi_batch(q: np.ndarray, nu: int, ny: int) -> np.ndarray:
     return _mutual_information(q.reshape(-1, nu, ny))
 
 
-def _gradient_batch(q: np.ndarray, a: np.ndarray, nu: int, ny: int) -> np.ndarray:
-    """Gradient of I(U;Y) at each row of P, given q = _joint_rows(P, a)
-    (see mutual_information_gradient)."""
-    logs = _log_ratios(q.reshape(-1, nu, ny))
-    return (a @ logs.reshape(len(q), -1, 1))[:, :, 0] - _LOG2E
+def _evaluate(P: np.ndarray, a: np.ndarray, nu: int, ny: int):
+    """_joint_rows(P, a) as (nu, ny) tables, their _log_ratios and I(U;Y)."""
+    t = _joint_rows(P, a).reshape(-1, nu, ny)
+    logs = _log_ratios(t)
+    return t, logs, _mutual_information(t, logs)
+
+
+def _gradient(logs: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Gradient of I(U;Y) at each row from its _log_ratios table."""
+    return (a @ logs.reshape(len(logs), -1, 1))[:, :, 0] - _LOG2E
 
 
 def _project_rows(V: np.ndarray) -> np.ndarray:
@@ -197,24 +202,26 @@ def _dead_inputs(P: np.ndarray, q: np.ndarray, a: np.ndarray, nu: int, ny: int) 
     O(eps), where kappa adds A[x, c] over those cells with q(u) = q(y) = 0
     and subtracts it over those with q(u), q(y) > 0.  The gradient skips
     cells with q(c) = 0, so the ascent itself must hold x at 0 when
-    kappa < 0."""
+    kappa < 0.  Only a coordinate at 0 can be dead."""
+    if P.all():
+        return np.zeros(P.shape, dtype=bool)
     t = q.reshape(-1, nu, ny)
     zu, zy = t.sum(axis=2, keepdims=True) == 0, t.sum(axis=1, keepdims=True) == 0
     sign = (zu & zy).astype(float) - ((t == 0) & ~zu & ~zy)
     return (P == 0) & (_joint_rows(sign.reshape(len(P), -1), a.T) < 0)
 
 
-def _direction(P: np.ndarray, a: np.ndarray, nu: int, ny: int):
+def _direction(P: np.ndarray, a: np.ndarray, nu: int, ny: int, q=None, logs=None):
     """The gradient of each row of P less its largest entry off the dead
-    coordinates, and the dead mask (_dead_inputs).
+    coordinates, and the dead mask (_dead_inputs), from P's _evaluate tables.
 
     Neither the projection nor a first-order gain sees a constant added to
     a row, but rounding does: the raw gradient carries -log2(e) in every
     entry, and a long step t g would round p + t g far above p's own ulp.
     Shifted, every coordinate the projection keeps lies in (-1, 1]."""
-    q = _joint_rows(P, a)
+    q, logs = (q, logs) if q is not None else _evaluate(P, a, nu, ny)[:2]
+    G = _gradient(logs, a)
     dead = _dead_inputs(P, q, a, nu, ny)
-    G = _gradient_batch(q, a, nu, ny)
     return G - np.where(dead, -np.inf, G).max(axis=1, keepdims=True), dead
 
 
@@ -248,7 +255,7 @@ def input_mutual_information(
     """
     a, nu, ny = _kernel(pyx, pux)
     p = _vector(p, "input weights", a.shape[0])
-    return float(_mi_batch(_joint_rows(p[None], a), nu, ny)[0])
+    return float(_evaluate(p[None], a, nu, ny)[2][0])
 
 
 def mutual_information_gradient(
@@ -261,7 +268,7 @@ def mutual_information_gradient(
     """
     a, nu, ny = _kernel(pyx, pux)
     p = _vector(p, "input weights", a.shape[0])
-    return _gradient_batch(_joint_rows(p[None], a), a, nu, ny)[0]
+    return _gradient(_evaluate(p[None], a, nu, ny)[1], a)[0]
 
 
 def simplex_project(v: np.ndarray) -> np.ndarray:
@@ -399,50 +406,68 @@ def capacity_grid(
     return CapacityResult(best_val, best_p, SOLVER_GRID, comb(k + nx - 1, nx - 1), 1.0 / k)
 
 
+def _carry(kept, rows, new, idx) -> None:
+    """kept[rows] = new[idx], array by array: accepted trials move in."""
+    for k, n in zip(kept, new):
+        k[rows] = n.take(idx, 0)
+
+
 def _ascend(p: np.ndarray, a: np.ndarray, nu: int, ny: int, opts: SolverOptions):
     """Projected Armijo ascent of I(U;Y) from each row of p, all rows as one
-    array.  Returns the final rows, their values and the steps each took.
+    array.  Returns the final rows, their values, the steps each took and
+    their residuals (_stationarity).
 
     A row stops on the tolerance, at the float floor or on the budget
-    (CapacityResult).  Stopped rows are left out of the step search, which
-    is per row, so each row takes exactly the path it would take alone.
-    Each pass of it tries the ladder t, t/2, ..., t/2^(_LADDER-1) at once
-    for every row still searching, and goes on from t/2^_LADDER for rows
-    that no rung stops.  The rungs are exact halvings, the trials of a
-    one-step-per-pass search, and a row takes the first rung at which that
-    search would stop, so the path is the same bit for bit."""
+    (CapacityResult) and leaves the step search, which is per row, so each
+    row takes exactly the path it would take alone.  A pass tries the ladder
+    t, t/2, ..., t/2^(_LADDER-1) at once for each row still searching, and
+    goes on from t/2^_LADDER for rows no rung stops; the rungs are the exact
+    halvings of a one-step-per-pass search, and a row takes the first rung
+    at which that search would stop, so the path is the same bit for bit.
+    A row carries its accepted trial's joint and log-ratio tables into its
+    next gradient, so each point is evaluated once (_evaluate), and the
+    pass's first projection also takes its t = 1 arc, the stationarity test's."""
     p = p.copy()
     steps = np.zeros(len(p), dtype=np.int64)
     running = np.ones(len(p), dtype=bool)
     t_init = np.ones(len(p))  # warm start: the step accepted last pass, doubled
-    j0 = _mi_batch(_joint_rows(p, a), nu, ny)
+    q, logs, j0 = _evaluate(p, a, nu, ny)
     for _ in range(opts.max_iterations):
-        g, dead = _direction(p, a, nu, ny)
-        running &= ~(_stationarity(p, g, dead) < opts.convergence_tol)
-        rows, t_top = np.flatnonzero(running), t_init[running]
+        G, dead = _direction(p, a, nu, ny, q, logs)
+        rows, t_top = running.nonzero()[0], t_init[running]
+        r = np.concatenate((np.repeat(rows, _LADDER), rows))
+        t_step = np.concatenate(((t_top[:, None] * _RUNGS).ravel(), np.ones(len(rows))))
         while len(rows):
-            r = np.repeat(rows, _LADDER)
-            t_step = (t_top[:, None] * _RUNGS).ravel()
-            pr, gr, jr = p[r], g[r], j0[r]
-            cand = _arc(pr, gr, t_step, dead[r])
-            j_cand = _mi_batch(_joint_rows(cand, a), nu, ny)
-            gain = _row_dot(gr, cand - pr)  # first-order gain of the trial
-            accept = j_cand >= jr + _SIGMA * gain
-            floor = np.where(accept, j_cand == jr, (
+            cand = _arc(p.take(r, 0), G.take(r, 0), t_step, dead.take(r, 0))
+            if len(r) > len(rows) * _LADDER:  # the first ladder: the stationarity test
+                d = cand[-len(rows):] - p.take(rows, 0)
+                go = ~(np.sqrt(_row_dot(d, d)) < opts.convergence_tol)
+                keep = slice(-len(go)) if go.all() else np.repeat(go, _LADDER).nonzero()[0]
+                running[rows[~go]] = False
+                rows, t_top = rows[go], t_top[go]
+                r, t_step, cand = r[keep], t_step[keep], cand[keep]
+                if not len(rows):
+                    break
+            qc, lc, jc = _evaluate(cand, a, nu, ny)
+            jr = j0[r]
+            gain = _row_dot(G.take(r, 0), cand - p.take(r, 0))  # first-order gain of the trial
+            accept = jc >= jr + _SIGMA * gain
+            floor = np.where(accept, jc == jr, (
                 gain <= _FLOOR_ULPS * np.spacing(np.abs(jr))) | (t_step <= _EPS))
             stop = (accept | floor).reshape(-1, _LADDER)
             hit = stop.any(axis=1)
             k = (np.arange(len(rows)) * _LADDER + stop.argmax(axis=1))[hit]  # first stop
             stopped, acc = rows[hit], accept[k]
             up, done = k[acc], stopped[acc]
-            p[done], j0[done] = cand[up], j_cand[up]
+            _carry((p, q, logs, j0), done, (cand, qc, lc, jc), up)
             t_init[done] = np.minimum(_T_MAX, 2.0 * t_step[up])
             steps[done] += 1
             running[stopped[floor[k]]] = False
             rows, t_top = rows[~hit], t_top[~hit] * 0.5 ** _LADDER
+            r, t_step = np.repeat(rows, _LADDER), (t_top[:, None] * _RUNGS).ravel()
         if not running.any():
             break
-    return p, j0, steps
+    return p, j0, steps, _stationarity(p, *_direction(p, a, nu, ny, q, logs))
 
 
 def capacity_optimize(
@@ -459,7 +484,9 @@ def capacity_optimize(
 
     Each run is a projected Armijo search along the projection arc, its warm
     start the last accepted step doubled; it backtracks on a ladder of exact
-    halvings tried at once, with one-step-at-a-time bits (_ascend).  A run
+    halvings tried at once, with one-step-at-a-time bits, carries its
+    accepted trial's joint and log-ratio tables into its next gradient, and
+    tests stationarity in the first ladder's projection (_ascend).  A run
     stops on the tolerance, at the float floor, or on the budget;
     CapacityResult says what iterations and residual then hold.  An input at
     0 whose one-sided derivative is -inf (_dead_inputs) is held at 0, in the
@@ -471,8 +498,7 @@ def capacity_optimize(
     nx = a.shape[0]
     e = -np.log1p(-stream(_RESTART_KEY).random((opts.restarts, nx)))  # flat Dirichlet
     starts = np.vstack([np.full(nx, 1.0 / nx), e / e.sum(axis=1, keepdims=True)])
-    p, vals, steps = _ascend(starts, a, nu, ny, opts)
-    residual = _stationarity(p, *_direction(p, a, nu, ny))
+    p, vals, steps, residual = _ascend(starts, a, nu, ny, opts)
     w = int(np.flatnonzero(vals >= vals.max() - _TIE_TOL)[0])
     return CapacityResult(float(vals[w]), p[w], SOLVER_GRADIENT, int(steps[w]),
                           float(residual[w]))

@@ -89,7 +89,9 @@ def _table(obj, field: str, axes: tuple[int, int], what: str, per_row: bool = Fa
 
     The table needs axes[0] to axes[1] axes of 1 to MAX_SYMBOLS symbols
     each; its mass is checked and renormalized as a whole (_clean_mass),
-    or with per_row row by row, each named by its 1-based index.
+    or with per_row row by row, in one pass over the rows.  A bad row is
+    named by its 1-based index: the first bad one, with its first failed
+    check in _clean_mass's order.
     """
     arr = np.array(getattr(obj, field), dtype=float, copy=True)
     lo, hi = axes
@@ -97,8 +99,14 @@ def _table(obj, field: str, axes: tuple[int, int], what: str, per_row: bool = Fa
         span = f"{lo}" if lo == hi else f"{lo} to {hi}"
         raise DimensionMismatch(f"{what}: expected {span} {'axis' if hi == 1 else 'axes'} of "
                                 f"1 to {MAX_SYMBOLS} symbols, got shape {arr.shape}")
-    for i, part in enumerate(arr[:, None] if per_row else [arr[None]]):
-        _clean_mass(part, f"row {i + 1}" if per_row else what)
+    stack = arr[:, None] if per_row else arr[None]
+    try:
+        _clean_mass(stack, what)
+    except DomainError:
+        if per_row:  # name the first bad row
+            for i, row in enumerate(stack):
+                _clean_mass(row, f"row {i + 1}")
+        raise
     _freeze(obj, field, arr)
 
 
@@ -257,9 +265,10 @@ def mutual_information(j: JointPmf) -> float:
     return float(_mutual_information(j.table))
 
 
-def _mutual_information(t: np.ndarray):
-    """I(A;B) in bits over the last two axes of t, one or a stack of joints."""
-    return (t * _log_ratios(t)).sum(axis=(-2, -1))
+def _mutual_information(t: np.ndarray, logs: np.ndarray | None = None):
+    """I(A;B) in bits over the last two axes of t, one or a stack of joints;
+    logs is _log_ratios(t) when the caller already has it."""
+    return (t * (_log_ratios(t) if logs is None else logs)).sum(axis=(-2, -1))
 
 
 def conditional_entropy(

@@ -609,7 +609,8 @@ class TestSequentialOracle:
         build, kw = GOLDEN_CASES[name]
         self._check(*build(), SolverOptions(**kw), seed=0)
 
-    def test_random_pairs(self):
+    def test_random_pairs(self, monkeypatch):
+        passes = _watch_passes(monkeypatch)
         most = 0
         for i in range(200):
             rng = np.random.default_rng(i)
@@ -619,6 +620,12 @@ class TestSequentialOracle:
         # some search ran past the first ladder, so the rungs after it were
         # compared too
         assert most > capacity._LADDER
+        # some pass dropped the trials of rows that stopped on the tolerance
+        # while other rows searched on
+        assert any(0 < searched < entered for entered, searched, _ in passes)
+        # _dead_inputs took both branches: passes with a coordinate at 0 and
+        # passes without one
+        assert {zero for _, _, zero in passes} == {False, True}
 
     def test_search_stops_at_first_step_below_eps(self, monkeypatch):
         # Perturbation rows 1e-7 apart leave I(U;Y) near 3e-16.  At that
@@ -649,6 +656,124 @@ class TestSequentialOracle:
         for g, w in zip(got, want):
             assert g.tobytes() == w.tobytes()
         assert min(tried) == capacity._EPS / 2
+
+
+def _watch_passes(monkeypatch):
+    """Record each pass of capacity._ascend as (rows entering its step
+    search, rows whose first-ladder trials were evaluated, whether some row
+    had a coordinate at 0).  The ascent's passes call _direction with the
+    carried tables; the first _arc call after it holds _LADDER trials and one
+    t = 1 arc per entering row, the first _evaluate call _LADDER trials per
+    row still searching."""
+    passes, current = [], [None]
+    direction, arc, evaluate, stationarity = (
+        capacity._direction, capacity._arc, capacity._evaluate, capacity._stationarity)
+
+    def watched_direction(P, a, nu, ny, q=None, logs=None):
+        current[0] = None if q is None else [None, 0, not P.all()]
+        if current[0]:
+            passes.append(current[0])
+        return direction(P, a, nu, ny, q, logs)
+
+    def watched_arc(P, G, t, dead):
+        if current[0] and current[0][0] is None:
+            current[0][0] = len(P) // (capacity._LADDER + 1)
+        return arc(P, G, t, dead)
+
+    def watched_evaluate(P, a, nu, ny):
+        if current[0]:
+            current[0][1] = len(P) // capacity._LADDER
+            current[0] = None
+        return evaluate(P, a, nu, ny)
+
+    def watched_stationarity(P, G, dead):
+        if current[0]:  # the final residual's _direction call began no pass
+            passes.remove(current[0])
+        current[0] = None
+        return stationarity(P, G, dead)
+
+    for name, f in [("_direction", watched_direction), ("_arc", watched_arc),
+                    ("_evaluate", watched_evaluate), ("_stationarity", watched_stationarity)]:
+        monkeypatch.setattr(capacity, name, f)
+    return passes
+
+
+class TestEvaluatedOnce:
+    """capacity_optimize evaluates each point once: the ascent carries an
+    accepted trial's tables into the next pass and the final residual, and
+    the stationarity test shares the first ladder's projection."""
+
+    @staticmethod
+    def _oracle_trials(monkeypatch, starts, a, nu, ny, opts):
+        """Trials per pass of the one-trial-per-pass search: the _arc calls
+        after each _direction call, less the stationarity test's."""
+        trials, direction, arc = [], capacity._direction, capacity._arc
+
+        def counted_direction(*args):
+            trials.append(-1)
+            return direction(*args)
+
+        def counted_arc(*args):
+            trials[-1] += 1
+            return arc(*args)
+
+        with monkeypatch.context() as m:
+            m.setattr(capacity, "_direction", counted_direction)
+            m.setattr(capacity, "_arc", counted_arc)
+            _sequential_ascend(starts, a, nu, ny, opts)
+        return trials
+
+    @pytest.mark.parametrize("name, zero", [("nx2_a", False), ("nx4_a", True)])
+    def test_dispatch_counts(self, monkeypatch, name, zero):
+        build, kw = GOLDEN_CASES[name]
+        pyx, pux = build()
+        opts = SolverOptions(**kw)
+        inputs, events, zeros, logs = [], [], [], []
+        real = {f: getattr(capacity, f) for f in
+                ("_ascend", "_project_rows", "_joint_rows", "_log_ratios", "_dead_inputs")}
+
+        def ascend(p, a, nu, ny, opts):
+            inputs.append((p.copy(), a, nu, ny))
+            return real["_ascend"](p, a, nu, ny, opts)
+
+        def project(V):
+            events.append(("project", real["_project_rows"](V)))
+            return events[-1][1]
+
+        def joint(P, b):
+            if b is inputs[0][1]:  # a point evaluation, not _dead_inputs' product
+                events.append(("evaluate", P.copy()))
+            return real["_joint_rows"](P, b)
+
+        with monkeypatch.context() as m:
+            m.setattr(capacity, "_ascend", ascend)
+            m.setattr(capacity, "_project_rows", project)
+            m.setattr(capacity, "_joint_rows", joint)
+            m.setattr(capacity, "_log_ratios", lambda t: logs.append(1) or real["_log_ratios"](t))
+            m.setattr(capacity, "_dead_inputs",
+                      lambda P, *args: zeros.append(not P.all()) or real["_dead_inputs"](P, *args))
+            got = capacity_optimize(pyx, pux, opts)
+        assert _golden_summary(got) == GOLDEN_RESULTS[name]
+        assert any(zeros) == zero and not all(zeros)
+
+        starts = inputs[0][0]
+        ladders = [-(-n // capacity._LADDER) for n in self._oracle_trials(
+            monkeypatch, starts, *inputs[0][1:], opts)]
+        # one projection per step-search pass, the first holding the
+        # stationarity test, and one for the final residual
+        assert [kind for kind, _ in events].count("project") == sum(max(1, n) for n in ladders) + 1
+        # the starts are evaluated once, then each ladder's trials: no
+        # accepted point, and no final point, is evaluated again
+        evaluated = [X for kind, X in events if kind == "evaluate"]
+        assert len(evaluated) == len(logs) == 1 + sum(ladders)
+        np.testing.assert_array_equal(evaluated[0], starts)
+        last = None
+        for kind, X in events[1:]:
+            if kind == "project":
+                last = X
+            else:  # every evaluated row is a trial from the projection just made
+                assert (X[:, None, :] == last[None]).all(axis=2).any(axis=1).all()
+        assert events[-1][0] == "project"
 
 
 class TestGradient:

@@ -151,6 +151,20 @@ class TestTransitionMatrix:
         with pytest.raises(DomainError, match=r"^row 2: entries sum to 1.4, expected 1 within 1e-06$"):
             TransitionMatrix([[0.5, 0.5], [0.7, 0.7]])
 
+    @pytest.mark.parametrize("row3", [[np.nan, 0.5], [-0.5, 1.5], [0.9, 0.9]])
+    def test_first_bad_row_named(self, row3):
+        # rows are validated in one pass, but the message names the first
+        # bad row, and row 3's NaN or negative entry does not outrank it
+        with pytest.raises(DomainError, match=r"^row 2: entries sum to 1.4, expected 1 within 1e-06$"):
+            TransitionMatrix([[0.5, 0.5], [0.7, 0.7], row3])
+
+    def test_bad_row_checks_in_order(self):
+        # within one row: non-finite, then negative, then the sum
+        with pytest.raises(DomainError, match=r"^row 2: non-finite entry$"):
+            TransitionMatrix([[0.5, 0.5], [-1.0, np.inf]])
+        with pytest.raises(DomainError, match=r"^row 2: negative entry$"):
+            TransitionMatrix([[0.5, 0.5], [-1.0, 3.0]])
+
     def test_rectangular_allowed(self):
         t = TransitionMatrix([[0.2, 0.3, 0.5]])
         assert t.input_size == 1 and t.output_size == 3

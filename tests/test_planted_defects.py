@@ -27,6 +27,7 @@ from asymcap.verify import IDENTITY_CHECKS, IDENTITY_CHUNK, run_verification
 from gates import (COLLISION_GATE_CASES, check_collision_counts,
                    check_default_restarts_reach_the_maximum, check_nan_residual_fails_verify,
                    check_top_draw_skips_zero_mass, criterion_8)
+import test_capacity
 from test_codec import SHARED_COUNT_CASES, check_golden_report, check_shared_counts
 
 
@@ -195,6 +196,21 @@ def test_lost_restart_fails_the_restart_gate(monkeypatch):
     monkeypatch.setattr(asymcap.capacity, "_ascend", lambda p, *args: real(p[:-1], *args))
     with pytest.raises(AssertionError):
         check_default_restarts_reach_the_maximum()
+
+
+def test_sequential_oracle_fails_when_an_accepted_row_keeps_its_old_log_ratios(monkeypatch):
+    # _ascend carries (p, q, logs, j0) from an accepted trial; this one
+    # leaves logs behind, so the next gradient is the previous point's
+    real = asymcap.capacity._carry
+
+    def stale(kept, rows, new, idx):
+        real(kept[:2] + kept[3:], rows, new[:2] + new[3:], idx)
+
+    monkeypatch.setattr(asymcap.capacity, "_carry", stale)
+    for name in ["nx2_a", "nx4_a"]:  # one path off the boundary, one on it
+        build, kw = test_capacity.GOLDEN_CASES[name]
+        with pytest.raises(AssertionError):
+            test_capacity.TestSequentialOracle._check(*build(), SolverOptions(**kw), seed=0)
 
 
 def test_top_draw_gate_fails_when_the_cdf_is_uncapped(monkeypatch):
