@@ -6,9 +6,9 @@ p(u, y) = sum_x p(x) p(y|x) p(u|x).  This module maximizes that quantity
 over the input distribution p(x) three ways: a closed form for the binary
 symmetric case, a simplex-lattice search, and multi-start projected
 gradient ascent.  The lattice search returns the exhaustive search's
-result bit for bit, but skips the lattice lines that a bound from
-I(U;Y) = [H(U) + H(Y)] - H(U, Y), a difference of concave functions,
-shows cannot hold the maximum.
+result bit for bit, but skips the lattice lines that probes and a bound
+from I(U;Y) = [H(U) + H(Y)] - H(U, Y), a difference of concave functions,
+show cannot hold the maximum.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ _LOG2E = float(np.log2(np.e))
 # capacity_grid evaluates every lattice line that may hold a point within
 # MARGIN of the best lattice value; rounding in its bound is far smaller.
 MARGIN = 1e-9
-_SHORT_SEGMENT = 8    # a surviving segment this short makes its line live
+_SHORT_SEGMENT = 8    # a surviving segment this short has its points probed
 _BISECT_BATCH = 512   # lattice points probed per array pass while bisecting
 # Candidates whose objective is within this of the best are treated as tied;
 # the uniform start then wins, which pins down the maximizer on flat
@@ -202,8 +202,8 @@ def _dead_inputs(P: np.ndarray, q: np.ndarray, a: np.ndarray, nu: int, ny: int) 
     O(eps), where kappa adds A[x, c] over those cells with q(u) = q(y) = 0
     and subtracts it over those with q(u), q(y) > 0.  The gradient skips
     cells with q(c) = 0, so the ascent itself must hold x at 0 when
-    kappa < 0.  Only a coordinate at 0 can be dead."""
-    if P.all():
+    kappa < 0.  With no coordinate at 0, or no cell at 0, none is dead."""
+    if P.all() or q.all():
         return np.zeros(P.shape, dtype=bool)
     t = q.reshape(-1, nu, ny)
     zu, zy = t.sum(axis=2, keepdims=True) == 0, t.sum(axis=1, keepdims=True) == 0
@@ -295,18 +295,19 @@ def _dc_parts(a, nu, ny, k, lead, length, line, j):
     """g = H(U) + H(Y), h = H(U, Y) and g's slope per unit step of j at the
     lattice points _points(k, lead, length, line, j); I(U;Y) = g - h.
 
-    A cell with q(u) = 0 (or q(y) = 0) adds 0 to the slope.  At a point
-    strictly inside a line every coordinate the line moves is positive, so
-    such a cell is 0 along the whole line."""
-    q = _points(k, lead, length, line, j) @ a
-    t = q.reshape(-1, nu, ny)
-    tu, ty = t.sum(axis=2), t.sum(axis=1)
+    Its arithmetic is free: these values only rule points in or out against
+    MARGIN, far above any rounding.  A cell with q(u) = 0 (or q(y) = 0) adds
+    0 to the slope: strictly inside a line every coordinate the line moves
+    is positive, so such a cell is 0 along the whole line."""
+    P = _points(k, lead, length, line, j)
+    a3 = a.reshape(-1, nu, ny)
+    q, tu, ty = P @ a, P @ a3.sum(axis=2), P @ a3.sum(axis=1)
     lu, ly, lq = (np.log2(np.where(v > 0, v, 1.0)) for v in (tu, ty, q))
-    g = -_row_dot(tu, lu) - _row_dot(ty, ly)
-    h = -_row_dot(q, lq)
+    g = -np.einsum("ij,ij->i", tu, lu) - np.einsum("ij,ij->i", ty, ly)
+    h = -np.einsum("ij,ij->i", q, lq)
     # a unit step of j moves mass 1/k from coordinate nx-1 to nx-2, so q
     # moves by d/k; the log2(e) terms cancel because d sums to 0
-    d = (a[-2] - a[-1]).reshape(nu, ny)
+    d = a3[-2] - a3[-1]
     slope = -(lu @ d.sum(axis=1) + ly @ d.sum(axis=0)) / k
     return g, h, slope
 
@@ -318,6 +319,15 @@ def _batched(fn, *cols):
     return [np.concatenate(v) for v in zip(*parts)]
 
 
+def _inner_points(line, i0, i1, mid):
+    """The points strictly inside short segments [i0, i1], mid excepted, as
+    one-point segments whose ends have h = inf: the bound drops them once probed."""
+    j = i0[:, None] + np.arange(1, _SHORT_SEGMENT - 1)
+    inside = (j < i1[:, None]) & (j != mid[:, None])
+    j, inf = j[inside], np.full(inside.sum(), np.inf)
+    return np.broadcast_to(line[:, None], inside.shape)[inside], j, j, inf, inf
+
+
 def _live_lines(a, nu, ny, k, lead, length) -> np.ndarray:
     """Mask of the lattice lines that can hold a point within MARGIN of the
     lattice maximum (capacity_grid says why the bound holds).
@@ -326,11 +336,11 @@ def _live_lines(a, nu, ny, k, lead, length) -> np.ndarray:
     level per pass.  A pass probes the midpoint m of every surviving segment
     [i0, i1] of j, on every line not yet live, and drops a segment when the
     larger, over its ends e, of g(m) + g'(m) (e - m) - h(e) is below the
-    best value probed minus MARGIN; it halves the segments it keeps.  A line
-    goes live when a probed point scores within MARGIN of that best, or when
-    a surviving segment holds _SHORT_SEGMENT points or fewer.  A segment of
-    one or two points has its midpoint at an end, where g' may be infinite;
-    its points are probed line ends, so dropping it is safe."""
+    best value probed minus MARGIN.  It halves the segments it keeps, save
+    those of _SHORT_SEGMENT points or fewer, whose inner points it probes
+    next (_inner_points).  A line goes live only when a probed point scores
+    within MARGIN of that best, so a segment whose midpoint is an end, where
+    g' may be infinite, is safe: it has no unprobed point."""
     n = len(length)
     if n == 1:
         return np.ones(1, dtype=bool)
@@ -347,12 +357,12 @@ def _live_lines(a, nu, ny, k, lead, length) -> np.ndarray:
         cut = best - MARGIN
         live[line[g - h >= cut]] = True
         bound = g + np.maximum((i0 - mid) * slope - h0, (i1 - mid) * slope - h1)
-        live[line[(bound >= cut) & (i1 - i0 < _SHORT_SEGMENT)]] = True
         keep = (bound >= cut) & ~live[line]
-        line, i0, i1, mid, h0, h1, h = (v[keep] for v in (line, i0, i1, mid, h0, h1, h))
-        line, i0, i1, h0, h1 = (np.tile(line, 2), np.concatenate([i0, mid]),
-                                np.concatenate([mid, i1]), np.concatenate([h0, h]),
-                                np.concatenate([h, h1]))
+        short = keep & (i1 - i0 < _SHORT_SEGMENT)
+        probes = _inner_points(*(v[short] for v in (line, i0, i1, mid)))
+        line, i0, i1, mid, h0, h1, h = (v[keep & ~short] for v in (line, i0, i1, mid, h0, h1, h))
+        line, i0, i1, h0, h1 = (np.concatenate(v) for v in zip(
+            (line, i0, mid, h0, h), (line, mid, i1, h, h1), probes))
     return live
 
 
@@ -363,17 +373,17 @@ def capacity_grid(
 
     The result is the exhaustive search's, bit for bit: the largest lattice
     value, ties broken by the first lattice point in lexicographic order,
-    iterations the lattice size and residual the spacing.  But only the
-    lattice lines (first nx - 2 coordinates fixed) that may hold a point
-    within MARGIN of the best value probed are evaluated, each whole and by
-    the same operations as in an exhaustive pass.  The others are skipped
-    by a bound: I(U;Y) = g - h with g = H(U) + H(Y) and h = H(U, Y) both
-    concave in p(x), so on a segment of a line g lies under its tangent at
-    the midpoint and h over its chord (_live_lines).  Rounding in the bound
-    and in the values is far below MARGIN, so a skipped line holds only
-    points strictly below the maximum, and the tie rule still holds.  A
-    one-symbol input has the one-point lattice p(x) = 1.  Refuses input
-    alphabets larger than GRID_INPUT_LIMIT.
+    iterations the lattice size and residual the spacing.  But only the lattice
+    lines (first nx - 2 coordinates fixed) on which a probed point scores
+    within MARGIN of the best value probed are evaluated, each whole and by the
+    same operations as in an exhaustive pass.  Every point of the others was
+    probed or lies in a segment ruled out by a bound: I(U;Y) = g - h with
+    g = H(U) + H(Y) and h = H(U, Y) both concave in p(x), so on a segment g
+    lies under its tangent at the midpoint and h over its chord (_live_lines).
+    Rounding in the bound and in the values is far below MARGIN, so a skipped
+    line holds only points strictly below the maximum, and the tie rule still
+    holds.  A one-symbol input has the one-point lattice p(x) = 1.  Refuses
+    input alphabets larger than GRID_INPUT_LIMIT.
     """
     nx = pyx.input_size
     if nx > GRID_INPUT_LIMIT:

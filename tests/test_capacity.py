@@ -1,5 +1,6 @@
 """Capacity solvers: closed form, lattice search, gradient ascent."""
 
+import math
 import warnings
 
 import numpy as np
@@ -258,6 +259,43 @@ class TestGridPruning:
         assert rows == 501_501
         assert _golden_summary(r) == _golden_summary(_exhaustive_grid(pyx, pux, 1e-3))
 
+    def test_edge_maximum_probes_short_segments(self, monkeypatch):
+        # the bench's `capacity` pair nx3_0 at seed 0, pass 0: its maximum
+        # lies on the edge p(x3) = 0, and on 35 other lines the bound keeps
+        # a segment of at most 8 points next to an edge.  Probing those
+        # points rules the lines out; evaluating them whole would take
+        # 20,106 rows.
+        pyx = TransitionMatrix([
+            [0.29757920337241706, 0.627130126691422, 0.0752906699361609],
+            [0.39675009095694536, 0.5905083739252773, 0.012741535117777463],
+            [0.2478532433397215, 0.6819655408100254, 0.07018121585025333]])
+        pux = TransitionMatrix([
+            [0.29315260308289487, 0.23265528355752013, 0.2197022346243574, 0.2544898787352276],
+            [0.2453286888253916, 0.18424065811653179, 0.16081576823227545, 0.40961488482580116],
+            [0.18402803798882694, 0.28080833962177476, 0.12463597970664468, 0.4105276426827536]])
+        r, rows = self._rows_evaluated(monkeypatch, pyx, pux)
+        assert r.argmax_px[2] == 0.0
+        assert rows <= 2 * 1001
+        assert _golden_summary(r) == _golden_summary(_exhaustive_grid(pyx, pux, 1e-3))
+
+    @staticmethod
+    def check_diagonal_pairs(seeds, resolution=0.01):
+        """capacity_grid against the exhaustive search on heavy-diagonal 3x3
+        pairs, whose maximizer lies inside the simplex."""
+        for seed in seeds:
+            rng = np.random.default_rng(seed)
+            pyx, pux = (_random_stochastic(rng, 3, 3, floor=0.02 + 5.0 * np.eye(3)) for _ in "yu")
+            got = capacity_grid(pyx, pux, resolution)
+            assert _golden_summary(got) == _golden_summary(
+                _exhaustive_grid(pyx, pux, resolution)), seed
+
+    def test_maximum_inside_a_short_segment(self):
+        # on some of these pairs (seeds 2, 25, 42, 51 and 54) the maximum
+        # lies strictly inside a short segment, off its midpoint, and every
+        # point probed on its line scores more than MARGIN below the best
+        # probed elsewhere, so only the segment's own probes keep the line
+        self.check_diagonal_pairs(range(64))
+
 
 class TestOptimize:
     def test_bsc_matches_closed_form(self):
@@ -352,6 +390,52 @@ class TestOptimize:
         slopes = [(input_mutual_information(p + eps * np.array([-0.5, -0.5, 1.0]), pyx, pux)
                    - base) / eps for eps in (1e-4, 1e-8, 1e-12)]
         assert all(np.diff(slopes) < -1.0) if dead else all(np.diff(slopes) > 1.0)
+
+    @staticmethod
+    def _dead_by_sign_rule(P, q, a, nu, ny):
+        """_dead_inputs' rule written cell by cell: x at 0 is dead when the
+        sum of A[x, c] over the cells c with q(c) = 0, taken with + where
+        q(u) = q(y) = 0 and - where q(u), q(y) > 0, is negative."""
+        dead = np.zeros(P.shape, dtype=bool)
+        for i, (p, t) in enumerate(zip(P, q.reshape(-1, nu, ny))):
+            zu, zy = t.sum(axis=1) == 0, t.sum(axis=0) == 0
+            for x in np.flatnonzero(p == 0):
+                kappa = []
+                for u, y in zip(*np.nonzero(t == 0)):
+                    if zu[u] and zy[y]:
+                        kappa.append(a[x, u * ny + y])
+                    elif not (zu[u] or zy[y]):
+                        kappa.append(-a[x, u * ny + y])
+                dead[i, x] = math.fsum(kappa) < 0
+        return dead
+
+    def test_dead_inputs_match_the_sign_rule(self, monkeypatch):
+        # with no zero cell in q the sign table is 0, so _dead_inputs must
+        # return the all-False mask without forming its sign product
+        products, joint = [], capacity._joint_rows
+        monkeypatch.setattr(capacity, "_joint_rows",
+                            lambda P, b: products.append(1) or joint(P, b))
+        seen = set()
+        for seed in range(70):
+            rng = np.random.default_rng(seed)
+            nx, ny, nu = 2 + seed % 7, *(int(v) for v in rng.integers(1, 6, size=2))
+            pyx, pux = _golden_pair(900 + seed, nx, ny, nu, zeros=seed % 2 == 0)
+            a, nu, ny = _kernel(pyx, pux)
+            P = rng.dirichlet(np.ones(nx), size=12)
+            P[rng.random(P.shape) < 0.4] = 0.0
+            P[np.arange(12), rng.integers(nx, size=12)] += 0.1
+            P /= P.sum(axis=1, keepdims=True)
+            q = joint(P, a)
+            for rows in [slice(None)] + [slice(i, i + 1) for i in range(12)]:
+                del products[:]
+                got = capacity._dead_inputs(P[rows], q[rows], a, nu, ny)
+                want = self._dead_by_sign_rule(P[rows], q[rows], a, nu, ny)
+                np.testing.assert_array_equal(got, want)
+                skipped = P[rows].all() or q[rows].all()
+                assert len(products) == (0 if skipped else 1)
+                seen.add((bool(P[rows].all()), bool(q[rows].all()), bool(got.any())))
+        # rows at 0 with and without a zero cell, and some input found dead
+        assert {(False, True, False), (False, False, False), (False, False, True)} <= seen
 
     def test_zero_cells_give_no_warning_and_no_nan(self):
         pyx, pux = (TransitionMatrix(np.array(m, dtype=float)) for m in self._CONFUSER)

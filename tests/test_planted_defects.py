@@ -236,3 +236,31 @@ def test_nan_gate_fails_when_the_worst_residual_drops_nan(monkeypatch, tmp_path)
     monkeypatch.setattr(asymcap.verify, "_worst_identities", max_fold)
     with pytest.raises(AssertionError):
         check_nan_residual_fails_verify(tmp_path / "rep.json")
+
+
+def test_diagonal_gate_fails_when_short_segments_drop_their_points(monkeypatch):
+    # test_capacity's TestGridPruning::test_maximum_inside_a_short_segment:
+    # a short surviving segment dropped without probing its inner points
+    # can drop the line that holds the maximum.  The 140 pruning cases, the
+    # interior-maximum cases and the workload digests all miss this defect.
+    real = asymcap.capacity._inner_points
+    monkeypatch.setattr(asymcap.capacity, "_inner_points",
+                        lambda *segments: tuple(v[:0] for v in real(*segments)))
+    with pytest.raises(AssertionError):
+        test_capacity.TestGridPruning.check_diagonal_pairs(range(64))
+
+
+def test_dead_input_gates_fail_when_any_nonzero_cell_skips_the_sign_rule(monkeypatch):
+    # _dead_inputs returning the all-False mask on q.any() instead of
+    # q.all(): the confuser's third input is no longer held at 0
+    real = asymcap.capacity._dead_inputs
+
+    def early(P, q, a, nu, ny):
+        return np.zeros(P.shape, dtype=bool) if q.any() else real(P, q, a, nu, ny)
+
+    monkeypatch.setattr(asymcap.capacity, "_dead_inputs", early)
+    optimize = test_capacity.TestOptimize()
+    with pytest.raises(AssertionError):
+        optimize.test_dead_input_has_minus_infinite_derivative(optimize._CONFUSER, True)
+    with pytest.raises(AssertionError):
+        test_capacity.TestOptimizeGolden().test_bit_identical("nx3_zeros")
