@@ -28,8 +28,10 @@ from .info import (
     _freeze,
     _kernel,
     _log_ratios,
+    _mix,
     _mutual_information,
     _probability,
+    _row_dot,
     binary_entropy,
     bsc_capacity_gap,
     composite_crossover,
@@ -154,32 +156,21 @@ def capacity_closed_form_bsc(p1: float, p2: float) -> CapacityResult:
     return CapacityResult(cap, np.array([0.5, 0.5]), SOLVER_CLOSED_FORM, 0, 0.0)
 
 
-def _joint_rows(P: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Row i is P[i] @ a, bit-identical to that 1-D product: the stacked form
-    makes the same BLAS call per row, which a plain P @ a does not."""
-    return (P[:, None, :] @ a)[:, 0]
-
-
-def _row_dot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Row-wise X[i] @ Y[i], bit-identical to the 1-D dot of each pair."""
-    return (X[:, None, :] @ Y[:, :, None])[:, 0, 0]
-
-
 def _mi_batch(q: np.ndarray, nu: int, ny: int) -> np.ndarray:
     """I(U;Y) in bits for each row of q (rows are flattened (u, y) tables)."""
     return _mutual_information(q.reshape(-1, nu, ny))
 
 
 def _evaluate(P: np.ndarray, a: np.ndarray, nu: int, ny: int):
-    """_joint_rows(P, a) as (nu, ny) tables, their _log_ratios and I(U;Y)."""
-    t = _joint_rows(P, a).reshape(-1, nu, ny)
+    """_mix(P, a) as (nu, ny) tables, their _log_ratios and I(U;Y)."""
+    t = _mix(P, a).reshape(-1, nu, ny)
     logs = _log_ratios(t)
     return t, logs, _mutual_information(t, logs)
 
 
 def _gradient(logs: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Gradient of I(U;Y) at each row from its _log_ratios table."""
-    return (a @ logs.reshape(len(logs), -1, 1))[:, :, 0] - _LOG2E
+    return _mix(logs.reshape(len(logs), -1), a.T) - _LOG2E
 
 
 def _project_rows(V: np.ndarray) -> np.ndarray:
@@ -195,7 +186,7 @@ def _project_rows(V: np.ndarray) -> np.ndarray:
 
 def _dead_inputs(P: np.ndarray, q: np.ndarray, a: np.ndarray, nu: int, ny: int) -> np.ndarray:
     """Mask of the coordinates of each row of P that sit at 0 with a
-    one-sided derivative of -inf, given q = _joint_rows(P, a).
+    one-sided derivative of -inf, given q = _mix(P, a).
 
     Mass eps moved onto an input x at 0 feeds the cells c = (u, y) with
     q(c) = 0 that x reaches, and changes I(U;Y) by kappa eps log2(1/eps) +
@@ -208,7 +199,7 @@ def _dead_inputs(P: np.ndarray, q: np.ndarray, a: np.ndarray, nu: int, ny: int) 
     t = q.reshape(-1, nu, ny)
     zu, zy = t.sum(axis=2, keepdims=True) == 0, t.sum(axis=1, keepdims=True) == 0
     sign = (zu & zy).astype(float) - ((t == 0) & ~zu & ~zy)
-    return (P == 0) & (_joint_rows(sign.reshape(len(P), -1), a.T) < 0)
+    return (P == 0) & (_mix(sign.reshape(len(P), -1), a.T) < 0)
 
 
 def _direction(P: np.ndarray, a: np.ndarray, nu: int, ny: int, q=None, logs=None):
@@ -299,17 +290,15 @@ def _dc_parts(a, nu, ny, k, lead, length, line, j):
     MARGIN, far above any rounding.  A cell with q(u) = 0 (or q(y) = 0) adds
     0 to the slope: strictly inside a line every coordinate the line moves
     is positive, so such a cell is 0 along the whole line."""
-    P = _points(k, lead, length, line, j)
-    a3 = a.reshape(-1, nu, ny)
-    q, tu, ty = P @ a, P @ a3.sum(axis=2), P @ a3.sum(axis=1)
-    lu, ly, lq = (np.log2(np.where(v > 0, v, 1.0)) for v in (tu, ty, q))
-    g = -np.einsum("ij,ij->i", tu, lu) - np.einsum("ij,ij->i", ty, ly)
-    h = -np.einsum("ij,ij->i", q, lq)
+    a3, m = a.reshape(-1, nu, ny), nu * ny
+    # one product gives the columns q(u, y), then q(u), then q(y)
+    t = _mix(_points(k, lead, length, line, j), np.hstack((a, a3.sum(axis=2), a3.sum(axis=1))))
+    logs = np.log2(np.where(t > 0, t, 1.0))
     # a unit step of j moves mass 1/k from coordinate nx-1 to nx-2, so q
     # moves by d/k; the log2(e) terms cancel because d sums to 0
     d = a3[-2] - a3[-1]
-    slope = -(lu @ d.sum(axis=1) + ly @ d.sum(axis=0)) / k
-    return g, h, slope
+    slope = -_mix(logs[:, m:], np.concatenate((d.sum(axis=1), d.sum(axis=0)))[:, None])[:, 0] / k
+    return -_row_dot(t[:, m:], logs[:, m:]), -_row_dot(t[:, :m], logs[:, :m]), slope
 
 
 def _batched(fn, *cols):
@@ -403,16 +392,14 @@ def capacity_grid(
         return CapacityResult(float(_mi_batch(a, nu, ny)[0]), [1.0], SOLVER_GRID, 1, 1.0 / k)
     lead, length = _lines(k, nx)
 
-    best_val = -np.inf
-    best_p = None
+    best_val, best_p = -np.inf, None
     for line in np.flatnonzero(_live_lines(a, nu, ny, k, lead, length)):
         j = np.arange(length[line] + 1)
         pts = _points(k, lead, length, np.full_like(j, line), j)
-        vals = _mi_batch(pts @ a, nu, ny)
+        vals = _mi_batch(_mix(pts, a), nu, ny)
         i = int(np.argmax(vals))
         if vals[i] > best_val:
-            best_val = float(vals[i])
-            best_p = pts[i].copy()
+            best_val, best_p = float(vals[i]), pts[i].copy()
     return CapacityResult(best_val, best_p, SOLVER_GRID, comb(k + nx - 1, nx - 1), 1.0 / k)
 
 
@@ -429,14 +416,15 @@ def _ascend(p: np.ndarray, a: np.ndarray, nu: int, ny: int, opts: SolverOptions)
 
     A row stops on the tolerance, at the float floor or on the budget
     (CapacityResult) and leaves the step search, which is per row, so each
-    row takes exactly the path it would take alone.  A pass tries the ladder
-    t, t/2, ..., t/2^(_LADDER-1) at once for each row still searching, and
-    goes on from t/2^_LADDER for rows no rung stops; the rungs are the exact
-    halvings of a one-step-per-pass search, and a row takes the first rung
-    at which that search would stop, so the path is the same bit for bit.
-    A row carries its accepted trial's joint and log-ratio tables into its
-    next gradient, so each point is evaluated once (_evaluate), and the
-    pass's first projection also takes its t = 1 arc, the stationarity test's."""
+    row takes exactly the path it would take alone (each row of _mix and
+    _row_dot has its one-row bits).  A pass tries the ladder t, t/2, ...,
+    t/2^(_LADDER-1) at once for each row still searching, and goes on from
+    t/2^_LADDER for rows no rung stops; the rungs are the exact halvings of
+    a one-step-per-pass search, and a row takes the first rung at which that
+    search would stop, so the path is the same bit for bit.  A row carries
+    its accepted trial's joint and log-ratio tables into its next gradient,
+    so each point is evaluated once (_evaluate), and the pass's first
+    projection also takes its t = 1 arc, the stationarity test's."""
     p = p.copy()
     steps = np.zeros(len(p), dtype=np.int64)
     running = np.ones(len(p), dtype=bool)

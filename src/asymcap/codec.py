@@ -231,6 +231,7 @@ def _shared_counts(cu: np.ndarray, nu: int, ny: int):
         T = y.shape[0]
         onehot = (y.T[:, :, None] == np.arange(ny - 1)).astype(dtype).reshape(n, T * (ny - 1))
         table = np.empty((nu, ny, T, M), dtype)
+        # BLAS is exact here: each sum is an integer of at most n, exact in dtype in any order
         product = (indicators @ onehot).reshape(nu - 1, M, T, ny - 1)
         table[:-1, :-1] = product.transpose(0, 3, 2, 1)
         last, bottom = table[:-1, -1], table[-1]  # the derived cells, each summed in place

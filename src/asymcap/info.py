@@ -340,9 +340,20 @@ def _check_inputs(px: Pmf | None = None, pyx: TransitionMatrix | None = None,
         )
 
 
+def _mix(P: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Row i is sum_x P[i, x] a[x], with no BLAS call (einsum, no optimize): the
+    shapes fix its sum order, whatever the kernel, and each row has its one-row bits."""
+    return np.einsum("rx,xc->rc", P, a)
+
+
+def _row_dot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Row-wise sum_j X[i, j] Y[i, j] by _mix's rule; every pinned product is one of the two."""
+    return np.einsum("ij,ij->i", X, Y)
+
+
 def _kernel(pyx: TransitionMatrix, pux: TransitionMatrix, px: Pmf | None = None):
     """The model's map from p(x) to p(u, y): (A, nu, ny) with row x of
-    A (nx, nu*ny) the flattened table p(u|x) p(y|x), so q = p @ A.  Checks
+    A (nx, nu*ny) the flattened table p(u|x) p(y|x), so q = _mix(p, A).  Checks
     that the input alphabets of the tables given, px too if given, agree."""
     _check_inputs(px, pyx, pux)
     nx, nu, ny = pyx.input_size, pux.output_size, pyx.output_size
@@ -355,7 +366,7 @@ def build_joint_uy(px: Pmf, pyx: TransitionMatrix, pux: TransitionMatrix) -> Joi
     table[u, y] = sum_x px[x] * pux[x, u] * pyx[x, y], one row times _kernel.
     """
     a, nu, ny = _kernel(pyx, pux, px)
-    return JointPmf((px.probs[None] @ a).reshape(nu, ny))
+    return JointPmf(_mix(px.probs[None], a).reshape(nu, ny))
 
 
 def build_joint_xuyv(px: Pmf, p1: float, p2: float) -> JointPmf:

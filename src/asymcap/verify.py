@@ -21,7 +21,7 @@ import numpy as np
 from .codec import generate_codebooks
 from .info import (DomainError, JointPmf, Pmf, _clean_mass, _conditional_entropy,
                    _conditional_mutual_information, _entropy_bits, _marginal_sum,
-                   _markov_deviation, _mutual_information, _probability,
+                   _markov_deviation, _mix, _mutual_information, _probability,
                    _xuyv_table, binary_entropy, bsc, build_joint_uy, build_joint_xuyv,
                    check_markov, composite_crossover)
 from .rng import TAG_CHANNEL, TAG_CODEBOOK, TAG_PERTURB, capped_cdf, derive_seed, stream
@@ -262,7 +262,7 @@ def codebook_iid_zscores(p2: float, M: int, n: int, seed: int) -> tuple[float, f
     if M < 2 or n < 2:
         raise DomainError("M and n must be at least 2")
     cu = generate_codebooks(M, n, px, pux, derive_seed(seed, 1)).cu
-    pu = px.probs @ pux.matrix
+    pu = _mix(px.probs[None], pux.matrix)[0]
     law = np.outer(pu, pu).ravel()
     corr = [_tv(np.bincount((2 * a + b).ravel(), minlength=law.size), law)
             for a, b in ((cu[:, :n - 1:2], cu[:, 1::2]), (cu[:M - 1:2], cu[1::2]))]

@@ -1,4 +1,5 @@
-"""Gates that a test module and the planted defects both run.
+"""Gates that a test module and the planted defects both run, and the
+solver's golden cases they share.
 
 Each check raises AssertionError when its gate fails, so a planted defect
 shows that the gate bites by making the check raise.  Tests import these
@@ -6,17 +7,26 @@ from here rather than from one another.
 """
 
 import contextlib
+import importlib.util
 import io
 import math
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from asymcap import codec, verify
-from asymcap.capacity import capacity_optimize
+from asymcap import capacity, codec, info, verify
+from asymcap.capacity import SolverOptions, capacity_optimize
 from asymcap.cli import main
-from asymcap.info import TransitionMatrix
+from asymcap.info import TransitionMatrix, bsc
 from asymcap.rng import sample_pmf
+
+TESTS = Path(__file__).resolve().parent
+BENCH = TESTS.parent / "bench"
 
 # (M, m, n, p1, p2, trials, seed) cases for check_collision_counts
 COLLISION_GATE_CASES = [(8, 4, 16, 0.1, 0.1, 400, 1), (8, 8, 16, 0.1, 0.1, 400, 2),
@@ -121,3 +131,111 @@ def check_nan_residual_fails_verify(out_path):
     assert rc == 1
     assert "FAIL markov_u_x_y residual=inf threshold=1e-10" in lines
     assert lines[-1] == "overall FAIL"
+
+
+def golden_pair(seed, nx, ny, nu, zeros=False):
+    """Seeded (channel, perturbation) pair; `zeros` blanks about a third of
+    the entries so the solver meets empty (u, y) cells."""
+    rng = np.random.default_rng(seed)
+    mats = []
+    for cols in (ny, nu):
+        m = rng.random((nx, cols)) + 0.02
+        if zeros:
+            m[rng.random((nx, cols)) < 0.35] = 0.0
+            m[:, 0] += 0.05
+        mats.append(TransitionMatrix(m / m.sum(axis=1, keepdims=True)))
+    return mats
+
+
+GOLDEN_CASES = {
+    "bsc_0.1_0.2": (lambda: (bsc(0.1), bsc(0.2)), {}),
+    "bsc_0.3_0.5": (lambda: (bsc(0.3), bsc(0.5)), {}),
+    "bsc_0_0": (lambda: (bsc(0.0), bsc(0.0)), {}),
+    "bsc_0.11_identity": (lambda: (bsc(0.11), TransitionMatrix.identity(2)), {}),
+    "nx2_a": (lambda: golden_pair(21, 2, 2, 3), {}),
+    "nx2_zeros": (lambda: golden_pair(22, 2, 3, 3, zeros=True), {}),
+    "nx3_a": (lambda: golden_pair(31, 3, 2, 3), {}),
+    "nx3_zeros": (lambda: golden_pair(32, 3, 3, 4, zeros=True), {}),
+    "nx4_a": (lambda: golden_pair(41, 4, 3, 2), {}),
+    "nx4_zeros": (lambda: golden_pair(42, 4, 4, 4, zeros=True), {}),
+    "nx8_a": (lambda: golden_pair(81, 8, 4, 3), {}),
+    "nx8_zeros": (lambda: golden_pair(82, 8, 5, 5, zeros=True), {}),
+    "nx3_two_steps": (lambda: golden_pair(77, 3, 3, 3),
+                      {"max_iterations": 2, "restarts": 1}),
+    "nx4_loose": (lambda: golden_pair(43, 4, 3, 3), {"restarts": 3, "convergence_tol": 1e-6}),
+}
+
+
+def golden_summary(r):
+    return (r.capacity.hex(), [float(v).hex() for v in r.argmax_px],
+            r.iterations, r.residual.hex())
+
+
+def load_bench(name):
+    """bench/<name>.py as the module bench_<name>, loaded once."""
+    if f"bench_{name}" not in sys.modules:
+        spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+        sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[spec.name])
+    return sys.modules[f"bench_{name}"]
+
+
+# The OpenBLAS kernels the portability gate runs, with the CPU flags each needs
+PORTABILITY_KERNELS = {"Nehalem": ("sse4_2",), "Haswell": ("avx2", "fma")}
+
+
+def kernel_skip_reason(kernel) -> str | None:
+    """Why this host cannot run numpy's BLAS under OPENBLAS_CORETYPE=kernel,
+    or None when it can."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # an older numpy has no mode and only prints it
+        return "numpy does not report its BLAS"
+    if "openblas" not in str(blas.get("name", "")).lower():
+        return (f"numpy's BLAS is {blas.get('name')!r}, not OpenBLAS: "
+                "OPENBLAS_CORETYPE picks no kernel")
+    try:
+        cpuinfo = Path("/proc/cpuinfo").read_text()
+    except OSError:
+        return "no /proc/cpuinfo to tell which kernels this CPU runs"
+    flags = set(next((line for line in cpuinfo.splitlines() if line.startswith("flags")),
+                     "").split())
+    missing = [f for f in PORTABILITY_KERNELS[kernel] if f not in flags]
+    return f"the CPU lacks {', '.join(missing)}, which {kernel} needs" if missing else None
+
+
+def blas_mix(P, a):
+    """info._mix through BLAS, whose sum order is the kernel's: a planted defect."""
+    return P @ a
+
+
+def pinned_outputs(mix=None) -> str:
+    """One text of bit-pinned results: each GOLDEN_CASES solve through
+    capacity_optimize, then the stdout of the capacity workload's seed-0
+    pass-0 capacity-general ops through cli.main, its run directory written
+    as <tmp>.  mix names a function of this module that replaces info._mix
+    wherever it is called."""
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as root, \
+            contextlib.redirect_stdout(out):
+        if mix:
+            for mod in (info, capacity, verify):
+                mp.setattr(mod, "_mix", globals()[mix])
+        for name, (build, kw) in GOLDEN_CASES.items():
+            print(name, golden_summary(capacity_optimize(*build(), SolverOptions(**kw))))
+        for op in load_bench("workloads").make_inputs("capacity", 0, root)[0]:
+            if op.kind == "capacity-general":
+                main(list(op.argv))
+        return out.getvalue().replace(root, "<tmp>")
+
+
+def check_pinned_outputs_match(kernel, mix=None):
+    """pinned_outputs(mix) printed by a child process under
+    OPENBLAS_CORETYPE=kernel must be the in-process run's bytes."""
+    path = os.pathsep.join([str(Path(info.__file__).parents[1]), str(TESTS),
+                            os.environ.get("PYTHONPATH", "")])
+    code = f"import sys, gates; sys.stdout.write(gates.pinned_outputs({mix!r}))"
+    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_CORETYPE": kernel}
+    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                           check=True, timeout=120)
+    assert child.stdout == pinned_outputs(mix).encode(), kernel

@@ -8,9 +8,7 @@ output that the benchmark's checks reject.
 """
 
 import hashlib
-import importlib.util
 import re
-import sys
 import types
 from pathlib import Path
 
@@ -24,19 +22,10 @@ import asymcap.rng
 import asymcap.verify
 from asymcap.cli import main
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+from gates import load_bench
 
-
-def _load(name):
-    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
-    mod = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = mod
-    spec.loader.exec_module(mod)
-    return mod
-
-
-tracing = _load("tracing")
-workloads = _load("workloads")
+tracing = load_bench("tracing")
+workloads = load_bench("workloads")
 
 
 @pytest.fixture
@@ -75,11 +64,12 @@ def test_capacity_general_replay_matches_cli(ac, capsys, tmp_path):
 
 # sha256 over every pass-0 op's stdout and output file at seed 0, in op
 # order, with the run directory written as <tmp> and "elapsed_seconds"
-# dropped.  Any moved byte must be explained.  The capacity digest holds on
-# the OpenBLAS SkylakeX kernel only, as TestOptimizeGolden's goldens do:
-# another kernel sums the solver's products in another order.
+# dropped.  Any moved byte must be explained.  No pinned product calls BLAS
+# (info._mix), so the digests hold under any OpenBLAS kernel
+# (test_portability); they still need numpy's X86_V4 (AVX-512) dispatch,
+# whose log2 takes other bits than its AVX2 and SSE paths.
 WORKLOAD_DIGESTS = {
-    "capacity": "8c4500f7df057b778f7fc643eb5d282ca55225620a91b7f09610645927b31a13",
+    "capacity": "1dda2543f762d10d0472e5c26c8a58600261695b0929c236a98aed88c7d1c366",
     "mc_short": "445bc406e3d3e93135c87cf95ea065440154221cc5f9e81e18714bdd728cc2e1",
     "mc_wide": "ece1a75120ce77705284cc00cda5485a919a88240e1718ff6bcf3916597f88e4",
     "verify": "5c65ca942a62b7e9b53e4b146f8303adf3b5f721706d794ecf70bf4cd209d6b7",

@@ -29,6 +29,8 @@ from asymcap.info import (
     Pmf,
     TransitionMatrix,
     _kernel,
+    _mix,
+    _row_dot,
     binary_entropy,
     bsc,
     bsc_capacity_gap,
@@ -38,7 +40,8 @@ from asymcap.info import (
 )
 from asymcap.verify import default_grid
 
-from gates import check_default_restarts_reach_the_maximum
+from gates import (GOLDEN_CASES, check_default_restarts_reach_the_maximum, golden_pair,
+                   golden_summary)
 
 # Frozen reference values (high-precision evaluations rounded to float64).
 CAP_01_01 = 0.3199229542717202      # 1 - H(0.18)
@@ -173,7 +176,7 @@ def _exhaustive_grid(pyx, pux, resolution):
     best_val, best_p, total = -np.inf, None, 0
     for blk in _composition_blocks(k, nx):
         pts = blk.astype(float) / k
-        vals = capacity._mi_batch(pts @ a, nu, ny)
+        vals = capacity._mi_batch(_mix(pts, a), nu, ny)
         i = int(np.argmax(vals))
         if vals[i] > best_val:
             best_val = float(vals[i])
@@ -221,7 +224,7 @@ class TestGridPruning:
         pyx, pux, resolution = _pruning_case(case)
         got = capacity_grid(pyx, pux, resolution)
         want = _exhaustive_grid(pyx, pux, resolution)
-        assert _golden_summary(got) == _golden_summary(want)
+        assert golden_summary(got) == golden_summary(want)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_interior_maximum(self, seed):
@@ -231,7 +234,7 @@ class TestGridPruning:
         pyx, pux = (_random_stochastic(rng, 3, 3, floor=0.02 + 5.0 * np.eye(3)) for _ in "yu")
         got = capacity_grid(pyx, pux, 1e-3)
         assert np.all(got.argmax_px > 0.0)
-        assert _golden_summary(got) == _golden_summary(_exhaustive_grid(pyx, pux, 1e-3))
+        assert golden_summary(got) == golden_summary(_exhaustive_grid(pyx, pux, 1e-3))
 
     @staticmethod
     def _rows_evaluated(monkeypatch, pyx, pux):
@@ -242,7 +245,7 @@ class TestGridPruning:
         return capacity_grid(pyx, pux, 1e-3), sum(rows)
 
     def test_peaked_objective_skips_most_lines(self, monkeypatch):
-        pyx, pux = _golden_pair(31, 3, 3, 3)
+        pyx, pux = golden_pair(31, 3, 3, 3)
         r, rows = self._rows_evaluated(monkeypatch, pyx, pux)
         assert r.iterations == 501_501
         assert rows <= 0.25 * 501_501
@@ -257,7 +260,7 @@ class TestGridPruning:
             pux = TransitionMatrix(np.repeat(pux.matrix[:1], 3, axis=0))
         r, rows = self._rows_evaluated(monkeypatch, pyx, pux)
         assert rows == 501_501
-        assert _golden_summary(r) == _golden_summary(_exhaustive_grid(pyx, pux, 1e-3))
+        assert golden_summary(r) == golden_summary(_exhaustive_grid(pyx, pux, 1e-3))
 
     def test_edge_maximum_probes_short_segments(self, monkeypatch):
         # the bench's `capacity` pair nx3_0 at seed 0, pass 0: its maximum
@@ -276,7 +279,7 @@ class TestGridPruning:
         r, rows = self._rows_evaluated(monkeypatch, pyx, pux)
         assert r.argmax_px[2] == 0.0
         assert rows <= 2 * 1001
-        assert _golden_summary(r) == _golden_summary(_exhaustive_grid(pyx, pux, 1e-3))
+        assert golden_summary(r) == golden_summary(_exhaustive_grid(pyx, pux, 1e-3))
 
     @staticmethod
     def check_diagonal_pairs(seeds, resolution=0.01):
@@ -286,7 +289,7 @@ class TestGridPruning:
             rng = np.random.default_rng(seed)
             pyx, pux = (_random_stochastic(rng, 3, 3, floor=0.02 + 5.0 * np.eye(3)) for _ in "yu")
             got = capacity_grid(pyx, pux, resolution)
-            assert _golden_summary(got) == _golden_summary(
+            assert golden_summary(got) == golden_summary(
                 _exhaustive_grid(pyx, pux, resolution)), seed
 
     def test_maximum_inside_a_short_segment(self):
@@ -359,7 +362,7 @@ class TestOptimize:
     def test_low_capacity_pair_does_not_crawl(self):
         # capacity about 8e-4 and a tiny gradient: with the warm start capped
         # at t <= 1 the ascent spent all 300 iterations and printed 6.7e-4
-        pyx, pux = _golden_pair(133, 3, 3, 3)
+        pyx, pux = golden_pair(133, 3, 3, 3)
         r = capacity_optimize(pyx, pux)
         assert r.capacity >= capacity_grid(pyx, pux, 1e-3).capacity - 1e-9
         assert r.iterations <= 60
@@ -367,7 +370,7 @@ class TestOptimize:
     def test_zero_entries_reach_lattice_maximum(self):
         # nx3_zeros: an input at 0 feeds empty cells; letting the steps move
         # it (the gradient skips those cells) stopped the ascent at 0.0858880
-        pyx, pux = _golden_pair(32, 3, 3, 4, zeros=True)
+        pyx, pux = golden_pair(32, 3, 3, 4, zeros=True)
         g = capacity_grid(pyx, pux, 1e-3)
         assert g.capacity == pytest.approx(0.0859982, abs=1e-7)
         assert abs(capacity_optimize(pyx, pux).capacity - g.capacity) < 1e-5
@@ -383,7 +386,7 @@ class TestOptimize:
         pyx, pux = (TransitionMatrix(np.array(m, dtype=float)) for m in tables)
         a, nu, ny = _kernel(pyx, pux)
         p = np.array([0.5, 0.5, 0.0])
-        q = capacity._joint_rows(p[None], a)
+        q = _mix(p[None], a)
         np.testing.assert_array_equal(capacity._dead_inputs(p[None], q, a, nu, ny)[0],
                                       [False, False, dead])
         base = input_mutual_information(p, pyx, pux)
@@ -412,20 +415,19 @@ class TestOptimize:
     def test_dead_inputs_match_the_sign_rule(self, monkeypatch):
         # with no zero cell in q the sign table is 0, so _dead_inputs must
         # return the all-False mask without forming its sign product
-        products, joint = [], capacity._joint_rows
-        monkeypatch.setattr(capacity, "_joint_rows",
-                            lambda P, b: products.append(1) or joint(P, b))
+        products = []
+        monkeypatch.setattr(capacity, "_mix", lambda P, b: products.append(1) or _mix(P, b))
         seen = set()
         for seed in range(70):
             rng = np.random.default_rng(seed)
             nx, ny, nu = 2 + seed % 7, *(int(v) for v in rng.integers(1, 6, size=2))
-            pyx, pux = _golden_pair(900 + seed, nx, ny, nu, zeros=seed % 2 == 0)
+            pyx, pux = golden_pair(900 + seed, nx, ny, nu, zeros=seed % 2 == 0)
             a, nu, ny = _kernel(pyx, pux)
             P = rng.dirichlet(np.ones(nx), size=12)
             P[rng.random(P.shape) < 0.4] = 0.0
             P[np.arange(12), rng.integers(nx, size=12)] += 0.1
             P /= P.sum(axis=1, keepdims=True)
-            q = joint(P, a)
+            q = _mix(P, a)
             for rows in [slice(None)] + [slice(i, i + 1) for i in range(12)]:
                 del products[:]
                 got = capacity._dead_inputs(P[rows], q[rows], a, nu, ny)
@@ -469,44 +471,6 @@ class TestOptimize:
             capacity_optimize(bsc(0.1), TransitionMatrix.identity(3))
 
 
-def _golden_pair(seed, nx, ny, nu, zeros=False):
-    """Seeded (channel, perturbation) pair; `zeros` blanks about a third of
-    the entries so the solver meets empty (u, y) cells."""
-    rng = np.random.default_rng(seed)
-    mats = []
-    for cols in (ny, nu):
-        m = rng.random((nx, cols)) + 0.02
-        if zeros:
-            m[rng.random((nx, cols)) < 0.35] = 0.0
-            m[:, 0] += 0.05
-        mats.append(TransitionMatrix(m / m.sum(axis=1, keepdims=True)))
-    return mats
-
-
-GOLDEN_CASES = {
-    "bsc_0.1_0.2": (lambda: (bsc(0.1), bsc(0.2)), {}),
-    "bsc_0.3_0.5": (lambda: (bsc(0.3), bsc(0.5)), {}),
-    "bsc_0_0": (lambda: (bsc(0.0), bsc(0.0)), {}),
-    "bsc_0.11_identity": (lambda: (bsc(0.11), TransitionMatrix.identity(2)), {}),
-    "nx2_a": (lambda: _golden_pair(21, 2, 2, 3), {}),
-    "nx2_zeros": (lambda: _golden_pair(22, 2, 3, 3, zeros=True), {}),
-    "nx3_a": (lambda: _golden_pair(31, 3, 2, 3), {}),
-    "nx3_zeros": (lambda: _golden_pair(32, 3, 3, 4, zeros=True), {}),
-    "nx4_a": (lambda: _golden_pair(41, 4, 3, 2), {}),
-    "nx4_zeros": (lambda: _golden_pair(42, 4, 4, 4, zeros=True), {}),
-    "nx8_a": (lambda: _golden_pair(81, 8, 4, 3), {}),
-    "nx8_zeros": (lambda: _golden_pair(82, 8, 5, 5, zeros=True), {}),
-    "nx3_two_steps": (lambda: _golden_pair(77, 3, 3, 3),
-                      {"max_iterations": 2, "restarts": 1}),
-    "nx4_loose": (lambda: _golden_pair(43, 4, 3, 3), {"restarts": 3, "convergence_tol": 1e-6}),
-}
-
-
-def _golden_summary(r):
-    return (r.capacity.hex(), [float(v).hex() for v in r.argmax_px],
-            r.iterations, r.residual.hex())
-
-
 # Solver results of the projected Armijo ascent that stops at the float
 # floor; any change of a bit must be explained.  Each entry is (capacity,
 # argmax_px, iterations, residual), floats as float.hex.
@@ -532,19 +496,19 @@ GOLDEN_RESULTS = {
         0, "0x0.0p+0",
     ),
     "nx2_a": (
-        "0x1.1e0d61495aea2p-7",
-        ["0x1.9f925f856ba7fp-2", "0x1.3036d03d4a2c0p-1"],
-        11, "0x1.d71a4286e8ef6p-29",
+        "0x1.1e0d61495aefcp-7",
+        ["0x1.9f925f9ae7cd3p-2", "0x1.3036d0328c196p-1"],
+        10, "0x1.e6262ca1c0594p-29",
     ),
     "nx2_zeros": (
-        "0x1.0c97dfbe54814p-10",
-        ["0x1.d2250eee54876p-2", "0x1.16ed7888d5bc5p-1"],
+        "0x1.0c97dfbe54be0p-10",
+        ["0x1.d2250eee54872p-2", "0x1.16ed7888d5bc7p-1"],
         17, "0x1.03b87a2c330b2p-31",
     ),
     "nx3_a": (
-        "0x1.0777ff19cc9f7p-6",
-        ["0x0.0p+0", "0x1.dea0191580c96p-2", "0x1.10aff3753f9b5p-1"],
-        13, "0x1.de0d0da320f60p-29",
+        "0x1.0777ff19cc9eep-6",
+        ["0x0.0p+0", "0x1.dea01b0a8a0a6p-2", "0x1.10aff27abafadp-1"],
+        15, "0x1.eeaa89c11ce56p-31",
     ),
     "nx3_zeros": (
         "0x1.603fac67ae572p-4",
@@ -552,46 +516,46 @@ GOLDEN_RESULTS = {
         21, "0x1.a36fc1766f881p-31",
     ),
     "nx4_a": (
-        "0x1.04bc46d12ba72p-6",
+        "0x1.04bc46d12ba1ap-6",
         [
-            "0x1.1073fb9400a2dp-1", "0x0.0p+0", "0x0.0p+0",
-            "0x1.df1808d7feba6p-2",
+            "0x1.1073fc778d849p-1", "0x0.0p+0", "0x0.0p+0",
+            "0x1.df180710e4f6ep-2",
         ],
-        14, "0x1.f24d1a0767e2bp-30",
+        14, "0x1.229dd906c00d4p-29",
     ),
     "nx4_zeros": (
-        "0x1.8518e9666f020p-3",
+        "0x1.8518e9666f024p-3",
         [
-            "0x1.417a28889540dp-1", "0x1.7d0baeeed57e7p-2", "0x0.0p+0",
+            "0x1.417a288d42acap-1", "0x1.7d0baee57aa6cp-2", "0x0.0p+0",
             "0x0.0p+0",
         ],
-        16, "0x1.22e00fca45bc5p-28",
+        15, "0x1.f50b752428e59p-29",
     ),
     "nx8_a": (
-        "0x1.2f7261a4b927ep-4",
+        "0x1.2f7261a4b9282p-4",
         [
             "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
-            "0x0.0p+0", "0x0.0p+0", "0x1.a9dc97ff9d97cp-2",
-            "0x1.2b11b40031342p-1", "0x0.0p+0",
+            "0x0.0p+0", "0x0.0p+0", "0x1.a9dc97a8424f8p-2",
+            "0x1.2b11b42bded84p-1", "0x0.0p+0",
         ],
-        14, "0x1.ee29d4b31d31cp-28",
+        15, "0x1.20eb04bdc8700p-28",
     ),
     "nx8_zeros": (
-        "0x1.558bfae3c3bdap-2",
+        "0x1.558bfae3c3bd6p-2",
         [
-            "0x0.0p+0", "0x0.0p+0", "0x1.e3e1b25c19455p-2",
-            "0x0.0p+0", "0x0.0p+0", "0x1.00fe04ea36629p-2",
-            "0x0.0p+0", "0x1.1b2048b9b0580p-2",
+            "0x0.0p+0", "0x0.0p+0", "0x1.e3e1b25c19453p-2",
+            "0x0.0p+0", "0x0.0p+0", "0x1.00fe04ea36625p-2",
+            "0x0.0p+0", "0x1.1b2048b9b0587p-2",
         ],
-        17, "0x1.64f00ff96408ep-27",
+        17, "0x1.64f00eeaa378bp-27",
     ),
     "nx3_two_steps": (
-        "0x1.c6a4acef45372p-7",
+        "0x1.c6a4acef453aap-7",
         ["0x1.09c3e607c98ecp-2", "0x1.748f093968da4p-2", "0x1.81ad10becd970p-2"],
-        2, "0x1.1d0edf29b9421p-5",
+        2, "0x1.1d0edf29b942fp-5",
     ),
     "nx4_loose": (
-        "0x1.5c05032cfdaccp-6",
+        "0x1.5c05032cfdab2p-6",
         [
             "0x0.0p+0", "0x1.30867f060849bp-1", "0x0.0p+0",
             "0x1.9ef301f3ef6cbp-2",
@@ -625,7 +589,7 @@ class TestOptimizeGolden:
         r = capacity_optimize(pyx, pux, SolverOptions(**kw))
         if name in GOLDEN_FLOORS:
             assert r.capacity >= float.fromhex(GOLDEN_FLOORS[name]) - 1e-12
-        assert _golden_summary(r) == GOLDEN_RESULTS[name]
+        assert golden_summary(r) == GOLDEN_RESULTS[name]
 
 
 def _sequential_ascend(p, a, nu, ny, opts):
@@ -636,7 +600,7 @@ def _sequential_ascend(p, a, nu, ny, opts):
     steps = np.zeros(len(p), dtype=np.int64)
     running = np.ones(len(p), dtype=bool)
     t_init = np.ones(len(p))
-    j0 = capacity._mi_batch(capacity._joint_rows(p, a), nu, ny)
+    j0 = capacity._mi_batch(_mix(p, a), nu, ny)
     most = 0
     for _ in range(opts.max_iterations):
         g, dead = capacity._direction(p, a, nu, ny)
@@ -646,8 +610,8 @@ def _sequential_ascend(p, a, nu, ny, opts):
         while pending.any():
             trials += pending
             cand = capacity._arc(p, g, t_step, dead)
-            j_cand = capacity._mi_batch(capacity._joint_rows(cand, a), nu, ny)
-            gain = capacity._row_dot(g, cand - p)
+            j_cand = capacity._mi_batch(_mix(cand, a), nu, ny)
+            gain = _row_dot(g, cand - p)
             accept = pending & (j_cand >= j0 + capacity._SIGMA * gain)
             floor = (accept & (j_cand == j0)) | (pending & ~accept & (
                 (gain <= capacity._FLOOR_ULPS * np.spacing(np.abs(j0)))
@@ -699,7 +663,7 @@ class TestSequentialOracle:
         for i in range(200):
             rng = np.random.default_rng(i)
             nx, ny, nu = (int(v) for v in rng.integers(2, (9, 6, 6)))
-            pyx, pux = _golden_pair(500 + i, nx, ny, nu, zeros=i % 3 == 0)
+            pyx, pux = golden_pair(500 + i, nx, ny, nu, zeros=i % 3 == 0)
             most = max(most, self._check(pyx, pux, ORACLE_OPTIONS[i % 4], seed=i))
         # some search ran past the first ladder, so the rungs after it were
         # compared too
@@ -712,19 +676,19 @@ class TestSequentialOracle:
         assert {zero for _, _, zero in passes} == {False, True}
 
     def test_search_stops_at_first_step_below_eps(self, monkeypatch):
-        # Perturbation rows 1e-7 apart leave I(U;Y) near 3e-16.  At that
-        # float floor every short trial rounds to the same point and is
-        # rejected with a gain above the ulp bound, so only the t <= eps
-        # clause ends the second step's search: it halves from its warm
-        # start 2^-2 to 2^-52 (51 trials).  The ladder holding 2^-52 starts
-        # at 2^-50, so no later ladder may be tried.
-        pyx = TransitionMatrix([[0.2918142402906411, 0.7081857597093588],
-                                [0.8628540137592364, 0.1371459862407636],
-                                [0.2592288362754238, 0.7407711637245762]])
-        pux = TransitionMatrix([[0.5964789627096031, 0.24296984152213663, 0.16055119576826027],
-                                [0.5964786019485463, 0.24297011189235637, 0.16055128615909736],
-                                [0.5964785919664817, 0.2429701038974458, 0.1605513041360725]])
-        start = np.array([[0.8620255797687251, 0.020483166889079637, 0.11749125334219539]])
+        # Perturbation rows 1.5e-7 apart leave I(U;Y) near 5e-17.  At that
+        # float floor every trial step below 2^-7 projects to one point,
+        # rejected with a gain (1.4e-31) above the ulp bound (2.5e-32), so
+        # only the t <= eps clause ends the second step's search: it halves
+        # from its warm start 2^-2 to 2^-52 (51 trials).  The ladder holding
+        # 2^-52 starts at 2^-50, so no later ladder may be tried.
+        pyx = TransitionMatrix([[0.8047001045307913, 0.19529989546920865],
+                                [0.4876040819049241, 0.512395918095076],
+                                [0.7771938759081197, 0.2228061240918804]])
+        pux = TransitionMatrix([[0.20929579292134798, 0.06804181756303547, 0.7226623895156166],
+                                [0.20929578513878505, 0.06804190861171733, 0.7226623062494977],
+                                [0.20929569064398587, 0.06804205635030622, 0.7226622530057079]])
+        start = np.array([[0.34098942504725377, 0.3341109606270165, 0.32489961432572967]])
         opts = SolverOptions(convergence_tol=1e-300)  # no tolerance stop above the floor
         a, nu, ny = _kernel(pyx, pux)
         want, most = _sequential_ascend(start, a, nu, ny, opts)
@@ -814,7 +778,7 @@ class TestEvaluatedOnce:
         opts = SolverOptions(**kw)
         inputs, events, zeros, logs = [], [], [], []
         real = {f: getattr(capacity, f) for f in
-                ("_ascend", "_project_rows", "_joint_rows", "_log_ratios", "_dead_inputs")}
+                ("_ascend", "_project_rows", "_mix", "_log_ratios", "_dead_inputs")}
 
         def ascend(p, a, nu, ny, opts):
             inputs.append((p.copy(), a, nu, ny))
@@ -824,20 +788,20 @@ class TestEvaluatedOnce:
             events.append(("project", real["_project_rows"](V)))
             return events[-1][1]
 
-        def joint(P, b):
-            if b is inputs[0][1]:  # a point evaluation, not _dead_inputs' product
+        def mix(P, b):
+            if b is inputs[0][1]:  # a point evaluation, not a gradient's or _dead_inputs' product
                 events.append(("evaluate", P.copy()))
-            return real["_joint_rows"](P, b)
+            return real["_mix"](P, b)
 
         with monkeypatch.context() as m:
             m.setattr(capacity, "_ascend", ascend)
             m.setattr(capacity, "_project_rows", project)
-            m.setattr(capacity, "_joint_rows", joint)
+            m.setattr(capacity, "_mix", mix)
             m.setattr(capacity, "_log_ratios", lambda t: logs.append(1) or real["_log_ratios"](t))
             m.setattr(capacity, "_dead_inputs",
                       lambda P, *args: zeros.append(not P.all()) or real["_dead_inputs"](P, *args))
             got = capacity_optimize(pyx, pux, opts)
-        assert _golden_summary(got) == GOLDEN_RESULTS[name]
+        assert golden_summary(got) == GOLDEN_RESULTS[name]
         assert any(zeros) == zero and not all(zeros)
 
         starts = inputs[0][0]
@@ -1015,7 +979,7 @@ def _model_instance(seed):
     w = rng.random(nx) + 0.05
     w[rng.random(nx) < 0.3] = 0.0
     w[0] += 0.1
-    pyx, pux = _golden_pair(seed, nx, ny, nu, zeros=True)
+    pyx, pux = golden_pair(seed, nx, ny, nu, zeros=True)
     return w / w.sum(), pyx, pux
 
 

@@ -16,7 +16,9 @@ from asymcap.info import (
     _entropy_bits,
     _marginal_sum,
     _markov_deviation,
+    _mix,
     _mutual_information,
+    _row_dot,
     binary_entropy,
     bsc,
     build_joint_uy,
@@ -433,6 +435,41 @@ class TestStackedKernels:
         rows /= rows.sum(axis=1, keepdims=True) * (1.0 - 3e-7)
         got = TransitionMatrix(rows).matrix
         assert got.tobytes() == np.stack([single_table.clean_mass(r.copy()) for r in rows]).tobytes()
+
+
+class TestProductRule:
+    """Each row of _mix and _row_dot has the bits of its one-row call and of
+    any other batch that holds it: _ascend's promise that each row takes
+    the path it would take alone rests on this."""
+
+    @staticmethod
+    def _table(rng, shape, signed=False):
+        """Entries of mixed magnitude, about a fifth of them 0, negative too
+        if signed (log-ratio and sign tables)."""
+        t = rng.random(shape) * 10.0 ** rng.uniform(-3.0, 0.0, shape)
+        t[rng.random(shape) < 0.2] = 0.0
+        return t * rng.choice((-1.0, 1.0), shape) if signed else t
+
+    @staticmethod
+    def _same_rows(rng, n, rows_of):
+        """rows_of(s), the product over rows s of n-row operands, over all n
+        rows against a split of them and against single rows, the last too."""
+        got, k = rows_of(slice(None)), int(rng.integers(n + 1))
+        assert got.tobytes() == np.concatenate([rows_of(slice(k)), rows_of(slice(k, n))]).tobytes()
+        for i in [*rng.integers(n, size=3), n - 1]:
+            assert got[i].tobytes() == rows_of(slice(i, i + 1))[0].tobytes(), i
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rows_match_one_row_calls(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(1000):
+            n, nx, cells = (int(v) for v in rng.integers(1, (1101, 9, 37)))
+            a = self._table(rng, (nx, cells))  # a kernel: rows x, flattened (u, y) cells
+            P, logs = self._table(rng, (n, nx)), self._table(rng, (n, cells), signed=True)
+            X, Y = self._table(rng, (n, nx), True), self._table(rng, (n, nx), True)
+            self._same_rows(rng, n, lambda s: _mix(P[s], a))
+            self._same_rows(rng, n, lambda s: _mix(logs[s], a.T))
+            self._same_rows(rng, n, lambda s: _row_dot(X[s], Y[s]))
 
 
 class TestBuildJoints:

@@ -24,9 +24,10 @@ from asymcap.codec import CodebookPair
 from asymcap.info import Pmf, TransitionMatrix
 from asymcap.rng import TAG_PERTURB
 from asymcap.verify import IDENTITY_CHECKS, IDENTITY_CHUNK, run_verification
-from gates import (COLLISION_GATE_CASES, check_collision_counts,
+from gates import (COLLISION_GATE_CASES, PORTABILITY_KERNELS, check_collision_counts,
                    check_default_restarts_reach_the_maximum, check_nan_residual_fails_verify,
-                   check_top_draw_skips_zero_mass, criterion_8)
+                   check_pinned_outputs_match, check_top_draw_skips_zero_mass, criterion_8,
+                   kernel_skip_reason)
 import test_capacity
 from test_codec import SHARED_COUNT_CASES, check_golden_report, check_shared_counts
 
@@ -264,3 +265,16 @@ def test_dead_input_gates_fail_when_any_nonzero_cell_skips_the_sign_rule(monkeyp
         optimize.test_dead_input_has_minus_infinite_derivative(optimize._CONFUSER, True)
     with pytest.raises(AssertionError):
         test_capacity.TestOptimizeGolden().test_bit_identical("nx3_zeros")
+
+
+def test_portability_gate_fails_when_the_product_rule_calls_blas():
+    # test_portability's gate with info._mix as P @ a, in process and in
+    # the children: the sum order is then the BLAS kernel's.  On an AVX-512
+    # host gemm rounds these products alike under OpenBLAS's SkylakeX and
+    # Haswell kernels, so the Nehalem child is the one that differs.
+    kernels = [k for k in PORTABILITY_KERNELS if kernel_skip_reason(k) is None]
+    if not kernels:
+        pytest.skip(kernel_skip_reason(next(iter(PORTABILITY_KERNELS))))
+    with pytest.raises(AssertionError):
+        for kernel in kernels:
+            check_pinned_outputs_match(kernel, mix="blas_mix")
