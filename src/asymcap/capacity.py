@@ -6,9 +6,9 @@ p(u, y) = sum_x p(x) p(y|x) p(u|x).  This module maximizes that quantity
 over the input distribution p(x) three ways: a closed form for the binary
 symmetric case, a simplex-lattice search, and multi-start projected
 gradient ascent.  The lattice search returns the exhaustive search's
-result bit for bit, but skips the lattice lines that probes and a bound
-from I(U;Y) = [H(U) + H(Y)] - H(U, Y), a difference of concave functions,
-show cannot hold the maximum.
+result bit for bit, but bisects the lattice lines and skips those that
+its probes and a bound from I(U;Y) = [H(U) + H(Y)] - H(U, Y), a difference
+of concave functions, show cannot hold the maximum.
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ _LOG2E = float(np.log2(np.e))
 # capacity_grid evaluates every lattice line that may hold a point within
 # MARGIN of the best lattice value; rounding in its bound is far smaller.
 MARGIN = 1e-9
-_SHORT_SEGMENT = 8    # a surviving segment this short has its points probed
 _BISECT_BATCH = 512   # lattice points probed per array pass while bisecting
 # Candidates whose objective is within this of the best are treated as tied;
 # the uniform start then wins, which pins down the maximizer on flat
@@ -156,11 +155,6 @@ def capacity_closed_form_bsc(p1: float, p2: float) -> CapacityResult:
     return CapacityResult(cap, np.array([0.5, 0.5]), SOLVER_CLOSED_FORM, 0, 0.0)
 
 
-def _mi_batch(q: np.ndarray, nu: int, ny: int) -> np.ndarray:
-    """I(U;Y) in bits for each row of q (rows are flattened (u, y) tables)."""
-    return _mutual_information(q.reshape(-1, nu, ny))
-
-
 def _evaluate(P: np.ndarray, a: np.ndarray, nu: int, ny: int):
     """_mix(P, a) as (nu, ny) tables, their _log_ratios and I(U;Y)."""
     t = _mix(P, a).reshape(-1, nu, ny)
@@ -202,7 +196,8 @@ def _dead_inputs(P: np.ndarray, q: np.ndarray, a: np.ndarray, nu: int, ny: int) 
     return (P == 0) & (_mix(sign.reshape(len(P), -1), a.T) < 0)
 
 
-def _direction(P: np.ndarray, a: np.ndarray, nu: int, ny: int, q=None, logs=None):
+def _direction(P: np.ndarray, a: np.ndarray, nu: int, ny: int, q: np.ndarray,
+               logs: np.ndarray):
     """The gradient of each row of P less its largest entry off the dead
     coordinates, and the dead mask (_dead_inputs), from P's _evaluate tables.
 
@@ -210,7 +205,6 @@ def _direction(P: np.ndarray, a: np.ndarray, nu: int, ny: int, q=None, logs=None
     a row, but rounding does: the raw gradient carries -log2(e) in every
     entry, and a long step t g would round p + t g far above p's own ulp.
     Shifted, every coordinate the projection keeps lies in (-1, 1]."""
-    q, logs = (q, logs) if q is not None else _evaluate(P, a, nu, ny)[:2]
     G = _gradient(logs, a)
     dead = _dead_inputs(P, q, a, nu, ny)
     return G - np.where(dead, -np.inf, G).max(axis=1, keepdims=True), dead
@@ -308,15 +302,6 @@ def _batched(fn, *cols):
     return [np.concatenate(v) for v in zip(*parts)]
 
 
-def _inner_points(line, i0, i1, mid):
-    """The points strictly inside short segments [i0, i1], mid excepted, as
-    one-point segments whose ends have h = inf: the bound drops them once probed."""
-    j = i0[:, None] + np.arange(1, _SHORT_SEGMENT - 1)
-    inside = (j < i1[:, None]) & (j != mid[:, None])
-    j, inf = j[inside], np.full(inside.sum(), np.inf)
-    return np.broadcast_to(line[:, None], inside.shape)[inside], j, j, inf, inf
-
-
 def _live_lines(a, nu, ny, k, lead, length) -> np.ndarray:
     """Mask of the lattice lines that can hold a point within MARGIN of the
     lattice maximum (capacity_grid says why the bound holds).
@@ -325,11 +310,12 @@ def _live_lines(a, nu, ny, k, lead, length) -> np.ndarray:
     level per pass.  A pass probes the midpoint m of every surviving segment
     [i0, i1] of j, on every line not yet live, and drops a segment when the
     larger, over its ends e, of g(m) + g'(m) (e - m) - h(e) is below the
-    best value probed minus MARGIN.  It halves the segments it keeps, save
-    those of _SHORT_SEGMENT points or fewer, whose inner points it probes
-    next (_inner_points).  A line goes live only when a probed point scores
-    within MARGIN of that best, so a segment whose midpoint is an end, where
-    g' may be infinite, is safe: it has no unprobed point."""
+    best value probed minus MARGIN.  It halves the segments it keeps, and
+    drops a segment with no point strictly inside it (i1 - i0 <= 1), as both
+    its ends are probed.  So every m lies strictly inside its line, where g'
+    is finite, and the bisection stops when no unprobed point is left in a
+    surviving segment.  A line goes live only when a probed point scores
+    within MARGIN of that best."""
     n = len(length)
     if n == 1:
         return np.ones(1, dtype=bool)
@@ -338,20 +324,19 @@ def _live_lines(a, nu, ny, k, lead, length) -> np.ndarray:
     g, h, _ = _batched(parts, np.tile(lines, 2), np.concatenate([zero, length]))
     best = (g - h).max()
     live = (g - h >= best - MARGIN).reshape(2, n).any(axis=0)
-    line, i0, i1, h0, h1 = (v[~live] for v in (lines, zero, length, h[:n], h[n:]))
-    while len(line):
+    line, i0, i1, h0, h1 = lines, zero, length, h[:n], h[n:]
+    while (inner := (i1 - i0 > 1) & ~live[line]).any():
+        line, i0, i1, h0, h1 = (v[inner] for v in (line, i0, i1, h0, h1))
         mid = (i0 + i1) // 2
         g, h, slope = _batched(parts, line, mid)
         best = max(best, (g - h).max())
         cut = best - MARGIN
         live[line[g - h >= cut]] = True
         bound = g + np.maximum((i0 - mid) * slope - h0, (i1 - mid) * slope - h1)
-        keep = (bound >= cut) & ~live[line]
-        short = keep & (i1 - i0 < _SHORT_SEGMENT)
-        probes = _inner_points(*(v[short] for v in (line, i0, i1, mid)))
-        line, i0, i1, mid, h0, h1, h = (v[keep & ~short] for v in (line, i0, i1, mid, h0, h1, h))
+        keep = bound >= cut
+        line, i0, i1, mid, h0, h1, h = (v[keep] for v in (line, i0, i1, mid, h0, h1, h))
         line, i0, i1, h0, h1 = (np.concatenate(v) for v in zip(
-            (line, i0, mid, h0, h), (line, mid, i1, h, h1), probes))
+            (line, i0, mid, h0, h), (line, mid, i1, h, h1)))
     return live
 
 
@@ -366,7 +351,8 @@ def capacity_grid(
     lines (first nx - 2 coordinates fixed) on which a probed point scores
     within MARGIN of the best value probed are evaluated, each whole and by the
     same operations as in an exhaustive pass.  Every point of the others was
-    probed or lies in a segment ruled out by a bound: I(U;Y) = g - h with
+    probed or lies in a segment ruled out by a bound, as each segment the
+    bound keeps is halved until it holds no unprobed point: I(U;Y) = g - h with
     g = H(U) + H(Y) and h = H(U, Y) both concave in p(x), so on a segment g
     lies under its tangent at the midpoint and h over its chord (_live_lines).
     Rounding in the bound and in the values is far below MARGIN, so a skipped
@@ -389,14 +375,15 @@ def capacity_grid(
     k = max(1, round(inv))
     a, nu, ny = _kernel(pyx, pux)
     if nx == 1:
-        return CapacityResult(float(_mi_batch(a, nu, ny)[0]), [1.0], SOLVER_GRID, 1, 1.0 / k)
+        one = float(_evaluate(np.ones((1, 1)), a, nu, ny)[2][0])
+        return CapacityResult(one, [1.0], SOLVER_GRID, 1, 1.0 / k)
     lead, length = _lines(k, nx)
 
     best_val, best_p = -np.inf, None
     for line in np.flatnonzero(_live_lines(a, nu, ny, k, lead, length)):
         j = np.arange(length[line] + 1)
         pts = _points(k, lead, length, np.full_like(j, line), j)
-        vals = _mi_batch(_mix(pts, a), nu, ny)
+        vals = _evaluate(pts, a, nu, ny)[2]
         i = int(np.argmax(vals))
         if vals[i] > best_val:
             best_val, best_p = float(vals[i]), pts[i].copy()

@@ -8,12 +8,14 @@ from here rather than from one another.
 
 import contextlib
 import importlib.util
+import inspect
 import io
 import math
 import os
 import subprocess
 import sys
 import tempfile
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +33,18 @@ BENCH = TESTS.parent / "bench"
 # (M, m, n, p1, p2, trials, seed) cases for check_collision_counts
 COLLISION_GATE_CASES = [(8, 4, 16, 0.1, 0.1, 400, 1), (8, 8, 16, 0.1, 0.1, 400, 2),
                         (24, 4, 16, 0.05, 0.05, 200, 3), (16, 2, 32, 0.1, 0.05, 100, 4)]
+
+
+def mutant(module, name, old, new):
+    """module.name with the one occurrence of `old` in its source replaced
+    by `new`, defined in a copy of the module's globals: a planted defect
+    for monkeypatch.setattr."""
+    source = textwrap.dedent(inspect.getsource(getattr(module, name)))
+    assert source.count(old) == 1, (name, old, source.count(old))
+    scope = dict(vars(module))
+    exec(compile(source.replace(old, new), f"<mutant {module.__name__}.{name}>", "exec"),
+         scope)
+    return scope[name]
 
 
 def collision_counts(M, m, n, p1, p2, trials, seed):

@@ -176,7 +176,7 @@ def _exhaustive_grid(pyx, pux, resolution):
     best_val, best_p, total = -np.inf, None, 0
     for blk in _composition_blocks(k, nx):
         pts = blk.astype(float) / k
-        vals = capacity._mi_batch(_mix(pts, a), nu, ny)
+        vals = capacity._evaluate(pts, a, nu, ny)[2]
         i = int(np.argmax(vals))
         if vals[i] > best_val:
             best_val = float(vals[i])
@@ -238,10 +238,12 @@ class TestGridPruning:
 
     @staticmethod
     def _rows_evaluated(monkeypatch, pyx, pux):
+        """capacity_grid at spacing 1e-3 and the rows it evaluates exactly:
+        _dc_parts' probes call _mix directly, so these are whole lines."""
         rows = []
-        mi_batch = capacity._mi_batch
-        monkeypatch.setattr(capacity, "_mi_batch",
-                            lambda q, nu, ny: rows.append(len(q)) or mi_batch(q, nu, ny))
+        evaluate = capacity._evaluate
+        monkeypatch.setattr(capacity, "_evaluate",
+                            lambda P, a, nu, ny: rows.append(len(P)) or evaluate(P, a, nu, ny))
         return capacity_grid(pyx, pux, 1e-3), sum(rows)
 
     def test_peaked_objective_skips_most_lines(self, monkeypatch):
@@ -265,9 +267,9 @@ class TestGridPruning:
     def test_edge_maximum_probes_short_segments(self, monkeypatch):
         # the bench's `capacity` pair nx3_0 at seed 0, pass 0: its maximum
         # lies on the edge p(x3) = 0, and on 35 other lines the bound keeps
-        # a segment of at most 8 points next to an edge.  Probing those
-        # points rules the lines out; evaluating them whole would take
-        # 20,106 rows.
+        # a segment of at most 8 points next to an edge.  Bisecting those
+        # segments down to their last points rules the lines out;
+        # evaluating them whole would take 20,106 rows.
         pyx = TransitionMatrix([
             [0.29757920337241706, 0.627130126691422, 0.0752906699361609],
             [0.39675009095694536, 0.5905083739252773, 0.012741535117777463],
@@ -296,8 +298,35 @@ class TestGridPruning:
         # on some of these pairs (seeds 2, 25, 42, 51 and 54) the maximum
         # lies strictly inside a short segment, off its midpoint, and every
         # point probed on its line scores more than MARGIN below the best
-        # probed elsewhere, so only the segment's own probes keep the line
+        # probed elsewhere, so only bisecting the segment to its last
+        # unprobed point keeps the line
         self.check_diagonal_pairs(range(64))
+
+    @staticmethod
+    def check_bound_covers_segments(seeds):
+        """On lines 0, 250, 500 and 900 of the spacing-1e-3 lattice of random
+        3-input pairs, _live_lines' bound at the midpoint m of a segment
+        [i0, i1] is no lower than the segment's best value: g(m) + max over
+        its ends e of (e - m) s(m) - h(e) >= max g(j) - h(j), j in [i0, i1]."""
+        k = 1000
+        lead, length = capacity._lines(k, 3)
+        for seed in seeds:
+            rng = np.random.default_rng(seed)
+            pyx, pux = (_random_stochastic(rng, 3, int(rng.integers(2, 5))) for _ in "yu")
+            a, nu, ny = _kernel(pyx, pux)
+            for line in (0, 250, 500, 900):
+                n = length[line]
+                j = np.arange(n + 1)
+                g, h, s = capacity._dc_parts(a, nu, ny, k, lead, length, np.full_like(j, line), j)
+                for i0, i1 in [(0, n), (0, n // 2), (n // 2, n), (n // 4, 3 * n // 4)]:
+                    m = (i0 + i1) // 2
+                    bound = g[m] + max((i0 - m) * s[m] - h[i0], (i1 - m) * s[m] - h[i1])
+                    assert bound >= (g - h)[i0:i1 + 1].max() - 1e-12, (seed, line, i0, i1)
+
+    def test_bound_covers_its_segment(self):
+        # the pruning cases above still pass with the bound's tangent term
+        # zeroed or negated; this check fails under both
+        self.check_bound_covers_segments(range(100))
 
 
 class TestOptimize:
@@ -600,17 +629,17 @@ def _sequential_ascend(p, a, nu, ny, opts):
     steps = np.zeros(len(p), dtype=np.int64)
     running = np.ones(len(p), dtype=bool)
     t_init = np.ones(len(p))
-    j0 = capacity._mi_batch(_mix(p, a), nu, ny)
+    j0 = capacity._evaluate(p, a, nu, ny)[2]
     most = 0
     for _ in range(opts.max_iterations):
-        g, dead = capacity._direction(p, a, nu, ny)
+        g, dead = capacity._direction(p, a, nu, ny, *capacity._evaluate(p, a, nu, ny)[:2])
         running &= ~(capacity._stationarity(p, g, dead) < opts.convergence_tol)
         t_step, pending = t_init.copy(), running.copy()
         trials = np.zeros(len(p), dtype=np.int64)
         while pending.any():
             trials += pending
             cand = capacity._arc(p, g, t_step, dead)
-            j_cand = capacity._mi_batch(_mix(cand, a), nu, ny)
+            j_cand = capacity._evaluate(cand, a, nu, ny)[2]
             gain = _row_dot(g, cand - p)
             accept = pending & (j_cand >= j0 + capacity._SIGMA * gain)
             floor = (accept & (j_cand == j0)) | (pending & ~accept & (
@@ -709,18 +738,16 @@ class TestSequentialOracle:
 def _watch_passes(monkeypatch):
     """Record each pass of capacity._ascend as (rows entering its step
     search, rows whose first-ladder trials were evaluated, whether some row
-    had a coordinate at 0).  The ascent's passes call _direction with the
-    carried tables; the first _arc call after it holds _LADDER trials and one
-    t = 1 arc per entering row, the first _evaluate call _LADDER trials per
-    row still searching."""
+    had a coordinate at 0).  A pass begins with a _direction call; the first
+    _arc call after it holds _LADDER trials and one t = 1 arc per entering
+    row, the first _evaluate call _LADDER trials per row still searching."""
     passes, current = [], [None]
     direction, arc, evaluate, stationarity = (
         capacity._direction, capacity._arc, capacity._evaluate, capacity._stationarity)
 
-    def watched_direction(P, a, nu, ny, q=None, logs=None):
-        current[0] = None if q is None else [None, 0, not P.all()]
-        if current[0]:
-            passes.append(current[0])
+    def watched_direction(P, a, nu, ny, q, logs):
+        current[0] = [None, 0, not P.all()]
+        passes.append(current[0])
         return direction(P, a, nu, ny, q, logs)
 
     def watched_arc(P, G, t, dead):
@@ -735,7 +762,9 @@ def _watch_passes(monkeypatch):
         return evaluate(P, a, nu, ny)
 
     def watched_stationarity(P, G, dead):
-        if current[0]:  # the final residual's _direction call began no pass
+        # a _direction call that _stationarity follows began no pass: the
+        # final residual's, or one of the one-trial-per-pass reference's
+        if current[0]:
             passes.remove(current[0])
         current[0] = None
         return stationarity(P, G, dead)

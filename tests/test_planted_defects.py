@@ -27,8 +27,9 @@ from asymcap.verify import IDENTITY_CHECKS, IDENTITY_CHUNK, run_verification
 from gates import (COLLISION_GATE_CASES, PORTABILITY_KERNELS, check_collision_counts,
                    check_default_restarts_reach_the_maximum, check_nan_residual_fails_verify,
                    check_pinned_outputs_match, check_top_draw_skips_zero_mass, criterion_8,
-                   kernel_skip_reason)
+                   kernel_skip_reason, mutant)
 import test_capacity
+import test_codec
 from test_codec import SHARED_COUNT_CASES, check_golden_report, check_shared_counts
 
 
@@ -241,14 +242,35 @@ def test_nan_gate_fails_when_the_worst_residual_drops_nan(monkeypatch, tmp_path)
 
 def test_diagonal_gate_fails_when_short_segments_drop_their_points(monkeypatch):
     # test_capacity's TestGridPruning::test_maximum_inside_a_short_segment:
-    # a short surviving segment dropped without probing its inner points
-    # can drop the line that holds the maximum.  The 140 pruning cases, the
-    # interior-maximum cases and the workload digests all miss this defect.
-    real = asymcap.capacity._inner_points
-    monkeypatch.setattr(asymcap.capacity, "_inner_points",
-                        lambda *segments: tuple(v[:0] for v in real(*segments)))
+    # bisection that drops a three-point segment with its middle point still
+    # unprobed can drop the line that holds the maximum.  The 140 pruning
+    # cases, the interior-maximum cases and the workload digests all miss
+    # this off-by-one.
+    monkeypatch.setattr(asymcap.capacity, "_live_lines",
+                        mutant(asymcap.capacity, "_live_lines", "i1 - i0 > 1", "i1 - i0 > 2"))
     with pytest.raises(AssertionError):
         test_capacity.TestGridPruning.check_diagonal_pairs(range(64))
+
+
+@pytest.mark.parametrize("slope", ["0.0 * _mix(", "_mix("], ids=["zeroed", "negated"])
+def test_bound_gate_fails_when_the_tangent_term_is_off(monkeypatch, slope):
+    # test_capacity's TestGridPruning::test_bound_covers_its_segment.  The
+    # pruning cases, test_capacity, the acceptance criteria, the bench
+    # contract and the CLI tests all pass with g's slope zeroed or negated.
+    monkeypatch.setattr(asymcap.capacity, "_dc_parts",
+                        mutant(asymcap.capacity, "_dc_parts", "slope = -_mix(", f"slope = {slope}"))
+    with pytest.raises(AssertionError):
+        test_capacity.TestGridPruning.check_bound_covers_segments(range(100))
+
+
+def test_collision_gate_fails_when_the_colliders_keep_their_rows(monkeypatch):
+    # collision_experiment without its overwrite cu[:m_collide] = cu[0]:
+    # each collider decodes from its own row, so none errs on every send
+    dropped = mutant(asymcap.codec, "collision_experiment", "cu[:m_collide] = cu[0]", "pass")
+    for module in (asymcap.codec, test_codec):
+        monkeypatch.setattr(module, "collision_experiment", dropped)
+    with pytest.raises(AssertionError):
+        test_codec.TestCollisionExperiment().test_full_collision_pins_worst_rate_to_one()
 
 
 def test_dead_input_gates_fail_when_any_nonzero_cell_skips_the_sign_rule(monkeypatch):
