@@ -96,7 +96,8 @@ class AlphabetLimitError(ValueError):
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Tuning knobs shared by the capacity solvers."""
+    """Tuning knobs shared by the capacity solvers; convergence_tol is in
+    bits, a bound on the gradient solver's residual (CapacityResult)."""
 
     grid_resolution: float = 1e-3
     restarts: int = 8
@@ -118,9 +119,15 @@ class SolverOptions:
 class CapacityResult:
     """Solver output: value, maximizing input law, and convergence data.
 
-    residual is the projected-gradient stationarity norm for the gradient
-    solver, the lattice spacing for the grid solver, and 0 for the closed
-    form.  For the gradient solver, iterations counts the ascent steps the
+    residual is the lattice spacing for the grid solver and 0 for the
+    closed form.  For the gradient solver it is the Frank-Wolfe gap at
+    argmax_px, in bits: the largest g_x over the live inputs x less p.g,
+    with g the gradient of I(U;Y) (mutual_information_gradient) and the
+    inputs held at 0 (_dead_inputs) not live.  It is never negative, 0
+    exactly at a KKT point, and where I(U;Y) is concave in p(x), as on an
+    erasure channel or perturbation, it bounds capacity - value.  Like the
+    gradient it skips empty (u, y) cells, so at a sparse boundary point it
+    can read below that shortfall.  iterations counts the ascent steps the
     winning run took, and the run stopped in one of three ways:
 
     - tolerance: residual is below convergence_tol, iterations below
@@ -128,7 +135,8 @@ class CapacityResult:
     - float floor: a step left I(U;Y) unchanged, or no shorter step could
       show a gain in float arithmetic; iterations is below max_iterations
       and residual may stay above the tolerance, as what remains to gain
-      is lost in rounding;
+      is lost in rounding, or fall below it after a step that left
+      I(U;Y) unchanged;
     - budget: iterations equals max_iterations; a residual above the
       tolerance then says the run did not converge.
     """
@@ -214,12 +222,6 @@ def _arc(P: np.ndarray, G: np.ndarray, t, dead: np.ndarray) -> np.ndarray:
     """proj(p + t g) for each row, its dead coordinates ranked below every
     other coordinate so that they stay at 0."""
     return _project_rows(np.where(dead, -np.inf, P + np.reshape(t, (-1, 1)) * G))
-
-
-def _stationarity(P: np.ndarray, G: np.ndarray, dead: np.ndarray) -> np.ndarray:
-    """Projected-gradient norm |proj(p + g) - p| of each row."""
-    d = _arc(P, G, 1.0, dead) - P
-    return np.sqrt(_row_dot(d, d))
 
 
 def _vector(v, what: str, size: int | None = None) -> np.ndarray:
@@ -399,7 +401,7 @@ def _carry(kept, rows, new, idx) -> None:
 def _ascend(p: np.ndarray, a: np.ndarray, nu: int, ny: int, opts: SolverOptions):
     """Projected Armijo ascent of I(U;Y) from each row of p, all rows as one
     array.  Returns the final rows, their values, the steps each took and
-    their residuals (_stationarity).
+    their Frank-Wolfe gaps (CapacityResult's residual).
 
     A row stops on the tolerance, at the float floor or on the budget
     (CapacityResult) and leaves the step search, which is per row, so each
@@ -410,29 +412,25 @@ def _ascend(p: np.ndarray, a: np.ndarray, nu: int, ny: int, opts: SolverOptions)
     a one-step-per-pass search, and a row takes the first rung at which that
     search would stop, so the path is the same bit for bit.  A row carries
     its accepted trial's joint and log-ratio tables into its next gradient,
-    so each point is evaluated once (_evaluate), and the pass's first
-    projection also takes its t = 1 arc, the stationarity test's."""
+    so each point is evaluated once (_evaluate).  Each pass begins with the
+    gap test, one _row_dot with the pass's direction, whose largest live
+    entry is 0 (_direction); the last pass's direction gives the gaps
+    returned, with no further projection."""
     p = p.copy()
     steps = np.zeros(len(p), dtype=np.int64)
     running = np.ones(len(p), dtype=bool)
     t_init = np.ones(len(p))  # warm start: the step accepted last pass, doubled
     q, logs, j0 = _evaluate(p, a, nu, ny)
-    for _ in range(opts.max_iterations):
+    for it in range(opts.max_iterations + 1):
         G, dead = _direction(p, a, nu, ny, q, logs)
+        gap = 0.0 - _row_dot(p, G)  # G's largest live entry is 0; 0.0 - keeps +0.0
+        running &= ~(gap < opts.convergence_tol)
+        if it == opts.max_iterations or not running.any():
+            return p, j0, steps, gap
         rows, t_top = running.nonzero()[0], t_init[running]
-        r = np.concatenate((np.repeat(rows, _LADDER), rows))
-        t_step = np.concatenate(((t_top[:, None] * _RUNGS).ravel(), np.ones(len(rows))))
         while len(rows):
+            r, t_step = np.repeat(rows, _LADDER), (t_top[:, None] * _RUNGS).ravel()
             cand = _arc(p.take(r, 0), G.take(r, 0), t_step, dead.take(r, 0))
-            if len(r) > len(rows) * _LADDER:  # the first ladder: the stationarity test
-                d = cand[-len(rows):] - p.take(rows, 0)
-                go = ~(np.sqrt(_row_dot(d, d)) < opts.convergence_tol)
-                keep = slice(-len(go)) if go.all() else np.repeat(go, _LADDER).nonzero()[0]
-                running[rows[~go]] = False
-                rows, t_top = rows[go], t_top[go]
-                r, t_step, cand = r[keep], t_step[keep], cand[keep]
-                if not len(rows):
-                    break
             qc, lc, jc = _evaluate(cand, a, nu, ny)
             jr = j0[r]
             gain = _row_dot(G.take(r, 0), cand - p.take(r, 0))  # first-order gain of the trial
@@ -449,10 +447,6 @@ def _ascend(p: np.ndarray, a: np.ndarray, nu: int, ny: int, opts: SolverOptions)
             steps[done] += 1
             running[stopped[floor[k]]] = False
             rows, t_top = rows[~hit], t_top[~hit] * 0.5 ** _LADDER
-            r, t_step = np.repeat(rows, _LADDER), (t_top[:, None] * _RUNGS).ravel()
-        if not running.any():
-            break
-    return p, j0, steps, _stationarity(p, *_direction(p, a, nu, ny, q, logs))
 
 
 def capacity_optimize(
@@ -471,12 +465,13 @@ def capacity_optimize(
     start the last accepted step doubled; it backtracks on a ladder of exact
     halvings tried at once, with one-step-at-a-time bits, carries its
     accepted trial's joint and log-ratio tables into its next gradient, and
-    tests stationarity in the first ladder's projection (_ascend).  A run
-    stops on the tolerance, at the float floor, or on the budget;
-    CapacityResult says what iterations and residual then hold.  An input at
-    0 whose one-sided derivative is -inf (_dead_inputs) is held at 0, in the
-    steps and in the residual.  All runs advance together as the rows of one
-    (starts, nx) array, and each takes exactly the path it would take alone.
+    tests its Frank-Wolfe gap, in bits, against convergence_tol at the start
+    of each pass (_ascend).  A run stops on the tolerance, at the float
+    floor, or on the budget; CapacityResult says what iterations and
+    residual then hold.  An input at 0 whose one-sided derivative is -inf
+    (_dead_inputs) is held at 0, in the steps and in the residual.  All
+    runs advance together as the rows of one (starts, nx) array, and each
+    takes exactly the path it would take alone.
     """
     opts = options or SolverOptions()
     a, nu, ny = _kernel(pyx, pux)

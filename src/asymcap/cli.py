@@ -332,7 +332,7 @@ COMMANDS = {
         Param("channel", str, "channel matrix file", required=True),
         Param("perturb", str, "perturbation matrix file", required=True),
         Param("restarts", int, "gradient solver restarts", 8),
-        Param("tol", float, "convergence tolerance", 1e-9),
+        Param("tol", float, "Frank-Wolfe gap (residual), in bits, below which a run stops", 1e-9),
     )),
     "simulate": (cmd_simulate, "Monte Carlo block-error estimate", (
         N, MESSAGES, P1, P2, DECODER, EPSILON, TRIALS,

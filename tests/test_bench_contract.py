@@ -69,7 +69,7 @@ def test_capacity_general_replay_matches_cli(ac, capsys, tmp_path):
 # (test_portability); they still need numpy's X86_V4 (AVX-512) dispatch,
 # whose log2 takes other bits than its AVX2 and SSE paths.
 WORKLOAD_DIGESTS = {
-    "capacity": "1dda2543f762d10d0472e5c26c8a58600261695b0929c236a98aed88c7d1c366",
+    "capacity": "3c6020f4251f09fc82c2432d615363810d1fe22f839111e2156aa1dc9a0adeeb",
     "mc_short": "445bc406e3d3e93135c87cf95ea065440154221cc5f9e81e18714bdd728cc2e1",
     "mc_wide": "ece1a75120ce77705284cc00cda5485a919a88240e1718ff6bcf3916597f88e4",
     "verify": "5c65ca942a62b7e9b53e4b146f8303adf3b5f721706d794ecf70bf4cd209d6b7",

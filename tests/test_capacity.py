@@ -30,6 +30,7 @@ from asymcap.info import (
     TransitionMatrix,
     _kernel,
     _mix,
+    _mutual_information,
     _row_dot,
     binary_entropy,
     bsc,
@@ -527,22 +528,22 @@ GOLDEN_RESULTS = {
     "nx2_a": (
         "0x1.1e0d61495aefcp-7",
         ["0x1.9f925f9ae7cd3p-2", "0x1.3036d0328c196p-1"],
-        10, "0x1.e6262ca1c0594p-29",
+        10, "0x1.170456ad16a81p-29",
     ),
     "nx2_zeros": (
         "0x1.0c97dfbe54be0p-10",
         ["0x1.d2250eee54872p-2", "0x1.16ed7888d5bc7p-1"],
-        17, "0x1.03b87a2c330b2p-31",
+        17, "0x1.4e6794ecd7bb6p-32",
     ),
     "nx3_a": (
-        "0x1.0777ff19cc9eep-6",
-        ["0x0.0p+0", "0x1.dea01b0a8a0a6p-2", "0x1.10aff27abafadp-1"],
-        15, "0x1.eeaa89c11ce56p-31",
+        "0x1.0777ff19cc9e0p-6",
+        ["0x0.0p+0", "0x1.dea01a101eec6p-2", "0x1.10aff2f7f089dp-1"],
+        14, "0x1.0abdecc54d013p-30",
     ),
     "nx3_zeros": (
         "0x1.603fac67ae572p-4",
         ["0x1.2997f24b5c3e5p-1", "0x0.0p+0", "0x1.acd01b6947836p-2"],
-        21, "0x1.a36fc1766f881p-31",
+        21, "0x1.f0cc173bcdccfp-32",
     ),
     "nx4_a": (
         "0x1.04bc46d12ba1ap-6",
@@ -550,7 +551,7 @@ GOLDEN_RESULTS = {
             "0x1.1073fc778d849p-1", "0x0.0p+0", "0x0.0p+0",
             "0x1.df180710e4f6ep-2",
         ],
-        14, "0x1.229dd906c00d4p-29",
+        14, "0x1.b5688ebf9db1fp-30",
     ),
     "nx4_zeros": (
         "0x1.8518e9666f024p-3",
@@ -558,7 +559,7 @@ GOLDEN_RESULTS = {
             "0x1.417a288d42acap-1", "0x1.7d0baee57aa6cp-2", "0x0.0p+0",
             "0x0.0p+0",
         ],
-        15, "0x1.f50b752428e59p-29",
+        15, "0x1.07acbcf28cf89p-29",
     ),
     "nx8_a": (
         "0x1.2f7261a4b9282p-4",
@@ -567,7 +568,7 @@ GOLDEN_RESULTS = {
             "0x0.0p+0", "0x0.0p+0", "0x1.a9dc97a8424f8p-2",
             "0x1.2b11b42bded84p-1", "0x0.0p+0",
         ],
-        15, "0x1.20eb04bdc8700p-28",
+        15, "0x1.53d9ccb4e32cdp-29",
     ),
     "nx8_zeros": (
         "0x1.558bfae3c3bd6p-2",
@@ -576,20 +577,20 @@ GOLDEN_RESULTS = {
             "0x0.0p+0", "0x0.0p+0", "0x1.00fe04ea36625p-2",
             "0x0.0p+0", "0x1.1b2048b9b0587p-2",
         ],
-        17, "0x1.64f00eeaa378bp-27",
+        17, "0x1.d900c6841512ep-28",
     ),
     "nx3_two_steps": (
         "0x1.c6a4acef453aap-7",
         ["0x1.09c3e607c98ecp-2", "0x1.748f093968da4p-2", "0x1.81ad10becd970p-2"],
-        2, "0x1.1d0edf29b942fp-5",
+        2, "0x1.c5100856192d7p-7",
     ),
     "nx4_loose": (
-        "0x1.5c05032cfdab2p-6",
+        "0x1.5c05032c82500p-6",
         [
-            "0x0.0p+0", "0x1.30867f060849bp-1", "0x0.0p+0",
-            "0x1.9ef301f3ef6cbp-2",
+            "0x0.0p+0", "0x1.3086457f846f6p-1", "0x0.0p+0",
+            "0x1.9ef37500f7214p-2",
         ],
-        14, "0x1.31a5c27eaca0ap-21",
+        16, "0x1.0dcf408e8067fp-21",
     ),
 }
 
@@ -618,22 +619,28 @@ class TestOptimizeGolden:
         r = capacity_optimize(pyx, pux, SolverOptions(**kw))
         if name in GOLDEN_FLOORS:
             assert r.capacity >= float.fromhex(GOLDEN_FLOORS[name]) - 1e-12
+        # the gap is never negative, and 0.0 - keeps a zero gap at +0.0
+        assert r.residual >= 0.0 and math.copysign(1.0, r.residual) == 1.0
         assert golden_summary(r) == GOLDEN_RESULTS[name]
 
 
 def _sequential_ascend(p, a, nu, ny, opts):
     """Reference for capacity._ascend: each pass of the step search tries one
     step per pending row and halves it for the rows that go on.  Returns
-    _ascend's (rows, values, steps) and the most trials one search took."""
+    _ascend's (rows, values, steps, gaps) and the most trials one search
+    took."""
     p = p.copy()
     steps = np.zeros(len(p), dtype=np.int64)
     running = np.ones(len(p), dtype=bool)
     t_init = np.ones(len(p))
     j0 = capacity._evaluate(p, a, nu, ny)[2]
     most = 0
-    for _ in range(opts.max_iterations):
+    for it in range(opts.max_iterations + 1):
         g, dead = capacity._direction(p, a, nu, ny, *capacity._evaluate(p, a, nu, ny)[:2])
-        running &= ~(capacity._stationarity(p, g, dead) < opts.convergence_tol)
+        gap = 0.0 - _row_dot(p, g)
+        running &= ~(gap < opts.convergence_tol)
+        if it == opts.max_iterations or not running.any():
+            return (p, j0, steps, gap), most
         t_step, pending = t_init.copy(), running.copy()
         trials = np.zeros(len(p), dtype=np.int64)
         while pending.any():
@@ -653,9 +660,6 @@ def _sequential_ascend(p, a, nu, ny, opts):
             pending &= ~(accept | floor)
             np.multiply(t_step, 0.5, out=t_step, where=pending)
         most = max(most, int(trials.max()))
-        if not running.any():
-            break
-    return (p, j0, steps), most
 
 
 # max_iterations 1 and 2 stop runs mid-search, restarts=1 leaves a batch of
@@ -697,9 +701,8 @@ class TestSequentialOracle:
         # some search ran past the first ladder, so the rungs after it were
         # compared too
         assert most > capacity._LADDER
-        # some pass dropped the trials of rows that stopped on the tolerance
-        # while other rows searched on
-        assert any(0 < searched < entered for entered, searched, _ in passes)
+        # some pass stopped a row on the tolerance while another row searched on
+        assert any(entered and stopped for entered, stopped, _ in passes)
         # _dead_inputs took both branches: passes with a coordinate at 0 and
         # passes without one
         assert {zero for _, _, zero in passes} == {False, True}
@@ -737,40 +740,41 @@ class TestSequentialOracle:
 
 def _watch_passes(monkeypatch):
     """Record each pass of capacity._ascend as (rows entering its step
-    search, rows whose first-ladder trials were evaluated, whether some row
-    had a coordinate at 0).  A pass begins with a _direction call; the first
-    _arc call after it holds _LADDER trials and one t = 1 arc per entering
-    row, the first _evaluate call _LADDER trials per row still searching."""
-    passes, current = [], [None]
-    direction, arc, evaluate, stationarity = (
-        capacity._direction, capacity._arc, capacity._evaluate, capacity._stationarity)
+    search, rows its gap test stopped, whether some row had a coordinate at
+    0).  A pass begins with a _direction call, and its first _arc call holds
+    _LADDER trials per entering row.  The gap test stopped row i if its gap
+    is below the tolerance and it was running: at the first pass, or when
+    the last pass moved it and raised its value, as an accepted step that is
+    not at the float floor does (a row that stopped earlier keeps its gap)."""
+    passes, current, run = [], [None], {}
+    ascend, direction, arc = capacity._ascend, capacity._direction, capacity._arc
+
+    def watched_ascend(p, a, nu, ny, opts):
+        run.update(tol=opts.convergence_tol, j=None)
+        try:
+            return ascend(p, a, nu, ny, opts)
+        finally:
+            run.clear()
 
     def watched_direction(P, a, nu, ny, q, logs):
-        current[0] = [None, 0, not P.all()]
-        passes.append(current[0])
-        return direction(P, a, nu, ny, q, logs)
+        G, dead = direction(P, a, nu, ny, q, logs)
+        if run:  # not one of the one-trial-per-pass reference's passes
+            j = _mutual_information(q, logs)
+            below = 0.0 - _row_dot(P, G) < run["tol"]
+            moved = np.ones(len(P), dtype=bool) if run["j"] is None else j != run["j"]
+            run["j"] = j
+            current[0] = [0, int((below & moved).sum()), not P.all()]
+            passes.append(current[0])
+        return G, dead
 
     def watched_arc(P, G, t, dead):
-        if current[0] and current[0][0] is None:
-            current[0][0] = len(P) // (capacity._LADDER + 1)
+        if current[0]:
+            current[0][0] = len(P) // capacity._LADDER
+            current[0] = None
         return arc(P, G, t, dead)
 
-    def watched_evaluate(P, a, nu, ny):
-        if current[0]:
-            current[0][1] = len(P) // capacity._LADDER
-            current[0] = None
-        return evaluate(P, a, nu, ny)
-
-    def watched_stationarity(P, G, dead):
-        # a _direction call that _stationarity follows began no pass: the
-        # final residual's, or one of the one-trial-per-pass reference's
-        if current[0]:
-            passes.remove(current[0])
-        current[0] = None
-        return stationarity(P, G, dead)
-
-    for name, f in [("_direction", watched_direction), ("_arc", watched_arc),
-                    ("_evaluate", watched_evaluate), ("_stationarity", watched_stationarity)]:
+    for name, f in [("_ascend", watched_ascend), ("_direction", watched_direction),
+                    ("_arc", watched_arc)]:
         monkeypatch.setattr(capacity, name, f)
     return passes
 
@@ -778,16 +782,16 @@ def _watch_passes(monkeypatch):
 class TestEvaluatedOnce:
     """capacity_optimize evaluates each point once: the ascent carries an
     accepted trial's tables into the next pass and the final residual, and
-    the stationarity test shares the first ladder's projection."""
+    projects nothing but its ladders' trials."""
 
     @staticmethod
     def _oracle_trials(monkeypatch, starts, a, nu, ny, opts):
         """Trials per pass of the one-trial-per-pass search: the _arc calls
-        after each _direction call, less the stationarity test's."""
+        after each _direction call."""
         trials, direction, arc = [], capacity._direction, capacity._arc
 
         def counted_direction(*args):
-            trials.append(-1)
+            trials.append(0)
             return direction(*args)
 
         def counted_arc(*args):
@@ -836,9 +840,8 @@ class TestEvaluatedOnce:
         starts = inputs[0][0]
         ladders = [-(-n // capacity._LADDER) for n in self._oracle_trials(
             monkeypatch, starts, *inputs[0][1:], opts)]
-        # one projection per step-search pass, the first holding the
-        # stationarity test, and one for the final residual
-        assert [kind for kind, _ in events].count("project") == sum(max(1, n) for n in ladders) + 1
+        # one projection per ladder: none for a gap test or the final residual
+        assert [kind for kind, _ in events].count("project") == sum(ladders)
         # the starts are evaluated once, then each ladder's trials: no
         # accepted point, and no final point, is evaluated again
         evaluated = [X for kind, X in events if kind == "evaluate"]
@@ -850,7 +853,65 @@ class TestEvaluatedOnce:
                 last = X
             else:  # every evaluated row is a trial from the projection just made
                 assert (X[:, None, :] == last[None]).all(axis=2).any(axis=1).all()
-        assert events[-1][0] == "project"
+        assert events[-1][0] == "evaluate"
+
+
+class TestResidual:
+    """The gradient solver's residual is the Frank-Wolfe gap at argmax_px."""
+
+    @staticmethod
+    def check_gap_definition(seeds):
+        """On dense instances (no input is held at 0), at budgets 1, 3 and
+        300, residual is g.max() - p.g with g the gradient at p = argmax_px."""
+        for seed in seeds:
+            rng = np.random.default_rng(seed)
+            nx = (2, 3, 4, 8)[seed % 4]
+            pyx, pux = (_random_stochastic(rng, nx, int(rng.integers(2, 6))) for _ in range(2))
+            for budget in (1, 3, 300):
+                r = capacity_optimize(pyx, pux, SolverOptions(max_iterations=budget))
+                g = mutual_information_gradient(r.argmax_px, pyx, pux)
+                assert abs(r.residual - (g.max() - r.argmax_px @ g)) <= 1e-12, (seed, budget)
+
+    def test_is_the_frank_wolfe_gap(self):
+        self.check_gap_definition(range(24))
+
+    def test_a_tolerance_stop_reports_the_gap_that_stopped_it(self, monkeypatch):
+        # A start of a golden case stopped on the tolerance when, with the
+        # tolerance lowered to 1e-300, it searches on (a run at the float
+        # floor or on the budget tries nothing more), or when its gap is 0 at
+        # the first test.  Such a run must end below the budget with its
+        # residual below the tolerance.  The converse fails: an accepted step
+        # that leaves I(U;Y) unchanged stops a run at the float floor, and
+        # its gap can land below the tolerance, as on one start of nx4_zeros.
+        starts, trials = [], [0]
+        ascend, arc = capacity._ascend, capacity._arc
+        monkeypatch.setattr(capacity, "_ascend",
+                            lambda p, *args: starts.append(p) or ascend(p, *args))
+        monkeypatch.setattr(capacity, "_arc",
+                            lambda *args: trials.__setitem__(0, trials[0] + 1) or arc(*args))
+
+        def run(p, a, nu, ny, opts):
+            trials[0] = 0
+            return ascend(p, a, nu, ny, opts), trials[0]
+
+        stops = []
+        for name, (build, kw) in GOLDEN_CASES.items():
+            pyx, pux = build()
+            opts, low = SolverOptions(**kw), SolverOptions(**{**kw, "convergence_tol": 1e-300})
+            del starts[:]
+            capacity_optimize(pyx, pux, opts)
+            a, nu, ny = _kernel(pyx, pux)
+            for p in starts[0]:
+                (_, _, steps, gap), tried = run(p[None], a, nu, ny, opts)
+                (*_, low_gap), low_tried = run(p[None], a, nu, ny, low)
+                on_tol = low_tried > tried or (gap[0] == 0.0 and tried == 0)
+                if on_tol:
+                    assert steps[0] < opts.max_iterations and gap[0] < opts.convergence_tol
+                else:  # the tolerance played no part
+                    assert low_tried == tried and low_gap.tobytes() == gap.tobytes(), name
+                stops.append((on_tol, gap[0] == 0.0))
+        # tolerance stops with and without a gap of 0, and runs stopped otherwise
+        assert set(stops) == {(True, True), (True, False), (False, False)}
 
 
 class TestGradient:
@@ -997,6 +1058,12 @@ class TestErasureOracle:
         p = res.argmax_px
         i_xy = mutual_information(JointPmf(p[:, None] * w.matrix))
         assert capacity_gap(Pmf(p), w, erasure) == pytest.approx(e * i_xy, abs=1e-12)
+        # I(U;Y) is concave in p(x) here, so the residual, a Frank-Wolfe gap,
+        # bounds the shortfall at any budget
+        for budget in (1, 2, 4, 300):
+            for pair in ((w, erasure), (erasure, w)):
+                r = capacity_optimize(*pair, SolverOptions(max_iterations=budget))
+                assert want - r.capacity <= r.residual + 1e-12, (budget, pair[0] is w)
 
 
 def _model_instance(seed):

@@ -215,6 +215,18 @@ def test_sequential_oracle_fails_when_an_accepted_row_keeps_its_old_log_ratios(m
             test_capacity.TestSequentialOracle._check(*build(), SolverOptions(**kw), seed=0)
 
 
+def test_gap_definition_fails_when_the_ascent_returns_the_previous_pass_gap(monkeypatch):
+    # test_capacity's TestResidual::test_is_the_frank_wolfe_gap.  The stop
+    # rule still reads each pass's own gap, so every path and value holds;
+    # the stale gap is larger than the final one, so the erasure bound,
+    # shortfall <= residual, still passes.
+    stale = mutant(asymcap.capacity, "_ascend", "return p, j0, steps, gap",
+                   "return p, j0, steps, last if it else gap\n        last = gap")
+    monkeypatch.setattr(asymcap.capacity, "_ascend", stale)
+    with pytest.raises(AssertionError):
+        test_capacity.TestResidual.check_gap_definition(range(8))
+
+
 def test_top_draw_gate_fails_when_the_cdf_is_uncapped(monkeypatch):
     # test_rng's TestTopDrawNeverHitsZeroMass::test_sample_pmf
     monkeypatch.setattr(asymcap.rng, "capped_cdf",
