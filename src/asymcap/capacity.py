@@ -52,10 +52,6 @@ __all__ = [
     "simplex_project",
 ]
 
-SOLVER_CLOSED_FORM = "closed_form"
-SOLVER_GRID = "grid"
-SOLVER_GRADIENT = "gradient"
-
 GRID_INPUT_LIMIT = 4          # exhaustive search refuses larger input alphabets
 MAX_GRID_POINTS = 20_000_000  # lattice size guard
 MAX_RESTARTS = 1000           # the solver holds a (restarts + 1, nx) start array
@@ -70,17 +66,18 @@ _BISECT_BATCH = 512   # lattice points probed per array pass while bisecting
 _TIE_TOL = 1e-12
 # Projected Armijo search along the projection arc (Bertsekas, Nonlinear
 # Programming, 2nd ed., 1999, sec. 2.3): a trial step is accepted when it
-# gains at least _SIGMA of its first-order gain.  On a quadratic, _SIGMA =
-# 1/2 accepts exactly the steps up to the maximum along the line, so a
-# step that overshoots it is rejected.  The next pass starts from the
-# accepted step doubled, up to _T_MAX, which only keeps it finite.
+# raises j and gains at least _SIGMA of its first-order gain.  On a
+# quadratic, _SIGMA = 1/2 accepts exactly the steps up to the maximum along
+# the line, so a step that overshoots it is rejected.  The next pass starts
+# from the accepted step doubled, up to _T_MAX, which only keeps it finite.
 _SIGMA = 0.5
 _T_MAX = 2.0 ** 32
-# A row is at its float floor when an accepted step leaves j unchanged, or
-# a rejected trial predicts a gain of at most _FLOOR_ULPS ulps of |j|, or
-# its step is at most _EPS.  Such a step moves p by about its rounding; the
-# projection is not exactly idempotent, so without that bound a gain of
-# rounding noise could keep a search halving forever.
+# A row is at its float floor when a rejected trial predicts a gain of at
+# most _FLOOR_ULPS ulps of |j|, or its step is at most _EPS.  Such a step
+# moves p by about its rounding; the projection is not exactly idempotent,
+# so without that bound a gain of rounding noise could keep a search
+# halving forever.  A row stopped here stays where its pass found it: fewer
+# steps than the budget, and the gap that failed the tolerance test.
 _FLOOR_ULPS = 4
 _EPS = float(np.finfo(float).eps)
 # Each pass of a row's step search tries t, t/2, ..., t/2^(_LADDER-1) (_ascend).
@@ -128,22 +125,20 @@ class CapacityResult:
     erasure channel or perturbation, it bounds capacity - value.  Like the
     gradient it skips empty (u, y) cells, so at a sparse boundary point it
     can read below that shortfall.  iterations counts the ascent steps the
-    winning run took, and the run stopped in one of three ways:
+    winning run took, each of which raised I(U;Y), and these two fields
+    tell how the run stopped:
 
-    - tolerance: residual is below convergence_tol, iterations below
-      max_iterations;
-    - float floor: a step left I(U;Y) unchanged, or no shorter step could
-      show a gain in float arithmetic; iterations is below max_iterations
-      and residual may stay above the tolerance, as what remains to gain
-      is lost in rounding, or fall below it after a step that left
-      I(U;Y) unchanged;
-    - budget: iterations equals max_iterations; a residual above the
-      tolerance then says the run did not converge.
+    - budget iff iterations equals max_iterations; a residual above the
+      tolerance then says the run did not converge;
+    - tolerance iff iterations is below max_iterations and residual below
+      convergence_tol;
+    - float floor otherwise: no shorter step could show a gain in float
+      arithmetic, so what remains to gain is lost in rounding, and the run
+      stopped where its residual had just failed the tolerance.
     """
 
     capacity: float
     argmax_px: np.ndarray
-    solver: str
     iterations: int
     residual: float
 
@@ -160,7 +155,7 @@ def capacity_closed_form_bsc(p1: float, p2: float) -> CapacityResult:
     """
     p1, p2 = float(_probability("p1", p1)), float(_probability("p2", p2))
     cap = 1.0 - binary_entropy(composite_crossover(p1, p2))
-    return CapacityResult(cap, np.array([0.5, 0.5]), SOLVER_CLOSED_FORM, 0, 0.0)
+    return CapacityResult(cap, np.array([0.5, 0.5]), 0, 0.0)
 
 
 def _evaluate(P: np.ndarray, a: np.ndarray, nu: int, ny: int):
@@ -378,7 +373,7 @@ def capacity_grid(
     a, nu, ny = _kernel(pyx, pux)
     if nx == 1:
         one = float(_evaluate(np.ones((1, 1)), a, nu, ny)[2][0])
-        return CapacityResult(one, [1.0], SOLVER_GRID, 1, 1.0 / k)
+        return CapacityResult(one, [1.0], 1, 1.0 / k)
     lead, length = _lines(k, nx)
 
     best_val, best_p = -np.inf, None
@@ -389,7 +384,7 @@ def capacity_grid(
         i = int(np.argmax(vals))
         if vals[i] > best_val:
             best_val, best_p = float(vals[i]), pts[i].copy()
-    return CapacityResult(best_val, best_p, SOLVER_GRID, comb(k + nx - 1, nx - 1), 1.0 / k)
+    return CapacityResult(best_val, best_p, comb(k + nx - 1, nx - 1), 1.0 / k)
 
 
 def _carry(kept, rows, new, idx) -> None:
@@ -403,19 +398,21 @@ def _ascend(p: np.ndarray, a: np.ndarray, nu: int, ny: int, opts: SolverOptions)
     array.  Returns the final rows, their values, the steps each took and
     their Frank-Wolfe gaps (CapacityResult's residual).
 
-    A row stops on the tolerance, at the float floor or on the budget
-    (CapacityResult) and leaves the step search, which is per row, so each
-    row takes exactly the path it would take alone (each row of _mix and
-    _row_dot has its one-row bits).  A pass tries the ladder t, t/2, ...,
-    t/2^(_LADDER-1) at once for each row still searching, and goes on from
-    t/2^_LADDER for rows no rung stops; the rungs are the exact halvings of
-    a one-step-per-pass search, and a row takes the first rung at which that
-    search would stop, so the path is the same bit for bit.  A row carries
-    its accepted trial's joint and log-ratio tables into its next gradient,
-    so each point is evaluated once (_evaluate).  Each pass begins with the
-    gap test, one _row_dot with the pass's direction, whose largest live
-    entry is 0 (_direction); the last pass's direction gives the gaps
-    returned, with no further projection."""
+    A row stops on the tolerance, at the float floor or on the budget and
+    leaves the step search, which is per row, so each row takes exactly the
+    path it would take alone (each row of _mix and _row_dot has its one-row
+    bits).  A pass tries the ladder t, t/2, ..., t/2^(_LADDER-1) at once for
+    each row still searching, and goes on from t/2^_LADDER for rows no rung
+    stops; the rungs are the exact halvings of a one-step-per-pass search,
+    and a row takes the first rung at which that search would stop, so the
+    path is the same bit for bit.  An accepted trial raises the row's value,
+    moves the row and keeps it running; a float-floor stop leaves the row
+    where its pass found it, so steps and gaps alone tell the three stops
+    apart (CapacityResult).  A row carries its accepted trial's joint and
+    log-ratio tables into its next gradient, so each point is evaluated once
+    (_evaluate).  Each pass begins with the gap test, one _row_dot with the
+    pass's direction, whose largest live entry is 0 (_direction); the last
+    pass's direction gives the gaps returned, with no further projection."""
     p = p.copy()
     steps = np.zeros(len(p), dtype=np.int64)
     running = np.ones(len(p), dtype=bool)
@@ -434,9 +431,8 @@ def _ascend(p: np.ndarray, a: np.ndarray, nu: int, ny: int, opts: SolverOptions)
             qc, lc, jc = _evaluate(cand, a, nu, ny)
             jr = j0[r]
             gain = _row_dot(G.take(r, 0), cand - p.take(r, 0))  # first-order gain of the trial
-            accept = jc >= jr + _SIGMA * gain
-            floor = np.where(accept, jc == jr, (
-                gain <= _FLOOR_ULPS * np.spacing(np.abs(jr))) | (t_step <= _EPS))
+            accept = (jc > jr) & (jc >= jr + _SIGMA * gain)
+            floor = ~accept & ((gain <= _FLOOR_ULPS * np.spacing(np.abs(jr))) | (t_step <= _EPS))
             stop = (accept | floor).reshape(-1, _LADDER)
             hit = stop.any(axis=1)
             k = (np.arange(len(rows)) * _LADDER + stop.argmax(axis=1))[hit]  # first stop
@@ -466,12 +462,13 @@ def capacity_optimize(
     halvings tried at once, with one-step-at-a-time bits, carries its
     accepted trial's joint and log-ratio tables into its next gradient, and
     tests its Frank-Wolfe gap, in bits, against convergence_tol at the start
-    of each pass (_ascend).  A run stops on the tolerance, at the float
-    floor, or on the budget; CapacityResult says what iterations and
-    residual then hold.  An input at 0 whose one-sided derivative is -inf
-    (_dead_inputs) is held at 0, in the steps and in the residual.  All
-    runs advance together as the rows of one (starts, nx) array, and each
-    takes exactly the path it would take alone.
+    of each pass (_ascend).  Every step a run accepts raises I(U;Y).  A run
+    stopped on the budget iff iterations equals max_iterations, on the
+    tolerance iff iterations is below it and residual below convergence_tol,
+    and at the float floor otherwise (CapacityResult).  An input at 0 whose
+    one-sided derivative is -inf (_dead_inputs) is held at 0, in the steps
+    and in the residual.  All runs advance together as the rows of one
+    (starts, nx) array, and each takes exactly the path it would take alone.
     """
     opts = options or SolverOptions()
     a, nu, ny = _kernel(pyx, pux)
@@ -480,8 +477,7 @@ def capacity_optimize(
     starts = np.vstack([np.full(nx, 1.0 / nx), e / e.sum(axis=1, keepdims=True)])
     p, vals, steps, residual = _ascend(starts, a, nu, ny, opts)
     w = int(np.flatnonzero(vals >= vals.max() - _TIE_TOL)[0])
-    return CapacityResult(float(vals[w]), p[w], SOLVER_GRADIENT, int(steps[w]),
-                          float(residual[w]))
+    return CapacityResult(float(vals[w]), p[w], int(steps[w]), float(residual[w]))
 
 
 def capacity_gap(px: Pmf, pyx: TransitionMatrix, pux: TransitionMatrix) -> float:

@@ -30,7 +30,8 @@ from .capacity import (
 from .codec import DECODER_MAP, DECODER_TYPICALITY, MODE_FIXED, MODE_FRESH, SimConfig, collision_experiment, run_experiment
 from .info import TransitionMatrix, bsc_capacity_gap
 from .rng import MASK64, TAG_SWEEP, derive_seed
-from .verify import default_grid, run_verification, verification_grid
+from .verify import (DEFAULT_GRID_STEP, DEFAULT_SAMPLES, default_grid, run_verification,
+                     verification_grid)
 
 __all__ = ["main", "main_entry"]
 
@@ -331,8 +332,9 @@ COMMANDS = {
     "capacity-general": (cmd_capacity_general, "numeric capacity for arbitrary matrices", (
         Param("channel", str, "channel matrix file", required=True),
         Param("perturb", str, "perturbation matrix file", required=True),
-        Param("restarts", int, "gradient solver restarts", 8),
-        Param("tol", float, "Frank-Wolfe gap (residual), in bits, below which a run stops", 1e-9),
+        Param("restarts", int, "gradient solver restarts", SolverOptions.restarts),
+        Param("tol", float, "Frank-Wolfe gap (residual), in bits, below which a run stops",
+              SolverOptions.convergence_tol),
     )),
     "simulate": (cmd_simulate, "Monte Carlo block-error estimate", (
         N, MESSAGES, P1, P2, DECODER, EPSILON, TRIALS,
@@ -347,8 +349,8 @@ COMMANDS = {
         SEED, OUT,
     )),
     "verify": (cmd_verify, "run the structural self-check suite", (
-        Param("grid_step", float, "(p1, p2) lattice step for identity checks", 0.1),
-        Param("samples", int, "sample count for the factorization check", 10**6),
+        Param("grid_step", float, "(p1, p2) lattice step for identity checks", DEFAULT_GRID_STEP),
+        Param("samples", int, "sample count for the factorization check", DEFAULT_SAMPLES),
         SEED, OUT,
     )),
     "collision": (cmd_collision, "decoder-codebook collision bound check", (

@@ -37,13 +37,14 @@ COLLISION_GATE_CASES = [(8, 4, 16, 0.1, 0.1, 400, 1), (8, 8, 16, 0.1, 0.1, 400, 
 
 def mutant(module, name, old, new):
     """module.name with the one occurrence of `old` in its source replaced
-    by `new`, defined in a copy of the module's globals: a planted defect
-    for monkeypatch.setattr."""
+    by `new`: a planted defect for monkeypatch.setattr.  Its globals are the
+    module's own, so it calls whatever a gate patches into the module, as
+    the edited source would; the module itself is left unchanged."""
     source = textwrap.dedent(inspect.getsource(getattr(module, name)))
     assert source.count(old) == 1, (name, old, source.count(old))
-    scope = dict(vars(module))
+    scope = {}
     exec(compile(source.replace(old, new), f"<mutant {module.__name__}.{name}>", "exec"),
-         scope)
+         vars(module), scope)
     return scope[name]
 
 

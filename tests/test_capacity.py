@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -42,7 +43,7 @@ from asymcap.info import (
 from asymcap.verify import default_grid
 
 from gates import (GOLDEN_CASES, check_default_restarts_reach_the_maximum, golden_pair,
-                   golden_summary)
+                   golden_summary, load_bench)
 
 # Frozen reference values (high-precision evaluations rounded to float64).
 CAP_01_01 = 0.3199229542717202      # 1 - H(0.18)
@@ -65,7 +66,6 @@ class TestClosedForm:
         r = capacity_closed_form_bsc(0.0, 0.0)
         assert r.capacity == 1.0
         np.testing.assert_array_equal(r.argmax_px, [0.5, 0.5])
-        assert r.solver == "closed_form"
 
     @pytest.mark.parametrize("p1", [0.0, 0.2, 0.37, 0.5])
     def test_half_perturbation_erases_everything(self, p1):
@@ -110,7 +110,6 @@ class TestGrid:
         r = capacity_grid(bsc(0.1), bsc(0.1), 1e-3)
         assert abs(r.capacity - CAP_01_01) < 1e-5
         assert np.abs(r.argmax_px - 0.5).max() < 1e-3
-        assert r.solver == "grid"
         assert r.residual == pytest.approx(1e-3)
 
     def test_identity_perturbation_gives_channel_capacity(self):
@@ -183,7 +182,7 @@ def _exhaustive_grid(pyx, pux, resolution):
             best_val = float(vals[i])
             best_p = pts[i].copy()
         total += blk.shape[0]
-    return CapacityResult(best_val, best_p, "grid", total, 1.0 / k)
+    return CapacityResult(best_val, best_p, total, 1.0 / k)
 
 
 PRUNING_RESOLUTIONS = (1.0, 0.5, 0.37, 0.2, 0.013, 0.01, 1e-3)
@@ -334,7 +333,6 @@ class TestOptimize:
     def test_bsc_matches_closed_form(self):
         r = capacity_optimize(bsc(0.1), bsc(0.2))
         assert abs(r.capacity - CAP_01_02) < 1e-6
-        assert r.solver == "gradient"
 
     def test_flat_objective_returns_uniform(self):
         # at half perturbation every input law scores zero; the uniform
@@ -648,10 +646,10 @@ def _sequential_ascend(p, a, nu, ny, opts):
             cand = capacity._arc(p, g, t_step, dead)
             j_cand = capacity._evaluate(cand, a, nu, ny)[2]
             gain = _row_dot(g, cand - p)
-            accept = pending & (j_cand >= j0 + capacity._SIGMA * gain)
-            floor = (accept & (j_cand == j0)) | (pending & ~accept & (
+            accept = pending & (j_cand > j0) & (j_cand >= j0 + capacity._SIGMA * gain)
+            floor = pending & ~accept & (
                 (gain <= capacity._FLOOR_ULPS * np.spacing(np.abs(j0)))
-                | (t_step <= capacity._EPS)))
+                | (t_step <= capacity._EPS))
             np.copyto(p, cand, where=accept[:, None])
             np.copyto(j0, j_cand, where=accept)
             np.copyto(t_init, np.minimum(capacity._T_MAX, 2.0 * t_step), where=accept)
@@ -744,8 +742,9 @@ def _watch_passes(monkeypatch):
     0).  A pass begins with a _direction call, and its first _arc call holds
     _LADDER trials per entering row.  The gap test stopped row i if its gap
     is below the tolerance and it was running: at the first pass, or when
-    the last pass moved it and raised its value, as an accepted step that is
-    not at the float floor does (a row that stopped earlier keeps its gap)."""
+    the last pass raised its value, as every accepted step does, moving the
+    row and keeping it running (a row that stopped earlier keeps its point,
+    its value and its gap)."""
     passes, current, run = [], [None], {}
     ascend, direction, arc = capacity._ascend, capacity._direction, capacity._arc
 
@@ -875,14 +874,14 @@ class TestResidual:
     def test_is_the_frank_wolfe_gap(self):
         self.check_gap_definition(range(24))
 
-    def test_a_tolerance_stop_reports_the_gap_that_stopped_it(self, monkeypatch):
-        # A start of a golden case stopped on the tolerance when, with the
-        # tolerance lowered to 1e-300, it searches on (a run at the float
-        # floor or on the budget tries nothing more), or when its gap is 0 at
-        # the first test.  Such a run must end below the budget with its
-        # residual below the tolerance.  The converse fails: an accepted step
-        # that leaves I(U;Y) unchanged stops a run at the float floor, and
-        # its gap can land below the tolerance, as on one start of nx4_zeros.
+    def test_a_tolerance_stop_reports_the_gap_that_stopped_it(self, monkeypatch, tmp_path):
+        # A start stopped on the tolerance when, with the tolerance lowered
+        # to 1e-300, it searches on (a run at the float floor or on the
+        # budget tries nothing more), or when its gap is 0 at the first
+        # test.  Exactly those runs end below the budget with their residual
+        # below the tolerance: every accepted step raises I(U;Y) and keeps
+        # its row running, and a float-floor stop leaves its row where the
+        # gap test had just failed.
         starts, trials = [], [0]
         ascend, arc = capacity._ascend, capacity._arc
         monkeypatch.setattr(capacity, "_ascend",
@@ -895,23 +894,36 @@ class TestResidual:
             return ascend(p, a, nu, ny, opts), trials[0]
 
         stops = []
-        for name, (build, kw) in GOLDEN_CASES.items():
-            pyx, pux = build()
-            opts, low = SolverOptions(**kw), SolverOptions(**{**kw, "convergence_tol": 1e-300})
+        for name, pyx, pux, opts in _stop_rule_cases(tmp_path):
+            low = replace(opts, convergence_tol=1e-300)
             del starts[:]
             capacity_optimize(pyx, pux, opts)
             a, nu, ny = _kernel(pyx, pux)
-            for p in starts[0]:
+            for i, p in enumerate(starts[0]):
                 (_, _, steps, gap), tried = run(p[None], a, nu, ny, opts)
                 (*_, low_gap), low_tried = run(p[None], a, nu, ny, low)
                 on_tol = low_tried > tried or (gap[0] == 0.0 and tried == 0)
-                if on_tol:
-                    assert steps[0] < opts.max_iterations and gap[0] < opts.convergence_tol
-                else:  # the tolerance played no part
+                assert on_tol == (steps[0] < opts.max_iterations
+                                  and gap[0] < opts.convergence_tol), (name, i)
+                if not on_tol:  # the tolerance played no part
                     assert low_tried == tried and low_gap.tobytes() == gap.tobytes(), name
                 stops.append((on_tol, gap[0] == 0.0))
         # tolerance stops with and without a gap of 0, and runs stopped otherwise
         assert set(stops) == {(True, True), (True, False), (False, False)}
+
+
+def _stop_rule_cases(root):
+    """(name, pyx, pux, options) for each golden case and two more pairs.
+    On start 8 of nx4_zeros, start 2 of golden_pair(556, 4, 4, 3) and start
+    7 of nx8_0 in pass 1 of the bench's capacity workload at seed 8, a rule
+    that accepted a step leaving I(U;Y) unchanged and stopped its run there
+    would end at the float floor with a gap below the tolerance."""
+    cases = [(name, *build(), SolverOptions(**kw)) for name, (build, kw) in GOLDEN_CASES.items()]
+    load_bench("workloads").make_inputs("capacity", 8, str(root))
+    nx8_0 = (TransitionMatrix.from_file(root / "pass1" / f"nx8_0_{m}.txt")
+             for m in ("channel", "perturb"))
+    return cases + [("pair_556", *golden_pair(556, 4, 4, 3), SolverOptions()),
+                    ("capacity_8_nx8_0", *nx8_0, SolverOptions())]
 
 
 class TestGradient:

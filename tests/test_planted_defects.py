@@ -227,6 +227,37 @@ def test_gap_definition_fails_when_the_ascent_returns_the_previous_pass_gap(monk
         test_capacity.TestResidual.check_gap_definition(range(8))
 
 
+def test_stop_rule_gate_fails_when_an_unchanged_value_is_accepted_and_stops(monkeypatch,
+                                                                            tmp_path):
+    # test_capacity's TestResidual::test_a_tolerance_stop_reports_the_gap_that_stopped_it.
+    # An accepted step that leaves I(U;Y) unchanged moves its row and stops
+    # it at the float floor, and the new point's gap can fall below the
+    # tolerance (start 8 of nx4_zeros): iterations and residual then read
+    # like a tolerance stop.
+    both = mutant(asymcap.capacity, "_ascend",
+                  "accept = (jc > jr) & (jc >= jr + _SIGMA * gain)\n"
+                  "            floor = ~accept & (",
+                  "accept = jc >= jr + _SIGMA * gain\n"
+                  "            floor = accept & (jc == jr) | ~accept & (")
+    monkeypatch.setattr(asymcap.capacity, "_ascend", both)
+    with pytest.raises(AssertionError):
+        test_capacity.TestResidual().test_a_tolerance_stop_reports_the_gap_that_stopped_it(
+            monkeypatch, tmp_path)
+
+
+def test_eps_gate_fails_when_the_step_clause_reads_the_ladder_top(monkeypatch):
+    # test_capacity's TestSequentialOracle::test_search_stops_at_first_step_below_eps.
+    # The t <= eps clause tested on each ladder's first rung rather than on
+    # each trial's step: the path and its bits are the reference's on that
+    # instance, but the search tries a whole ladder beyond 2^-53, to 2^-57.
+    top = mutant(asymcap.capacity, "_ascend", "(t_step <= _EPS)",
+                 "(np.repeat(t_top, _LADDER) <= _EPS)")
+    monkeypatch.setattr(asymcap.capacity, "_ascend", top)
+    with pytest.raises(AssertionError):
+        test_capacity.TestSequentialOracle().test_search_stops_at_first_step_below_eps(
+            monkeypatch)
+
+
 def test_top_draw_gate_fails_when_the_cdf_is_uncapped(monkeypatch):
     # test_rng's TestTopDrawNeverHitsZeroMass::test_sample_pmf
     monkeypatch.setattr(asymcap.rng, "capped_cdf",
